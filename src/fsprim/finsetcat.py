@@ -42,10 +42,13 @@ class FinMap:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        assert self.source_size >= 0 and self.target_size >= 0
-        assert len(self.values) == self.source_size, "value array length mismatch"
-        assert all(isinstance(v, int) and 1 <= v <= self.target_size
-                   for v in self.values), "value out of range"
+        if self.source_size < 0 or self.target_size < 0:
+            raise ValueError("set sizes must be nonnegative")
+        if len(self.values) != self.source_size:
+            raise ValueError("value array length mismatch")
+        if not all(isinstance(v, int) and 1 <= v <= self.target_size
+                   for v in self.values):
+            raise ValueError("value out of range")
 
     def __call__(self, i: int) -> int:
         assert 1 <= i <= self.source_size

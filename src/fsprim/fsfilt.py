@@ -381,7 +381,8 @@ def theta_matrix(target_size: int, source_size: int) -> RatMatrix:
     bijection inversion.
     """
     a, b = target_size, source_size
-    assert 0 <= a <= b, "pairing needs target no larger than source"
+    if not 0 <= a <= b:
+        raise ValueError("pairing needs target no larger than source")
     surjections = enumerate_hom(_SURJ, b, a)
     target = theta_target_module(a, b)
 

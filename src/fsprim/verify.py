@@ -946,6 +946,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.max_size < 0:
+        print("error: --max-size must be nonnegative", file=sys.stderr)
+        return 2
     handlers = {
         "dims": _cmd_dims,
         "theta": _cmd_theta,

@@ -45,11 +45,11 @@ def brute_maps(flavor, b, a):
 
 def test_finmap_validation():
     FinMap(2, 3, (1, 3))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FinMap(2, 3, (1,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FinMap(2, 3, (1, 4))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FinMap(2, 3, (0, 1))
 
 

@@ -323,6 +323,54 @@ def test_rank_report_on_injective_cells():
     assert report["rank"] == 2 and report["kernel_dimension"] == 0
 
 
+def _rref_rows(red):
+    return dict(red.dm.rep.to_sdm())
+
+
+def test_operator_rref_matches_denominator_clearing_reference():
+    # Reference: sympy's RREF that clears denominators and eliminates over ZZ.
+    for b in range(6):
+        for a in range(b + 1):
+            operators = [theta_matrix(a, b)] + [
+                _reduced_restriction(b, a, c) for c in range(b + 1)]
+            for mat in operators:
+                red, pivots = mat.rref()
+                if not mat.rows or not mat.cols:
+                    assert pivots == ()
+                    continue
+                ref, ref_pivots = mat.dm.rref(method="CD")
+                assert pivots == tuple(ref_pivots), (a, b, mat)
+                assert _rref_rows(red) == dict(ref.rep.to_sdm()), (a, b, mat)
+
+
+def test_pairing_rows_are_the_equal_size_stage_rows():
+    # Why the pairing and level b - a - 1 share one elimination.
+    def row_set(mat):
+        return {frozenset(row.items()) for row in mat.rows_dict().values()}
+
+    for b in range(6):
+        for a in range(1, b + 1):
+            theta = theta_matrix(a, b)
+            stage = _reduced_restriction(b, a, a)
+            assert theta.rows == stage.rows
+            assert row_set(theta) == row_set(stage), (a, b)
+
+
+def test_permuted_pairing_with_repeated_rows_has_the_same_rref():
+    theta = theta_matrix(3, 5)
+    red, pivots = theta.rref()
+    order = list(reversed(range(theta.rows))) + [0, 0, 7]
+    copy = theta.select_rows(order)
+    red_copy, pivots_copy = copy.rref()
+    assert pivots_copy == pivots
+    assert red_copy.rows == theta.rows + 3
+    nonzero = _rref_rows(red)
+    assert set(nonzero) == set(range(len(pivots)))
+    assert _rref_rows(red_copy) == nonzero
+    ref, ref_pivots = copy.dm.rref(method="CD")
+    assert tuple(ref_pivots) == pivots and dict(ref.rep.to_sdm()) == nonzero
+
+
 # ---------------------------------------------------------------- cokernels
 
 

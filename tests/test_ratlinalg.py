@@ -128,6 +128,41 @@ def test_rref_matches_oracle(rows):
     assert list(R.entries) == exp_rows
 
 
+def reference_rref(matrix):
+    """sympy's denominator-clearing RREF over ZZ, as sparse rows and pivots."""
+    if not matrix.rows or not matrix.cols:
+        return {}, ()
+    red, pivots = matrix.dm.rref(method="CD")
+    return dict(red.rep.to_sdm()), tuple(pivots)
+
+
+def fast_rref(matrix):
+    red, pivots = matrix.rref()
+    assert (red.rows, red.cols) == (matrix.rows, matrix.cols)
+    return dict(red.dm.rep.to_sdm()), pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_rref_matches_denominator_clearing_reference(rows):
+    M = RatMatrix(rows)
+    assert fast_rref(M) == reference_rref(M)
+
+
+def test_rref_is_shared_by_row_content():
+    rows = [[1, 2, 0, 3], [0, Fraction(1, 2), 1, 0], [2, 4, 0, 6]]
+    M = RatMatrix(rows)
+    red, pivots = M.rref()
+    # Reordered rows, a repeat and a zero row span the same row space.
+    N = RatMatrix([rows[1], rows[0], [0, 0, 0, 0], rows[1], rows[2]])
+    red_n, pivots_n = N.rref()
+    assert pivots_n == pivots
+    assert red_n.rows == 5 and red.rows == 3
+    assert red_n.entries[:len(pivots)] == red.entries[:len(pivots)]
+    assert all(not any(row) for row in red_n.entries[len(pivots):])
+    assert fast_rref(N) == reference_rref(N)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_transpose_invariant(rows):

@@ -9,6 +9,7 @@ both the library entry point and the argparse CLI.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -161,6 +162,24 @@ def test_reports_byte_identical_across_processes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_contracts_hold_under_optimize():
+    # python -O strips assert statements; these contracts must not be.
+    code = """
+from fsprim.finsetcat import FinMap
+from fsprim.fsfilt import theta_matrix
+for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2)):
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("accepted")
+"""
+    result = subprocess.run([sys.executable, "-O", "-c", code],
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 # ------------------------------------------------------ individual checks
 
 
@@ -175,6 +194,41 @@ def test_injectivity_findings_list_the_deficient_cells():
     assert all(c["kernel_is_filtration_level"] for c in computed)
     assert (2, 3) in deficient and deficient[(2, 3)] == 1
     assert (2, 2) not in deficient
+
+
+def _theta_missing_one_entry(monkeypatch, cell):
+    import fsprim.fsfilt as fsfilt
+    from fsprim.ratlinalg import RatMatrix
+    real = fsfilt.theta_matrix
+
+    def corrupted(a, b):
+        mat = real(a, b)
+        if (a, b) != cell:
+            return mat
+        rows = mat.rows_dict()
+        first = min(rows)
+        del rows[first][min(rows[first])]
+        return RatMatrix.from_triplets(
+            mat.rows, mat.cols,
+            ((i, j, v) for i, row in rows.items() for j, v in row.items()))
+
+    monkeypatch.setattr(fsfilt, "theta_matrix", corrupted)
+
+
+def test_theta_kernel_check_detects_a_dropped_entry(monkeypatch):
+    from fsprim.fsfilt import theta_kernel_level_check
+    _theta_missing_one_entry(monkeypatch, (3, 5))
+    assert not theta_kernel_level_check(3, 5)
+    assert theta_kernel_level_check(2, 5)
+
+
+def test_theta_injectivity_fails_on_a_dropped_entry(monkeypatch):
+    _theta_missing_one_entry(monkeypatch, (3, 5))
+    (report,) = run_check("theta_injectivity", 5)
+    assert report.status == "fail"
+    wrong = [c for c in json.loads(report.computed)
+             if not c["kernel_is_filtration_level"]]
+    assert [(c["target_size"], c["source_size"]) for c in wrong] == [(3, 5)]
 
 
 def test_ses_reports_one_per_layer():
@@ -360,6 +414,14 @@ def test_cli_verify_unknown_check(capsys):
     err = capsys.readouterr().err
     assert "unknown check" in err
     assert "coker_theta" in err
+
+
+def test_cli_rejects_negative_bound(capsys):
+    assert main(["--max-size", "-1", "verify", "all"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-size must be nonnegative" in captured.err
+    assert "passed" not in captured.out
+    assert main(["dims", "--max-size", "-3"]) == 2
 
 
 def test_cli_verify_all_writes_artifacts(tmp_path, capsys):
