@@ -12,12 +12,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import fsprim.verify as verify
 from fsprim.finsetcat import HomClass, hom_dimension
-from fsprim.fsfilt import IdentityCheck, filtration_level, primitives
+from fsprim.fsfilt import (IdentityCheck, filtration_level, lambda_bar_rep,
+                           primitives)
 from fsprim.repdecomp import BiSchurClass
 from fsprim.verify import (
     CHECK_IDS,
@@ -280,6 +282,149 @@ def test_orthogonality_detects_a_corrupted_table(monkeypatch):
     (report,) = run_check("orthogonality", 0)
     assert report.status == "fail"
     assert json.loads(report.computed)["degree"] == 3
+
+
+_SKEW = BiSchurClass({((1,), (2,)): 1})
+
+
+def _skew_identity(chk):
+    return IdentityCheck(False, chk.lhs + _SKEW, chk.rhs)
+
+
+def _skew_first_ses_cell(report):
+    first = report.cells[0]
+    bad = first._replace(ok=False, lhs=first.lhs + _SKEW)
+    return report._replace(ok=False, cells=(bad,) + report.cells[1:])
+
+
+def _false(_):
+    return False
+
+
+def _level_of_dimension(dim):
+    return lambda _: types.SimpleNamespace(dimension=dim)
+
+
+# (check, name patched in fsprim.verify, its arguments at the faulty cell,
+#  corruption of the real result there, expected, computed).  Each check
+# runs at bound 3 and must fail at exactly that cell, with these payloads.
+_FAULTS = {
+    "dimension_counts-surjections": (
+        "dimension_counts", "enumerate_hom", (HomClass.SURJECTION, 3, 2),
+        lambda maps: maps[1:],
+        '{"source_size":3,"surjections":6,"target_size":2}',
+        '{"source_size":3,"surjections":5,"target_size":2}'),
+    "dimension_counts-injections": (
+        "dimension_counts", "enumerate_hom", (HomClass.INJECTION, 2, 3),
+        lambda maps: maps[1:],
+        '{"injections":6,"source_size":3,"target_size":2}',
+        '{"injections":5,"source_size":3,"target_size":2}'),
+    "derham": (
+        "derham", "derham_check", (4,), _false,
+        '{"cancels":true,"degree":4}',
+        '{"cancels":false,"degree":4}'),
+    "invert": (
+        "invert", "invert_identity_check", ((2, 1),), _false,
+        '{"partition":[2,1],"recovered":true}',
+        '{"partition":[2,1],"recovered":false}'),
+    "theta_equivariance": (
+        "theta_equivariance", "theta_equivariance_check", (1, 2), _false,
+        '{"equivariant":true,"source_size":2,"target_size":1}',
+        '{"equivariant":false,"source_size":2,"target_size":1}'),
+    "coker_theta": (
+        "coker_theta", "coker_theta_decompose", (1, 2),
+        lambda cls: cls + _SKEW,
+        '{"class":[{"coefficient":1,"left":[1],"right":[1,1]}],'
+        '"source_size":2,"target_size":1}',
+        '{"class":[{"coefficient":1,"left":[1],"right":[2]},'
+        '{"coefficient":1,"left":[1],"right":[1,1]}],'
+        '"source_size":2,"target_size":1}'),
+    "coker_action": (
+        "coker_action", "coker_action_triviality", (1, 0, 2), _false,
+        '{"acts_trivially":true,"low_size":0,"source_size":2,"target_size":1}',
+        '{"acts_trivially":false,"low_size":0,"source_size":2,'
+        '"target_size":1}'),
+    "lambda_bar-dimension": (
+        "lambda_bar", "lambda_bar_rep", (1, 3), lambda _: lambda_bar_rep(0, 3),
+        '{"dimension":2,"power":1,"set_size":3}',
+        '{"dimension":1,"power":1,"set_size":3}'),
+    "lambda_bar-class": (
+        "lambda_bar", "lambda_bar_rep", (0, 2), lambda _: lambda_bar_rep(1, 2),
+        '{"class":[{"coefficient":1,"partition":[2]}],"power":0,"set_size":2}',
+        '{"class":[{"coefficient":1,"partition":[1,1]}],"power":0,'
+        '"set_size":2}'),
+    "filtration-empty": (
+        "filtration", "filtration_level", (2, 1, -1), _level_of_dimension(1),
+        '{"holds":true,"property":"empty_at_depth_-1","source_size":2,'
+        '"target_size":1}',
+        '{"holds":false,"property":"empty_at_depth_-1","source_size":2,'
+        '"target_size":1}'),
+    "filtration-exhaustion": (
+        "filtration", "filtration_level", (2, 1, 2), _level_of_dimension(0),
+        '{"holds":true,"property":"exhaustion","source_size":2,'
+        '"target_size":1}',
+        '{"holds":false,"property":"exhaustion","source_size":2,'
+        '"target_size":1}'),
+    "filtration-nesting": (
+        "filtration", "filtration_nesting_check", (2, 1), _false,
+        '{"holds":true,"property":"nesting","source_size":2,"target_size":1}',
+        '{"holds":false,"property":"nesting","source_size":2,'
+        '"target_size":1}'),
+    "filtration-stability": (
+        "filtration", "fi_stability_check", (2, 1), _false,
+        '{"holds":true,"property":"injection_stability","source_size":2,'
+        '"target_size":1}',
+        '{"holds":false,"property":"injection_stability","source_size":2,'
+        '"target_size":1}'),
+    "closure-automorphisms": (
+        "closure", "automorphism_block_check", (2,), _false,
+        '{"block_is_full":true,"set_size":2}',
+        '{"block_is_full":false,"set_size":2}'),
+    "closure-composition": (
+        "closure", "closure_check", (2, 1, 0), _false,
+        '{"closed":true,"mid_size":1,"source_size":2,"target_size":0}',
+        '{"closed":false,"mid_size":1,"source_size":2,"target_size":0}'),
+    "sgn_vanishing": (
+        "sgn_vanishing", "sgn_vanishing_check", (2, 1), _false,
+        '{"sign_multiplicity":0,"source_size":2,"target_size":1}',
+        '{"sign_multiplicity":"nonzero","source_size":2,"target_size":1}'),
+    "ses": (
+        "ses", "ses_check", (2, 3), _skew_first_ses_cell,
+        '{"coefficient":0,"left":[1],"level":2,"right":[2],"source_size":2,'
+        '"target_size":0}',
+        '{"coefficient":1,"left":[1],"level":2,"right":[2],"source_size":2,'
+        '"target_size":0}'),
+    "primfs_formula": (
+        "primfs_formula", "primfs_identity_check", (2, 1), _skew_identity,
+        '{"coefficient":0,"left":[1],"right":[2],"source_size":2,'
+        '"target_size":1}',
+        '{"coefficient":1,"left":[1],"right":[2],"source_size":2,'
+        '"target_size":1}'),
+    "subquotient_formula": (
+        "subquotient_formula", "subquotient_identity_check", (1, 2, 1),
+        _skew_identity,
+        '{"coefficient":1,"left":[1],"level":1,"right":[2],"source_size":2,'
+        '"target_size":1}',
+        '{"coefficient":2,"left":[1],"level":1,"right":[2],"source_size":2,'
+        '"target_size":1}'),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_check_fails_at_an_injected_fault(monkeypatch, fault):
+    check, name, cell, corrupt, expected, computed = _FAULTS[fault]
+    real = getattr(verify, name)
+
+    def patched(*args):
+        result = real(*args)
+        return corrupt(result) if args == cell else result
+
+    monkeypatch.setattr(verify, name, patched)
+    reports = run_check(check, 3)
+    failed = [r for r in reports if r.status == "fail"]
+    assert len(failed) == 1
+    assert all(r.status == "pass" for r in reports if r is not failed[0])
+    assert (failed[0].expected, failed[0].computed) == (expected, computed)
 
 
 # ------------------------------------------------------------- artifacts
