@@ -43,7 +43,7 @@ from .finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                         hom_dimension, sections)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix, solve_membership
-from .repdecomp import (BiClassFunction, BiRepSpace, BiSchurClass,
+from .repdecomp import (BiClassFunction, BiSchurClass,
                         ClassFunction, RepSpace, SchurClass,
                         adjacent_transposition, bidecompose_character,
                         boxtimes, class_representative, convolution_class,
@@ -52,7 +52,7 @@ from .repdecomp import (BiClassFunction, BiRepSpace, BiSchurClass,
 
 __all__ = [
     "HomModule", "hom_module", "theta_target_module",
-    "FiltrationLevel", "fi_action_on_fs", "filtration_level", "primitives",
+    "FiltrationLevel", "filtration_level", "primitives",
     "level_bicharacter", "primitives_bidecompose", "full_fs_bidecompose",
     "subquotient_decompose",
     "theta_matrix", "theta_equivariance_check", "theta_kernel_level_check",
@@ -117,14 +117,6 @@ class HomModule:
             self.right_perm(adjacent_transposition(self.right_degree, t))
             for t in range(1, self.right_degree))
 
-    @cached_property
-    def birep(self) -> BiRepSpace:
-        """Both actions as verified permutation matrices on the basis."""
-        return BiRepSpace(
-            self.left_degree, self.right_degree, self.dimension,
-            tuple(_perm_matrix(p) for p in self.left_generator_perms),
-            tuple(_perm_matrix(p) for p in self.right_generator_perms))
-
     def bicharacter(self) -> BiClassFunction:
         """Joint character by fixed-point counts, one value per class pair."""
         left_reps = [self.left_perm(class_representative(mu))
@@ -183,34 +175,6 @@ def theta_target_module(target_size: int, source_size: int) -> HomModule:
 
 
 # ------------------------------------------------------- restriction operators
-
-
-@cache
-def fi_action_on_fs(source_size: int, target_size: int,
-                    restricted_size: int) -> RatMatrix:
-    """Stacked restriction matrix along all injections into the source.
-
-    One block per injection ``i: restricted_size -> source_size`` in canonical
-    basis order; the block sends a surjection ``[f]`` to ``[f . i]`` when the
-    composite is surjective and to zero otherwise.  Restricting to a larger
-    set than the source is a contract violation.
-    """
-    b, a, c = source_size, target_size, restricted_size
-    assert 0 <= c <= b, "restricted size must not exceed the source size"
-    big = hom_module(_SURJ, b, a)
-    small = hom_module(_SURJ, c, a)
-    injections = enumerate_hom(_INJ, c, b)
-    rows = len(injections) * small.dimension
-
-    def triplets():
-        for blk, inj in enumerate(injections):
-            base = blk * small.dimension
-            for col, f in enumerate(big.basis):
-                g = compose(f, inj)
-                if g.is_surjective():
-                    yield base + small.index_of(g), col, 1
-
-    return RatMatrix.from_triplets(rows, big.dimension, triplets())
 
 
 @cache

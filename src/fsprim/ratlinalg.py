@@ -460,11 +460,3 @@ def solve_membership(span: RatMatrix, vector):
         if val is not None:
             coeffs[p] = _qq_to_frac(val)
     return tuple(coeffs)
-
-
-def kernel_basis_from_triplets(rows: int, cols: int, triplets) -> RatMatrix:
-    """Kernel basis of the matrix given by (row, col, value) triplets.
-
-    Shorthand for RatMatrix.from_triplets(rows, cols, triplets).kernel_basis().
-    """
-    return RatMatrix.from_triplets(rows, cols, triplets).kernel_basis()

@@ -1,9 +1,16 @@
 """Named exact verification checks, deterministic reports, and the CLI.
 
-Every check runs in exact rational arithmetic and reports ``pass``, ``fail``,
-or ``vacuous``.  Reports serialize deterministically — timing is kept in
-memory only and never written — so repeated runs over the same inputs produce
-byte-identical JSON and CSV artifacts.
+Every check is a sweep over cells (set sizes, partitions, or layers) in a
+fixed order.  A check supplies its cells and an ``evaluate`` that returns
+``None`` when a cell holds, or the ``(expected, computed)`` values of the
+first property that does not.  One helper, ``_sweep``, times the sweep,
+stops at the first mismatch and builds the report: ``fail`` with both values
+serialized, ``vacuous`` when the sweep visits no cell, ``pass`` otherwise.
+``theta_injectivity`` is the one check that compares whole lists of findings
+(its report lists every nonzero kernel, whatever the status), and ``ses``
+runs one sweep per layer.  Reports serialize deterministically — timing is
+kept in memory only and never written — so repeated runs over the same
+inputs produce byte-identical JSON and CSV artifacts.
 
 The registry maps stable check ids to sweep functions.  ``run_all`` executes
 the registered checks in a fixed canonical order and returns a process exit
@@ -12,7 +19,8 @@ and 2 when a report file could not be written (I/O trouble is never conflated
 with a mathematical failure).  Inside ``run_all`` the two most expensive
 formula sweeps (``kring_fs_check`` and ``subquotient_formula``) are capped at
 bound 5 to keep the full run within minutes; invoking either check directly
-honours the requested bound.
+honours the requested bound.  A negative bound is refused with ``ValueError``
+(exit status 2 from the CLI), never swept as a pass.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from math import comb, factorial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from sympy.functions.combinatorial.numbers import stirling
 
@@ -105,9 +113,11 @@ class CheckReport:
     elapsed: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        assert self.status in ("pass", "fail", "vacuous")
-        if self.status == "fail":
-            assert self.expected is not None and self.computed is not None
+        if self.status not in ("pass", "fail", "vacuous"):
+            raise ValueError(f"unknown report status {self.status!r}")
+        if self.status == "fail" and (self.expected is None
+                                      or self.computed is None):
+            raise ValueError("a failing report needs expected and computed")
 
     def as_dict(self) -> dict:
         out: dict = {
@@ -123,10 +133,52 @@ class CheckReport:
 
 
 def _serialize(value) -> str:
-    """Canonical compact JSON for report payloads (classes included)."""
-    if isinstance(value, (SchurClass, BiSchurClass)):
-        value = value.to_json()
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """Canonical compact JSON for report payloads, classes at any depth."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      default=lambda cls: cls.to_json())
+
+
+# A mismatch: the (expected, computed) values at the first failing cell.
+_Mismatch = tuple[dict, dict] | None
+
+
+def _timed(check: str, params: dict, run: Callable[[], tuple]) -> CheckReport:
+    """Report of ``run() -> (status, expected, computed)``, with its time."""
+    start = time.perf_counter()
+    status, expected, computed = run()
+    return CheckReport(check, params, status, expected, computed,
+                       time.perf_counter() - start)
+
+
+def _sweep(check: str, params: dict, cells: Iterable,
+           evaluate: Callable[[object], _Mismatch]) -> CheckReport:
+    """Evaluate ``cells`` in order and report the first mismatch.
+
+    The report is ``fail`` with the serialized mismatch, ``vacuous`` when
+    ``cells`` is empty, and ``pass`` otherwise.  ``cells`` may be a generator,
+    so work it does lazily is timed with the sweep.
+    """
+    def run():
+        status = "vacuous"
+        for cell in cells:
+            mismatch = evaluate(cell)
+            if mismatch is not None:
+                return ("fail", *map(_serialize, mismatch))
+            status = "pass"
+        return status, None, None
+    return _timed(check, params, run)
+
+
+def _compare(where: dict, key: str, want, got) -> _Mismatch:
+    """``None`` when ``got == want``; else both values recorded at ``where``."""
+    if got == want:
+        return None
+    return dict(where, **{key: want}), dict(where, **{key: got})
+
+
+def _holds(where: dict, key: str, ok) -> _Mismatch:
+    """``None`` when ``ok``; else ``key`` expected true and computed false."""
+    return _compare(where, key, True, bool(ok))
 
 
 def _pair_sort_key(pair: tuple[tuple[int, ...], tuple[int, ...]]):
@@ -144,19 +196,33 @@ def _first_difference(lhs: BiSchurClass, rhs: BiSchurClass):
     return None
 
 
-def _identity_failure(cell_params: dict, lhs: BiSchurClass,
-                      rhs: BiSchurClass) -> tuple[str, str]:
-    """Expected/computed payloads pinpointing the first differing coefficient."""
-    pair = _first_difference(lhs, rhs)
+def _identity_failure(where: dict, chk) -> _Mismatch:
+    """First differing coefficient of a failed ``chk`` (ok, lhs, rhs)."""
+    if chk.ok:
+        return None
+    pair = _first_difference(chk.lhs, chk.rhs)
     assert pair is not None
     left, right = pair
-    base = dict(cell_params, left=list(left), right=list(right))
-    expected = _serialize(dict(base, coefficient=rhs.coefficient(left, right)))
-    computed = _serialize(dict(base, coefficient=lhs.coefficient(left, right)))
-    return expected, computed
+    return _compare(dict(where, left=list(left), right=list(right)),
+                    "coefficient", chk.rhs.coefficient(left, right),
+                    chk.lhs.coefficient(left, right))
+
+
+def _cells(bound: int) -> list[tuple[int, int]]:
+    """Cells (source b, target a) with a <= b <= bound, b outermost."""
+    return [(b, a) for b in range(bound + 1) for a in range(b + 1)]
+
+
+def _at(b: int, a: int) -> dict:
+    return {"source_size": b, "target_size": a}
 
 
 # ---------------------------------------------------- named formula ops
+
+
+def _require_positive(bound: int) -> None:
+    if bound < 1:
+        raise ValueError(f"formula sweeps need a bound >= 1, got {bound}")
 
 
 def primfs_formula(bound: int) -> CheckReport:
@@ -167,19 +233,10 @@ def primfs_formula(bound: int) -> CheckReport:
     the alternating sum over t of the full surjection-span classes convolved
     on the right with sign classes.  Exact equality of BiSchurClass values.
     """
-    assert bound >= 1
-    start = time.perf_counter()
-    for b in range(bound + 1):
-        for a in range(b + 1):
-            chk = primfs_identity_check(b, a)
-            if not chk.ok:
-                expected, computed = _identity_failure(
-                    {"source_size": b, "target_size": a}, chk.lhs, chk.rhs)
-                return CheckReport("primfs_formula", {"bound": bound}, "fail",
-                                   expected, computed,
-                                   time.perf_counter() - start)
-    return CheckReport("primfs_formula", {"bound": bound}, "pass",
-                       elapsed=time.perf_counter() - start)
+    _require_positive(bound)
+    return _sweep("primfs_formula", {"bound": bound}, _cells(bound),
+                  lambda c: _identity_failure(_at(*c),
+                                              primfs_identity_check(*c)))
 
 
 def kring_fs_check(bound: int) -> CheckReport:
@@ -190,19 +247,10 @@ def kring_fs_check(bound: int) -> CheckReport:
     equal the full surjection-span class plus the single hook correction at
     the extreme layer.  Exact equality of BiSchurClass values.
     """
-    assert bound >= 1
-    start = time.perf_counter()
-    for b in range(bound + 1):
-        for a in range(b + 1):
-            chk = kring_identity_check(b, a)
-            if not chk.ok:
-                expected, computed = _identity_failure(
-                    {"source_size": b, "target_size": a}, chk.lhs, chk.rhs)
-                return CheckReport("kring_fs_check", {"bound": bound}, "fail",
-                                   expected, computed,
-                                   time.perf_counter() - start)
-    return CheckReport("kring_fs_check", {"bound": bound}, "pass",
-                       elapsed=time.perf_counter() - start)
+    _require_positive(bound)
+    return _sweep("kring_fs_check", {"bound": bound}, _cells(bound),
+                  lambda c: _identity_failure(_at(*c),
+                                              kring_identity_check(*c)))
 
 
 def subquotient_formula(bound: int) -> CheckReport:
@@ -213,160 +261,104 @@ def subquotient_formula(bound: int) -> CheckReport:
     signed convolution expression.  Layers exceeding b - a are vacuous (both
     sides zero) and still checked.  Exact equality of BiSchurClass values.
     """
-    assert bound >= 1
-    start = time.perf_counter()
-    for level in range(1, bound + 1):
-        for b in range(bound + 1):
-            for a in range(b + 1):
-                chk = subquotient_identity_check(level, b, a)
-                if not chk.ok:
-                    expected, computed = _identity_failure(
-                        {"level": level, "source_size": b, "target_size": a},
-                        chk.lhs, chk.rhs)
-                    return CheckReport("subquotient_formula",
-                                       {"bound": bound}, "fail",
-                                       expected, computed,
-                                       time.perf_counter() - start)
-    return CheckReport("subquotient_formula", {"bound": bound}, "pass",
-                       elapsed=time.perf_counter() - start)
+    _require_positive(bound)
+    cells = [(level, b, a) for level in range(1, bound + 1)
+             for b, a in _cells(bound)]
+    return _sweep("subquotient_formula", {"bound": bound}, cells,
+                  lambda c: _identity_failure(
+                      dict(_at(c[1], c[2]), level=c[0]),
+                      subquotient_identity_check(*c)))
 
 
 # ------------------------------------------------------- registry checks
 
 
-def _check_dimension_counts(bound: int) -> list[CheckReport]:
+def _check_dimension_counts(bound: int) -> CheckReport:
     """Enumerated hom-set sizes against closed-form counting formulas."""
-    start = time.perf_counter()
-    params = {"bound": bound}
-    for b in range(bound + 1):
-        for a in range(b + 1):
-            surj = len(enumerate_hom(HomClass.SURJECTION, b, a))
-            surj_formula = factorial(a) * int(stirling(b, a, kind=2))
-            inj = len(enumerate_hom(HomClass.INJECTION, a, b))
-            inj_formula = factorial(b) // factorial(b - a)
-            cell = {"source_size": b, "target_size": a}
-            if surj != surj_formula or surj != hom_dimension(
-                    HomClass.SURJECTION, b, a):
-                return [CheckReport(
-                    "dimension_counts", params, "fail",
-                    _serialize(dict(cell, surjections=surj_formula)),
-                    _serialize(dict(cell, surjections=surj)),
-                    time.perf_counter() - start)]
-            if inj != inj_formula or inj != hom_dimension(
-                    HomClass.INJECTION, a, b):
-                return [CheckReport(
-                    "dimension_counts", params, "fail",
-                    _serialize(dict(cell, injections=inj_formula)),
-                    _serialize(dict(cell, injections=inj)),
-                    time.perf_counter() - start)]
-    return [CheckReport("dimension_counts", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    def evaluate(cell):
+        b, a = cell
+        where = _at(b, a)
+        surj = len(enumerate_hom(HomClass.SURJECTION, b, a))
+        surj_formula = factorial(a) * int(stirling(b, a, kind=2))
+        inj = len(enumerate_hom(HomClass.INJECTION, a, b))
+        inj_formula = factorial(b) // factorial(b - a)
+        if surj != surj_formula or surj != hom_dimension(
+                HomClass.SURJECTION, b, a):
+            return (dict(where, surjections=surj_formula),
+                    dict(where, surjections=surj))
+        if inj != inj_formula or inj != hom_dimension(
+                HomClass.INJECTION, a, b):
+            return (dict(where, injections=inj_formula),
+                    dict(where, injections=inj))
+        return None
+    return _sweep("dimension_counts", {"bound": bound}, _cells(bound),
+                  evaluate)
 
 
 _ORTHOGONALITY_DEGREE = 7
 
 
-def _check_orthogonality(bound: int) -> list[CheckReport]:
-    """Both character orthogonality relations for degrees 1..7 (fixed range)."""
-    del bound  # fixed range by contract
-    start = time.perf_counter()
-    params = {"max_degree": _ORTHOGONALITY_DEGREE}
+def _character_pairs():
+    """(degree, classes, table, i, j) for every pair of rows, degrees 1..7."""
     for n in range(1, _ORTHOGONALITY_DEGREE + 1):
         parts = partitions_of(n)
         table = character_table(n)
-        order = factorial(n)
+        for i in range(len(parts)):
+            for j in range(len(parts)):
+                yield n, parts, table, i, j
+
+
+def _check_orthogonality(bound: int) -> CheckReport:
+    """Both character orthogonality relations for degrees 1..7 (fixed range)."""
+    del bound  # fixed range by contract
+
+    def evaluate(cell):
+        n, parts, table, i, j = cell
         k = len(parts)
-        for i in range(k):
-            for j in range(k):
-                row = sum(class_size(parts[m]) * table[i][m] * table[j][m]
-                          for m in range(k))
-                if row != (order if i == j else 0):
-                    return [CheckReport(
-                        "orthogonality", params, "fail",
-                        _serialize({"degree": n, "relation": "rows",
-                                    "pair": [list(parts[i]), list(parts[j])],
-                                    "value": order if i == j else 0}),
-                        _serialize({"degree": n, "relation": "rows",
-                                    "pair": [list(parts[i]), list(parts[j])],
-                                    "value": row}),
-                        time.perf_counter() - start)]
-                col = sum(table[m][i] * table[m][j] for m in range(k))
-                expected_col = centralizer_order(parts[i]) if i == j else 0
-                if col != expected_col:
-                    return [CheckReport(
-                        "orthogonality", params, "fail",
-                        _serialize({"degree": n, "relation": "columns",
-                                    "pair": [list(parts[i]), list(parts[j])],
-                                    "value": expected_col}),
-                        _serialize({"degree": n, "relation": "columns",
-                                    "pair": [list(parts[i]), list(parts[j])],
-                                    "value": col}),
-                        time.perf_counter() - start)]
-    return [CheckReport("orthogonality", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+        where = {"degree": n, "pair": [list(parts[i]), list(parts[j])]}
+        row = sum(class_size(parts[m]) * table[i][m] * table[j][m]
+                  for m in range(k))
+        col = sum(table[m][i] * table[m][j] for m in range(k))
+        return (_compare(dict(where, relation="rows"), "value",
+                         factorial(n) if i == j else 0, row)
+                or _compare(dict(where, relation="columns"), "value",
+                            centralizer_order(parts[i]) if i == j else 0,
+                            col))
+    return _sweep("orthogonality", {"max_degree": _ORTHOGONALITY_DEGREE},
+                  _character_pairs(), evaluate)
 
 
 _DERHAM_DEGREE = 10
 
 
-def _check_derham(bound: int) -> list[CheckReport]:
+def _check_derham(bound: int) -> CheckReport:
     """Alternating exterior-sum cancellation for degrees 1..10 (fixed range)."""
     del bound  # fixed range by contract
-    start = time.perf_counter()
-    params = {"max_degree": _DERHAM_DEGREE}
-    for n in range(1, _DERHAM_DEGREE + 1):
-        if not derham_check(n):
-            return [CheckReport(
-                "derham", params, "fail",
-                _serialize({"degree": n, "cancels": True}),
-                _serialize({"degree": n, "cancels": False}),
-                time.perf_counter() - start)]
-    return [CheckReport("derham", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    return _sweep("derham", {"max_degree": _DERHAM_DEGREE},
+                  range(1, _DERHAM_DEGREE + 1),
+                  lambda n: _holds({"degree": n}, "cancels", derham_check(n)))
 
 
 _INVERT_WEIGHT = 5
 
 
-def _check_invert(bound: int) -> list[CheckReport]:
+def _check_invert(bound: int) -> CheckReport:
     """Trivial-then-signed convolution inversion on single classes, weight <= 5."""
     del bound  # fixed range by contract
-    start = time.perf_counter()
-    params = {"max_weight": _INVERT_WEIGHT}
-    for n in range(_INVERT_WEIGHT + 1):
-        for lam in partitions_of(n):
-            if not invert_identity_check(lam):
-                return [CheckReport(
-                    "invert", params, "fail",
-                    _serialize({"partition": list(lam), "recovered": True}),
-                    _serialize({"partition": list(lam), "recovered": False}),
-                    time.perf_counter() - start)]
-    return [CheckReport("invert", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    cells = [lam for n in range(_INVERT_WEIGHT + 1) for lam in partitions_of(n)]
+    return _sweep("invert", {"max_weight": _INVERT_WEIGHT}, cells,
+                  lambda lam: _holds({"partition": list(lam)}, "recovered",
+                                     invert_identity_check(lam)))
 
 
-def _check_theta_equivariance(bound: int) -> list[CheckReport]:
+def _check_theta_equivariance(bound: int) -> CheckReport:
     """Pairing matrix commutes with both symmetric-group actions, all cells."""
-    start = time.perf_counter()
-    params = {"bound": bound}
-    cells = [(a, b) for b in range(bound + 1) for a in range(b + 1)]
-    if not cells:
-        return [CheckReport("theta_equivariance", params, "vacuous",
-                            elapsed=time.perf_counter() - start)]
-    for a, b in cells:
-        if not theta_equivariance_check(a, b):
-            return [CheckReport(
-                "theta_equivariance", params, "fail",
-                _serialize({"target_size": a, "source_size": b,
-                            "equivariant": True}),
-                _serialize({"target_size": a, "source_size": b,
-                            "equivariant": False}),
-                time.perf_counter() - start)]
-    return [CheckReport("theta_equivariance", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    return _sweep("theta_equivariance", {"bound": bound}, _cells(bound),
+                  lambda c: _holds(_at(*c), "equivariant",
+                                   theta_equivariance_check(c[1], c[0])))
 
 
-def _check_theta_injectivity(bound: int) -> list[CheckReport]:
+def _check_theta_injectivity(bound: int) -> CheckReport:
     """Kernel of the pairing equals the deepest proper filtration level.
 
     The pairing is *not* injective on every cell in range (the first
@@ -377,32 +369,26 @@ def _check_theta_injectivity(bound: int) -> list[CheckReport]:
     listed in ``computed`` so deficiencies are reported, never silently
     absorbed; ``expected`` lists the filtration-level prediction.
     """
-    start = time.perf_counter()
-    params = {"bound": bound}
-    cells = [(a, b) for b in range(bound + 1) for a in range(b + 1)]
-    if not cells:
-        return [CheckReport("theta_injectivity", params, "vacuous",
-                            elapsed=time.perf_counter() - start)]
-    expected_cells = []
-    computed_cells = []
-    for a, b in cells:
-        level_dim = filtration_level(b, a, b - a - 1).dimension
-        if level_dim:
-            expected_cells.append({"target_size": a, "source_size": b,
-                                   "kernel_dimension": level_dim,
-                                   "kernel_is_filtration_level": True})
-        report = theta_rank_report(a, b)
-        if report["kernel_dimension"] or not report[
-                "kernel_is_filtration_level"]:
-            computed_cells.append(
-                {"target_size": a, "source_size": b,
-                 "kernel_dimension": report["kernel_dimension"],
-                 "kernel_is_filtration_level":
-                     report["kernel_is_filtration_level"]})
-    status = "pass" if computed_cells == expected_cells else "fail"
-    return [CheckReport("theta_injectivity", params, status,
-                        _serialize(expected_cells), _serialize(computed_cells),
-                        time.perf_counter() - start)]
+    def run():
+        expected_cells = []
+        computed_cells = []
+        for b, a in _cells(bound):
+            level_dim = filtration_level(b, a, b - a - 1).dimension
+            if level_dim:
+                expected_cells.append({"target_size": a, "source_size": b,
+                                       "kernel_dimension": level_dim,
+                                       "kernel_is_filtration_level": True})
+            report = theta_rank_report(a, b)
+            if report["kernel_dimension"] or not report[
+                    "kernel_is_filtration_level"]:
+                computed_cells.append(
+                    {"target_size": a, "source_size": b,
+                     "kernel_dimension": report["kernel_dimension"],
+                     "kernel_is_filtration_level":
+                         report["kernel_is_filtration_level"]})
+        status = "pass" if computed_cells == expected_cells else "fail"
+        return status, _serialize(expected_cells), _serialize(computed_cells)
+    return _timed("theta_injectivity", {"bound": bound}, run)
 
 
 def _sign_hook_class(target_size: int, source_size: int) -> BiSchurClass:
@@ -413,210 +399,95 @@ def _sign_hook_class(target_size: int, source_size: int) -> BiSchurClass:
     return boxtimes(sign_class(a), SchurClass({hook: 1}))
 
 
-def _check_coker_theta(bound: int) -> list[CheckReport]:
+def _check_coker_theta(bound: int) -> CheckReport:
     """Cokernel of the pairing is the sign-hook class on every cell."""
-    start = time.perf_counter()
-    params = {"bound": bound}
-    cells = [(a, b) for b in range(bound + 1) for a in range(b + 1)]
-    if not cells:
-        return [CheckReport("coker_theta", params, "vacuous",
-                            elapsed=time.perf_counter() - start)]
-    for a, b in cells:
-        got = coker_theta_decompose(a, b)
-        want = _sign_hook_class(a, b)
-        if got != want:
-            return [CheckReport(
-                "coker_theta", params, "fail",
-                _serialize({"target_size": a, "source_size": b,
-                            "class": want.to_json()}),
-                _serialize({"target_size": a, "source_size": b,
-                            "class": got.to_json()}),
-                time.perf_counter() - start)]
-    return [CheckReport("coker_theta", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    return _sweep("coker_theta", {"bound": bound}, _cells(bound),
+                  lambda c: _compare(_at(*c), "class",
+                                     _sign_hook_class(c[1], c[0]),
+                                     coker_theta_decompose(c[1], c[0])))
 
 
-def _check_coker_action(bound: int) -> list[CheckReport]:
+def _check_coker_action(bound: int) -> CheckReport:
     """Strictly size-decreasing primitive blocks kill every pairing cokernel."""
-    start = time.perf_counter()
-    params = {"bound": bound}
-    cells = [(a, c, b)
-             for b in range(bound + 1)
-             for a in range(b + 1)
-             for c in range(a)]
-    if not cells:
-        return [CheckReport("coker_action", params, "vacuous",
-                            elapsed=time.perf_counter() - start)]
-    for a, c, b in cells:
-        if not coker_action_triviality(a, c, b):
-            return [CheckReport(
-                "coker_action", params, "fail",
-                _serialize({"target_size": a, "low_size": c,
-                            "source_size": b, "acts_trivially": True}),
-                _serialize({"target_size": a, "low_size": c,
-                            "source_size": b, "acts_trivially": False}),
-                time.perf_counter() - start)]
-    return [CheckReport("coker_action", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    def evaluate(cell):
+        b, a, c = cell
+        return _holds(dict(_at(b, a), low_size=c), "acts_trivially",
+                      coker_action_triviality(a, c, b))
+    cells = [(b, a, c) for b, a in _cells(bound) for c in range(a)]
+    return _sweep("coker_action", {"bound": bound}, cells, evaluate)
 
 
-def _check_lambda_bar(bound: int) -> list[CheckReport]:
+def _check_lambda_bar(bound: int) -> CheckReport:
     """Exterior powers of the reduced point functor decompose as single hooks."""
-    start = time.perf_counter()
-    params = {"bound": bound}
-    for b in range(bound + 1):
-        for t in range(b + 2):
-            rep = lambda_bar_rep(t, b)
-            got = decompose(rep)
-            if 0 < t < b:
-                want = SchurClass({(b - t,) + (1,) * t: 1})
-            elif t == 0 and b > 0:
-                want = SchurClass({(b,): 1})
-            else:
-                want = SchurClass()
-            dim_want = comb(b - 1, t) if b > 0 else (1 if t == 0 else 0)
-            if b == 0 and t == 0:
-                want = SchurClass()
-                dim_want = 0
-            cell = {"set_size": b, "power": t}
-            if rep.dimension != dim_want:
-                return [CheckReport(
-                    "lambda_bar", params, "fail",
-                    _serialize(dict(cell, dimension=dim_want)),
-                    _serialize(dict(cell, dimension=rep.dimension)),
-                    time.perf_counter() - start)]
-            if got != want:
-                return [CheckReport(
-                    "lambda_bar", params, "fail",
-                    _serialize(dict(cell, **{"class": want.to_json()})),
-                    _serialize(dict(cell, **{"class": got.to_json()})),
-                    time.perf_counter() - start)]
-    return [CheckReport("lambda_bar", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    def evaluate(cell):
+        b, t = cell
+        rep = lambda_bar_rep(t, b)
+        where = {"set_size": b, "power": t}
+        # A single hook for powers 0 <= t < b, nothing above.
+        want = SchurClass({(b - t,) + (1,) * t: 1} if t < b else {})
+        return (_compare(where, "dimension",
+                         comb(b - 1, t) if b > 0 else 0, rep.dimension)
+                or _compare(where, "class", want, decompose(rep)))
+    cells = [(b, t) for b in range(bound + 1) for t in range(b + 2)]
+    return _sweep("lambda_bar", {"bound": bound}, cells, evaluate)
 
 
-def _check_filtration(bound: int) -> list[CheckReport]:
+def _check_filtration(bound: int) -> CheckReport:
     """Level bookkeeping: trivial ends, nesting, exhaustion, and stability."""
-    start = time.perf_counter()
-    params = {"bound": bound}
-    for b in range(bound + 1):
-        for a in range(b + 1):
-            cell = {"source_size": b, "target_size": a}
-            full = hom_dimension(HomClass.SURJECTION, b, a)
-            if filtration_level(b, a, -1).dimension != 0:
-                return [CheckReport(
-                    "filtration", params, "fail",
-                    _serialize(dict(cell, property="empty_at_depth_-1",
-                                    holds=True)),
-                    _serialize(dict(cell, property="empty_at_depth_-1",
-                                    holds=False)),
-                    time.perf_counter() - start)]
-            if (filtration_level(b, a, b).dimension != full
-                    or filtration_level(b, a, b + 1).dimension != full):
-                return [CheckReport(
-                    "filtration", params, "fail",
-                    _serialize(dict(cell, property="exhaustion", holds=True)),
-                    _serialize(dict(cell, property="exhaustion", holds=False)),
-                    time.perf_counter() - start)]
-            if not filtration_nesting_check(b, a):
-                return [CheckReport(
-                    "filtration", params, "fail",
-                    _serialize(dict(cell, property="nesting", holds=True)),
-                    _serialize(dict(cell, property="nesting", holds=False)),
-                    time.perf_counter() - start)]
-            if not fi_stability_check(b, a):
-                return [CheckReport(
-                    "filtration", params, "fail",
-                    _serialize(dict(cell, property="injection_stability",
-                                    holds=True)),
-                    _serialize(dict(cell, property="injection_stability",
-                                    holds=False)),
-                    time.perf_counter() - start)]
-    return [CheckReport("filtration", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    def evaluate(cell):
+        b, a = cell
+        full = hom_dimension(HomClass.SURJECTION, b, a)
+        properties = (
+            ("empty_at_depth_-1", filtration_level(b, a, -1).dimension == 0),
+            ("exhaustion", filtration_level(b, a, b).dimension == full
+             and filtration_level(b, a, b + 1).dimension == full),
+            ("nesting", filtration_nesting_check(b, a)),
+            ("injection_stability", fi_stability_check(b, a)),
+        )
+        return next((_holds(dict(_at(b, a), property=name), "holds", ok)
+                     for name, ok in properties if not ok), None)
+    return _sweep("filtration", {"bound": bound}, _cells(bound), evaluate)
 
 
-def _check_closure(bound: int) -> list[CheckReport]:
+def _check_closure(bound: int) -> CheckReport:
     """Automorphism blocks and composition closure of the primitive spans."""
-    start = time.perf_counter()
-    params = {"bound": bound}
-    for n in range(bound + 1):
-        if not automorphism_block_check(n):
-            return [CheckReport(
-                "closure", params, "fail",
-                _serialize({"set_size": n, "block_is_full": True}),
-                _serialize({"set_size": n, "block_is_full": False}),
-                time.perf_counter() - start)]
-    for b in range(bound + 1):
-        for x in range(b + 1):
-            for y in range(x + 1):
-                if not closure_check(b, x, y):
-                    return [CheckReport(
-                        "closure", params, "fail",
-                        _serialize({"source_size": b, "mid_size": x,
-                                    "target_size": y, "closed": True}),
-                        _serialize({"source_size": b, "mid_size": x,
-                                    "target_size": y, "closed": False}),
-                        time.perf_counter() - start)]
-    return [CheckReport("closure", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    def evaluate(cell):
+        if len(cell) == 1:
+            return _holds({"set_size": cell[0]}, "block_is_full",
+                          automorphism_block_check(*cell))
+        b, x, y = cell
+        return _holds({"source_size": b, "mid_size": x, "target_size": y},
+                      "closed", closure_check(b, x, y))
+    blocks = [(n,) for n in range(bound + 1)]
+    triples = [(b, x, y) for b in range(bound + 1) for x in range(b + 1)
+               for y in range(x + 1)]
+    return _sweep("closure", {"bound": bound}, blocks + triples, evaluate)
 
 
-def _check_sgn_vanishing(bound: int) -> list[CheckReport]:
+def _check_sgn_vanishing(bound: int) -> CheckReport:
     """Sign isotype is absent from strictly size-decreasing primitive blocks."""
-    start = time.perf_counter()
-    params = {"bound": bound}
     cells = [(a, c) for a in range(1, bound + 1) for c in range(a)]
-    if not cells:
-        return [CheckReport("sgn_vanishing", params, "vacuous",
-                            elapsed=time.perf_counter() - start)]
-    for a, c in cells:
-        if not sgn_vanishing_check(a, c):
-            return [CheckReport(
-                "sgn_vanishing", params, "fail",
-                _serialize({"source_size": a, "target_size": c,
-                            "sign_multiplicity": 0}),
-                _serialize({"source_size": a, "target_size": c,
-                            "sign_multiplicity": "nonzero"}),
-                time.perf_counter() - start)]
-    return [CheckReport("sgn_vanishing", params, "pass",
-                        elapsed=time.perf_counter() - start)]
+    return _sweep("sgn_vanishing", {"bound": bound}, cells,
+                  lambda cell: _compare(
+                      _at(*cell), "sign_multiplicity", 0,
+                      0 if sgn_vanishing_check(*cell) else "nonzero"))
 
 
 def _check_ses(bound: int) -> list[CheckReport]:
     """Per-layer subquotient assembly identity, one report per layer size."""
-    reports = []
-    for level in range(1, bound + 1):
-        start = time.perf_counter()
-        params = {"level": level, "bound": bound}
-        report = ses_check(level, bound)
-        if not report.cells:
-            reports.append(CheckReport("ses", params, "vacuous",
-                                       elapsed=time.perf_counter() - start))
-            continue
-        if report.ok:
-            reports.append(CheckReport("ses", params, "pass",
-                                       elapsed=time.perf_counter() - start))
-            continue
-        cell = report.failures[0]
-        expected, computed = _identity_failure(
-            {"level": level, "source_size": cell.source_size,
-             "target_size": cell.target_size}, cell.lhs, cell.rhs)
-        reports.append(CheckReport("ses", params, "fail", expected, computed,
-                                   time.perf_counter() - start))
-    return reports
+    def layer_cells(level):
+        yield from ses_check(level, bound).cells
+
+    return [_sweep("ses", {"level": level, "bound": bound}, layer_cells(level),
+                   lambda cell, level=level: _identity_failure(
+                       dict(_at(cell.source_size, cell.target_size),
+                            level=level), cell))
+            for level in range(1, bound + 1)]
 
 
-def _wrap_formula(op: Callable[[int], CheckReport],
-                  name: str) -> Callable[[int], list[CheckReport]]:
-    def runner(bound: int) -> list[CheckReport]:
-        if bound < 1:
-            return [CheckReport(name, {"bound": bound}, "vacuous")]
-        return [op(bound)]
-    return runner
-
-
-_REGISTRY: dict[str, Callable[[int], list[CheckReport]]] = {
+# Checks whose report is a single CheckReport are wrapped in a list by
+# run_check; ses returns one report per layer.
+_REGISTRY: dict[str, Callable[[int], CheckReport | list[CheckReport]]] = {
     "dimension_counts": _check_dimension_counts,
     "orthogonality": _check_orthogonality,
     "derham": _check_derham,
@@ -629,12 +500,14 @@ _REGISTRY: dict[str, Callable[[int], list[CheckReport]]] = {
     "closure": _check_closure,
     "sgn_vanishing": _check_sgn_vanishing,
     "ses": _check_ses,
-    "primfs_formula": _wrap_formula(primfs_formula, "primfs_formula"),
-    "kring_fs_check": _wrap_formula(kring_fs_check, "kring_fs_check"),
-    "subquotient_formula": _wrap_formula(subquotient_formula,
-                                         "subquotient_formula"),
+    "primfs_formula": primfs_formula,
+    "kring_fs_check": kring_fs_check,
+    "subquotient_formula": subquotient_formula,
     "invert": _check_invert,
 }
+
+# The formula ops refuse bound 0; the registry reports them vacuous there.
+_FORMULA_IDS = ("primfs_formula", "kring_fs_check", "subquotient_formula")
 
 # Canonical execution order for full runs; "invert" stays individually
 # addressable but is covered by the derham cancellation it reduces to.
@@ -663,14 +536,26 @@ _FORMULA_CAP = 5
 
 
 def run_check(check_id: str, bound: int) -> list[CheckReport]:
-    """Run one registered check at the requested bound."""
+    """Run one registered check at the requested bound.
+
+    Raises ``KeyError`` for an unknown id and ``ValueError`` for a negative
+    bound.
+    """
     if check_id not in _REGISTRY:
         raise KeyError(f"unknown check id: {check_id!r}")
-    return _REGISTRY[check_id](bound)
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    if bound == 0 and check_id in _FORMULA_IDS:
+        return [CheckReport(check_id, {"bound": bound}, "vacuous")]
+    reports = _REGISTRY[check_id](bound)
+    return reports if isinstance(reports, list) else [reports]
 
 
 def collect_reports(bound: int) -> list[CheckReport]:
-    """All canonical-order reports for a full run at the given bound."""
+    """All canonical-order reports for a full run at the given bound.
+
+    Raises ``ValueError`` for a negative bound, like ``run_check``.
+    """
     reports: list[CheckReport] = []
     for check_id in _RUN_ORDER:
         effective = bound
@@ -883,6 +768,10 @@ def _cmd_verify(args) -> int:
         reports = collect_reports(args.max_size)
     else:
         reports = run_check(target, args.max_size)
+    if not reports:
+        print(f"error: {target} yields no report at --max-size "
+              f"{args.max_size}", file=sys.stderr)
+        return 2
     _print_reports(reports)
     error = _write_artifacts(reports, args.max_size, args.json, args.csv)
     if error is not None:

@@ -18,7 +18,7 @@ from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                               hom_dimension, identity_map)
 from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            closure_check, coker_action_triviality,
-                           coker_theta_decompose, fi_action_on_fs,
+                           coker_theta_decompose,
                            fi_stability_check, filtration_level,
                            filtration_nesting_check, full_fs_bidecompose,
                            hom_module, kring_identity_check, lambda_bar_rep,
@@ -78,6 +78,33 @@ def test_hom_module_bicharacter_diagonal_entry_counts_fixed_maps():
 
 
 # ------------------------------------------------------- restriction matrices
+
+
+def fi_action_on_fs(source_size, target_size, restricted_size):
+    """Stacked restriction matrix along all injections into the source.
+
+    The oracle for ``_reduced_restriction``: one block per injection
+    ``i: restricted_size -> source_size`` in canonical basis order; the block
+    sends a surjection ``[f]`` to ``[f . i]`` when the composite is surjective
+    and to zero otherwise.  Restricting to a larger set than the source is a
+    contract violation.
+    """
+    b, a, c = source_size, target_size, restricted_size
+    assert 0 <= c <= b, "restricted size must not exceed the source size"
+    big = hom_module(SURJ, b, a)
+    small = hom_module(SURJ, c, a)
+    injections = enumerate_hom(INJ, c, b)
+    rows = len(injections) * small.dimension
+
+    def triplets():
+        for blk, inj in enumerate(injections):
+            base = blk * small.dimension
+            for col, f in enumerate(big.basis):
+                g = compose(f, inj)
+                if g.is_surjective():
+                    yield base + small.index_of(g), col, 1
+
+    return RatMatrix.from_triplets(rows, big.dimension, triplets())
 
 
 def test_restriction_of_single_surjection_along_both_points():

@@ -13,7 +13,6 @@ from fsprim.ratlinalg import (
     RatMatrix,
     image_basis,
     kernel_basis,
-    kernel_basis_from_triplets,
     rank,
     solve_membership,
 )
@@ -217,7 +216,7 @@ def test_kernel_from_triplets_matches_dense():
     rows = [[1, 2, 0, 1], [0, 0, 1, -1]]
     trips = [(i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r) if v]
     K1 = kernel_basis(RatMatrix(rows))
-    K2 = kernel_basis_from_triplets(2, 4, trips)
+    K2 = RatMatrix.from_triplets(2, 4, trips).kernel_basis()
     assert K1.entries == K2.entries
     assert K1.unit_rows() == K2.unit_rows()
 

@@ -48,9 +48,9 @@ BOUND2_SEQUENCE = [
 
 
 def test_fail_report_requires_expected_and_computed():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CheckReport("x", {}, "fail")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CheckReport("x", {}, "bogus-status")
     report = CheckReport("x", {"bound": 1}, "fail", "1", "2", elapsed=0.5)
     assert report.as_dict() == {"check": "x", "parameters": {"bound": 1},
@@ -115,8 +115,16 @@ def test_bound_zero_runs_vacuously_green():
 
 def test_formula_ops_require_positive_bound():
     for op in (primfs_formula, kring_fs_check, subquotient_formula):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             op(0)
+
+
+def test_sweeps_refuse_negative_bounds():
+    for check_id in CHECK_IDS:
+        with pytest.raises(ValueError):
+            run_check(check_id, -1)
+    with pytest.raises(ValueError):
+        collect_reports(-1)
 
 
 def test_parameters_record_what_actually_ran():
@@ -169,7 +177,14 @@ def test_contracts_hold_under_optimize():
     code = """
 from fsprim.finsetcat import FinMap
 from fsprim.fsfilt import theta_matrix
-for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2)):
+from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
+                           primfs_formula, run_check, subquotient_formula)
+for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
+             lambda: CheckReport("x", {}, "fail"),
+             lambda: CheckReport("x", {}, "bogus-status"),
+             lambda: primfs_formula(0), lambda: kring_fs_check(0),
+             lambda: subquotient_formula(0),
+             lambda: run_check("closure", -1), lambda: collect_reports(-1)):
     try:
         call()
     except ValueError:
@@ -567,6 +582,15 @@ def test_cli_rejects_negative_bound(capsys):
     assert "--max-size must be nonnegative" in captured.err
     assert "passed" not in captured.out
     assert main(["dims", "--max-size", "-3"]) == 2
+
+
+def test_cli_verify_refuses_a_run_without_reports(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["--max-size", "0", "verify", "ses", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "no report" in captured.err
+    assert "passed" not in captured.out
+    assert not out.exists()
 
 
 def test_cli_verify_all_writes_artifacts(tmp_path, capsys):
