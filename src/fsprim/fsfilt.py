@@ -37,12 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
+from math import comb
 from typing import Callable, NamedTuple
 
 from .finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                         hom_dimension, sections)
 from .partitions import partitions_of
-from .ratlinalg import RatMatrix, solve_membership
+from .ratlinalg import RatMatrix
 from .repdecomp import (BiClassFunction, BiSchurClass,
                         ClassFunction, RepSpace, SchurClass,
                         adjacent_transposition, bidecompose_character,
@@ -188,7 +189,8 @@ def _reduced_restriction(source_size: int, target_size: int,
     therefore preserves the row space and hence the kernel.
     """
     b, a, c = source_size, target_size, restricted_size
-    assert 0 <= c <= b
+    if not 0 <= c <= b:
+        raise ValueError("restricted size must lie between 0 and the source")
     big = hom_module(_SURJ, b, a)
     small = hom_module(_SURJ, c, a)
     subsets = list(combinations(range(1, b + 1), c))
@@ -206,6 +208,21 @@ def _reduced_restriction(source_size: int, target_size: int,
     return RatMatrix.from_triplets(rows, big.dimension, triplets())
 
 
+def _in_level(source_size: int, target_size: int, level: int,
+              matrix: RatMatrix) -> bool:
+    """True iff every column of ``matrix`` lies in level t of Surj(b, a).
+
+    Level t is the kernel of the restriction stage to size b - t - 1, so one
+    product decides all columns at once.  For t >= b - a there is no
+    surjection from the restricted size onto a, and the level is the whole
+    span.
+    """
+    b, a, t = source_size, target_size, level
+    if t >= b - a:
+        return True
+    return (_reduced_restriction(b, a, b - t - 1) @ matrix).is_zero()
+
+
 @dataclass(frozen=True)
 class FiltrationLevel:
     """One level of the restriction filtration, with its canonical basis.
@@ -213,7 +230,7 @@ class FiltrationLevel:
     ``basis_matrix`` columns span the subspace of the surjection span killed
     by every restriction along injections from a set of size
     ``source_size - level - 1``; level -1 is zero and levels >= source_size
-    are the full space.
+    - target_size are the full space.
     """
 
     source_size: int
@@ -239,7 +256,7 @@ def filtration_level(source_size: int, target_size: int,
     dim = hom_dimension(_SURJ, b, a)
     if t <= -1:
         basis = RatMatrix.zeros(dim, 0)
-    elif t >= b:
+    elif t >= b - a:
         basis = RatMatrix.identity(dim)
     else:
         basis = _reduced_restriction(b, a, b - t - 1).kernel_basis()
@@ -617,16 +634,13 @@ def automorphism_block_check(set_size: int) -> bool:
             and level.basis_matrix == RatMatrix.identity(level.dimension))
 
 
-# ------------------------------------------------------------- wide closure
-
-
-_ALL_PAIRS_LIMIT = 600
+# ------------------------------------------------------------------ closure
 
 
 @cache
 def _module_generator_columns(source_size: int, target_size: int,
-                              side: str) -> tuple[int, ...]:
-    """Column indices generating the primitive level under one side's action.
+                              side: str) -> tuple[dict[int, Fraction], ...]:
+    """Basis columns generating the primitive level under one side's action.
 
     Computes coordinate matrices of the adjacent-transposition generators on
     the level (valid because the level is action-stable), then grows a column
@@ -635,7 +649,7 @@ def _module_generator_columns(source_size: int, target_size: int,
     to span the whole level.  The reduced basis is kept as a pivot-indexed
     dictionary of rows in reduced echelon form; a unit vector lies in the
     span exactly when its coordinate is a pivot whose stored row has a
-    single entry.
+    single entry.  Columns are returned as sparse {row: value} vectors.
     """
     level = primitives(source_size, target_size)
     K = level.basis_matrix
@@ -709,7 +723,8 @@ def _module_generator_columns(source_size: int, target_size: int,
             insert(rem)
             for cols in actions:
                 queue.append(apply_action(cols, rem))
-    return tuple(chosen)
+    columns = _column_vectors(K)
+    return tuple(columns[j] for j in chosen)
 
 
 def _column_vectors(matrix: RatMatrix) -> list[dict[int, Fraction]]:
@@ -717,60 +732,41 @@ def _column_vectors(matrix: RatMatrix) -> list[dict[int, Fraction]]:
     return [cols.get(j, {}) for j in range(matrix.cols)]
 
 
-def _compose_product(outer_module: HomModule, inner_module: HomModule,
-                     result_module: HomModule,
-                     outer_col: dict[int, Fraction],
-                     inner_col: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    """Bilinear composition of two coefficient vectors, as a result vector."""
-    out = [Fraction(0)] * result_module.dimension
-    for g_idx, cu in outer_col.items():
-        g = outer_module.basis[g_idx]
-        for f_idx, cv in inner_col.items():
-            f = inner_module.basis[f_idx]
-            out[result_module.index_of(compose(g, f))] += cu * cv
-    return tuple(out)
-
-
 def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:
     """True iff primitive blocks compose into the primitive block.
 
     For sizes target <= mid <= source, every composite of a primitive vector
     of maps mid -> target with a primitive vector of maps source -> mid must
-    land in the primitive subspace of maps source -> target; each tested
-    composite is certified by exact membership solving.  Large cells reduce
-    to generator pairs: the outer factor is generated under its left action,
-    the inner under its right action, and both actions preserve the target
-    subspace, so generator products span all products.
+    land in the primitive subspace of maps source -> target.  Composition is
+    bilinear and ``(pi . u) o (v . sigma) = pi . (u o v) . sigma``, and the
+    goal level is stable under both actions, so the products of generators
+    span all products: the outer factor is generated under its left action,
+    the inner under its right action.  The generator products form the
+    columns of one matrix, certified by one product with the goal level's
+    restriction stage.
     """
     b, x, y = source_size, mid_size, target_size
-    assert 0 <= y <= x <= b
-    inner = primitives(b, x)
-    outer = primitives(x, y)
-    if inner.dimension == 0 or outer.dimension == 0:
-        return True
-    goal = primitives(b, y)
-    inner_module = hom_module(_SURJ, b, x)
-    outer_module = hom_module(_SURJ, x, y)
+    if not 0 <= y <= x <= b:
+        raise ValueError("closure needs target <= mid <= source")
+    inner_cols = _module_generator_columns(b, x, "right")
+    outer_cols = _module_generator_columns(x, y, "left")
+    inner_basis = hom_module(_SURJ, b, x).basis
+    outer_basis = hom_module(_SURJ, x, y).basis
     result_module = hom_module(_SURJ, b, y)
 
-    if inner.dimension * outer.dimension <= _ALL_PAIRS_LIMIT:
-        inner_cols = _column_vectors(inner.basis_matrix)
-        outer_cols = _column_vectors(outer.basis_matrix)
-    else:
-        inner_idx = _module_generator_columns(b, x, "right")
-        outer_idx = _module_generator_columns(x, y, "left")
-        inner_all = _column_vectors(inner.basis_matrix)
-        outer_all = _column_vectors(outer.basis_matrix)
-        inner_cols = [inner_all[j] for j in inner_idx]
-        outer_cols = [outer_all[j] for j in outer_idx]
+    def triplets():
+        pairs = ((u, v) for u in outer_cols for v in inner_cols)
+        for col, (u, v) in enumerate(pairs):
+            for g_idx, cu in u.items():
+                g = outer_basis[g_idx]
+                for f_idx, cv in v.items():
+                    f = inner_basis[f_idx]
+                    yield result_module.index_of(compose(g, f)), col, cu * cv
 
-    for u in outer_cols:
-        for v in inner_cols:
-            w = _compose_product(outer_module, inner_module, result_module,
-                                 u, v)
-            if solve_membership(goal.basis_matrix, w) is None:
-                return False
-    return True
+    products = RatMatrix.from_triplets(result_module.dimension,
+                                       len(outer_cols) * len(inner_cols),
+                                       triplets())
+    return _in_level(b, y, 0, products)
 
 
 # ------------------------------------------------------ filtration invariants
@@ -779,43 +775,29 @@ def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:
 def filtration_nesting_check(source_size: int, target_size: int) -> bool:
     """True iff each level's basis lies inside the next level's span."""
     b, a = source_size, target_size
-    for t in range(-1, b):
-        if t + 1 >= b - a:
-            continue  # next level is the full space
-        K = filtration_level(b, a, t).basis_matrix
-        if K.cols == 0:
-            continue
-        stage = _reduced_restriction(b, a, b - (t + 1) - 1)
-        if not (stage @ K).is_zero():
-            return False
-    return True
+    return all(_in_level(b, a, t + 1, filtration_level(b, a, t).basis_matrix)
+               for t in range(-1, b))
 
 
 def fi_stability_check(source_size: int, target_size: int) -> bool:
     """True iff every proper level restricts into the same level blockwise.
 
-    For each proper level t and each restricted size c < source, applies the
-    increasing-injection restriction blocks to the level basis and verifies
-    each block lands in level t of the smaller surjection span (certified by
-    that level's defining kernel equations).  Non-increasing blocks are row
+    For each proper level t and each restricted size c < source at which
+    level t is still proper (c > target + t), applies the increasing-injection
+    restriction blocks to the level basis and verifies each block lands in
+    level t of the smaller surjection span.  Non-increasing blocks are row
     permutations of increasing ones, and levels are stable under the source
     action, so the increasing blocks decide all blocks.
     """
     b, a = source_size, target_size
     for t in range(0, b - a):
         K = filtration_level(b, a, t).basis_matrix
-        if K.cols == 0:
-            continue
-        for c in range(a, b):
-            if t >= c - a:
-                continue  # target level is the full smaller span
+        for c in range(a + t + 1, b):
             small_dim = hom_dimension(_SURJ, c, a)
             image = _reduced_restriction(b, a, c) @ K
-            stage = _reduced_restriction(c, a, c - t - 1)
-            blocks = image.rows // small_dim
-            for blk in range(blocks):
+            for blk in range(comb(b, c)):
                 rows = range(blk * small_dim, (blk + 1) * small_dim)
-                if not (stage @ image.select_rows(rows)).is_zero():
+                if not _in_level(c, a, t, image.select_rows(rows)):
                     return False
     return True
 

@@ -4,10 +4,10 @@ The public type is :class:`RatMatrix`, an immutable matrix of exact
 rationals.  Row reduction, rank, kernels, images and membership
 certificates are all exact; no floating point appears anywhere.
 
-Arithmetic and elimination run on a sparse sympy ``DomainMatrix`` over QQ.
-A table of ``fractions.Fraction`` entries is kept only for matrices built
-from one, and is otherwise built from the sparse form when rows or columns
-are read.
+A matrix has one representation: a sparse sympy ``DomainMatrix`` over QQ,
+whose ``rep`` is a dict of nonzero rows.  Arithmetic and elimination run on
+it, and ``fractions.Fraction`` entries are built from it only when entries,
+rows or columns are read.
 
 Elimination is sparse Gauss--Jordan over QQ (``rref(method="GJ")``).
 sympy's default choice for QQ clears denominators and eliminates over ZZ
@@ -26,10 +26,12 @@ padded with zero rows to its own row count.
 
 Kernel and image bases are produced in free-column echelon form: there is a
 set of rows (the "unit rows") on which the basis columns restrict to an
-identity matrix.  That structure makes membership tests cheap -- candidate
-coefficients can be read off the unit rows and certified by one exact
-multiplication -- and downstream code uses it to compute traces of group
-actions restricted to a stable subspace in time linear in the rank.
+identity matrix.  Downstream code uses that structure to compute traces of
+group actions restricted to a stable subspace in time linear in the rank.
+The checks test membership in a kernel through the operator itself (``v``
+lies in the kernel of ``A`` exactly when ``A @ v`` is zero); the general
+test :func:`solve_membership` reads candidate coefficients off the unit
+rows and certifies them by one exact multiplication.
 """
 from __future__ import annotations
 
@@ -40,50 +42,24 @@ from sympy.polys.matrices import DomainMatrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_QQ_ZERO = QQ.zero
-_QQ_ONE = QQ.one
-
-# Small rationals are interned so that large mostly-0/1 matrices share entry
-# objects instead of allocating one Fraction per cell.
-_INTERN: dict[tuple[int, int], Fraction] = {(0, 1): _ZERO, (1, 1): _ONE}
 
 
-def _frac(num: int, den: int = 1) -> Fraction:
-    if -64 <= num <= 64 and 0 < den <= 64:
-        key = (num, den)
-        got = _INTERN.get(key)
-        if got is not None:
-            return got
-        val = Fraction(num, den)
-        if val.numerator == num and val.denominator == den:
-            _INTERN[key] = val
-        return val
-    return Fraction(num, den)
-
-
-def _to_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return _frac(x.numerator, x.denominator)
-    if isinstance(x, int):
-        return _frac(x)
+def _qq(x):
+    """An exact rational as an element of QQ; floats are refused."""
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in RatMatrix")
-    f = Fraction(x)
-    return _frac(f.numerator, f.denominator)
-
-
-def _qq(x) -> "QQ":
     f = x if isinstance(x, Fraction) else Fraction(x)
     return QQ(f.numerator, f.denominator)
 
 
-def _qq_to_frac(q) -> Fraction:
-    return _frac(int(q.numerator), int(q.denominator))
+def _from_qq(q) -> Fraction:
+    """An element of QQ as a ``fractions.Fraction``."""
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
-def _dm_rows(dm: DomainMatrix) -> dict[int, dict[int, object]]:
-    """Nonzero entries of a DomainMatrix as {row: {col: element}}."""
-    return {i: dict(row) for i, row in dm.rep.to_sdm().items()}
+def _sparse(rows: int, cols: int, dod) -> DomainMatrix:
+    """DomainMatrix over QQ from nonzero rows {row: {col: QQ element}}."""
+    return DomainMatrix(dict(dod), (rows, cols), QQ)
 
 
 # Nonzero RREF rows and pivots, keyed by (cols, frozenset of nonzero rows):
@@ -94,44 +70,51 @@ _RREF_BY_ROWS: dict[tuple, tuple[dict[int, dict[int, object]],
 
 
 class RatMatrix:
-    """Immutable matrix of exact rationals, stored sparsely."""
+    """Immutable matrix of exact rationals, stored sparsely.
 
-    __slots__ = ("rows", "cols", "_entries", "_dm", "_rref", "_unit_rows",
-                 "_sdm")
+    ``dm`` is a ``DomainMatrix`` over QQ in sympy's sparse format: it is
+    built from a dict of rows, and products, sums, scaling, stacking,
+    transposes and Gauss--Jordan RREF keep that format, so ``dm.rep`` is
+    always the dict of nonzero rows.  Row dicts are shared between matrices
+    and never modified.
+    """
+
+    __slots__ = ("rows", "cols", "dm", "_rref", "_unit_rows")
 
     def __init__(self, entries):
-        table = tuple(tuple(_to_frac(x) for x in row) for row in entries)
-        assert all(len(row) == len(table[0]) for row in table), "ragged rows"
-        self.rows = len(table)
-        self.cols = len(table[0]) if table else 0
-        self._entries = table
-        self._dm = None
+        table = [list(row) for row in entries]
+        cols = len(table[0]) if table else 0
+        if any(len(row) != cols for row in table):
+            raise ValueError("ragged rows")
+        dod = {}
+        for i, row in enumerate(table):
+            nonzero = {j: q for j, x in enumerate(row) if (q := _qq(x))}
+            if nonzero:
+                dod[i] = nonzero
+        self._set(_sparse(len(table), cols, dod))
+
+    def _set(self, dm: DomainMatrix, unit_rows=False) -> None:
+        self.rows, self.cols = dm.shape
+        self.dm = dm
         self._rref = None
-        self._unit_rows = False  # False = not yet detected; None = absent
-        self._sdm = None
+        self._unit_rows = unit_rows  # False = not yet detected; None = absent
 
     @classmethod
-    def _make(cls, rows: int, cols: int, dm: DomainMatrix,
-              unit_rows=False) -> "RatMatrix":
+    def _make(cls, dm: DomainMatrix, unit_rows=False) -> "RatMatrix":
         self = object.__new__(cls)
-        self.rows = rows
-        self.cols = cols
-        self._entries = None
-        self._dm = dm
-        self._rref = None
-        self._unit_rows = unit_rows
-        self._sdm = None
+        self._set(dm, unit_rows)
         return self
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        assert rows >= 0 and cols >= 0
-        return cls._make(rows, cols, DomainMatrix({}, (rows, cols), QQ))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative shape")
+        return cls._make(_sparse(rows, cols, {}))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        dm = DomainMatrix({i: {i: _QQ_ONE} for i in range(n)}, (n, n), QQ)
-        return cls._make(n, n, dm, unit_rows=tuple(range(n)))
+        return cls._make(_sparse(n, n, {i: {i: QQ.one} for i in range(n)}),
+                         unit_rows=tuple(range(n)))
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "RatMatrix":
@@ -140,19 +123,21 @@ class RatMatrix:
         columns = list(columns)
         for j, col in enumerate(columns):
             col = list(col)
-            assert len(col) == rows, "column length mismatch"
+            if len(col) != rows:
+                raise ValueError("column length mismatch")
             for i, x in enumerate(col):
-                f = _to_frac(x)
-                if f:
-                    dod.setdefault(i, {})[j] = _qq(f)
-        return cls._make(rows, len(columns), DomainMatrix(dod, (rows, len(columns)), QQ))
+                if x and (q := _qq(x)):
+                    dod.setdefault(i, {})[j] = q
+        return cls._make(_sparse(rows, len(columns), dod))
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets) -> "RatMatrix":
         """Matrix from (row, col, value) triplets; duplicate cells accumulate."""
         dod: dict[int, dict[int, object]] = {}
         for i, j, v in triplets:
-            assert 0 <= i < rows and 0 <= j < cols
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(
+                    f"triplet ({i}, {j}) outside a {rows}x{cols} matrix")
             q = _qq(v)
             row = dod.setdefault(i, {})
             got = row.get(j)
@@ -163,61 +148,44 @@ class RatMatrix:
                 del row[j]
             if not row:
                 del dod[i]
-        return cls._make(rows, cols, DomainMatrix(dod, (rows, cols), QQ))
+        return cls._make(_sparse(rows, cols, dod))
 
-    # -- representations ------------------------------------------------
+    # -- reading entries ------------------------------------------------
 
-    @property
-    def dm(self) -> DomainMatrix:
-        if self._dm is None:
-            dod: dict[int, dict[int, object]] = {}
-            for i, row in enumerate(self._entries):
-                r = {j: _qq(x) for j, x in enumerate(row) if x}
-                if r:
-                    dod[i] = r
-            self._dm = DomainMatrix(dod, (self.rows, self.cols), QQ)
-        return self._dm
+    def _sparse_rows(self) -> dict[int, dict[int, object]]:
+        """Nonzero entries as {row: {col: QQ element}} (read-only)."""
+        return self.dm.rep
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._entries is None:
-            sparse = _dm_rows(self._dm)
-            table = []
-            for i in range(self.rows):
-                row = sparse.get(i)
-                if not row:
-                    table.append((_ZERO,) * self.cols)
-                else:
-                    table.append(tuple(
-                        _qq_to_frac(row[j]) if j in row else _ZERO
-                        for j in range(self.cols)))
-            self._entries = tuple(table)
-        return self._entries
-
-    def _sparse_rows(self) -> dict[int, dict[int, object]]:
-        """Cached nonzero entries as {row: {col: QQ element}} (read-only)."""
-        if self._sdm is None:
-            self._sdm = _dm_rows(self.dm)
-        return self._sdm
+        return tuple(self.row(i) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> Fraction:
-        assert 0 <= i < self.rows and 0 <= j < self.cols
-        if self._entries is not None:
-            return self._entries[i][j]
-        row = self._sparse_rows().get(i)
-        if row is None or j not in row:
-            return _ZERO
-        return _qq_to_frac(row[j])
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ValueError(f"entry ({i}, {j}) outside a "
+                             f"{self.rows}x{self.cols} matrix")
+        v = self._sparse_rows().get(i, {}).get(j)
+        return _ZERO if v is None else _from_qq(v)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+        if not 0 <= i < self.rows:
+            raise ValueError(f"row {i} outside {self.rows} rows")
+        row = self._sparse_rows().get(i, {})
+        return tuple(_from_qq(row[j]) if j in row else _ZERO
+                     for j in range(self.cols))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+        if not 0 <= j < self.cols:
+            raise ValueError(f"column {j} outside {self.cols} columns")
+        out = [_ZERO] * self.rows
+        for i, row in self._sparse_rows().items():
+            if j in row:
+                out[i] = _from_qq(row[j])
+        return tuple(out)
 
     def rows_dict(self) -> dict[int, dict[int, Fraction]]:
         """Nonzero entries as {row: {col: Fraction}}."""
-        return {i: {j: _qq_to_frac(v) for j, v in row.items()}
+        return {i: {j: _from_qq(v) for j, v in row.items()}
                 for i, row in self._sparse_rows().items()}
 
     def sparse_columns(self) -> dict[int, dict[int, Fraction]]:
@@ -225,86 +193,74 @@ class RatMatrix:
         out: dict[int, dict[int, Fraction]] = {}
         for i, row in self._sparse_rows().items():
             for j, v in row.items():
-                out.setdefault(j, {})[i] = _qq_to_frac(v)
+                out.setdefault(j, {})[i] = _from_qq(v)
         return out
 
     def permute_rows(self, dest) -> "RatMatrix":
         """Matrix whose row dest[i] is row i of self (dest a permutation)."""
         dest = tuple(dest)
-        assert len(dest) == self.rows and set(dest) == set(range(self.rows))
-        dod = {dest[i]: dict(row) for i, row in self._sparse_rows().items()}
-        return RatMatrix._make(self.rows, self.cols,
-                               DomainMatrix(dod, (self.rows, self.cols), QQ))
+        if sorted(dest) != list(range(self.rows)):
+            raise ValueError("dest is not a permutation of the rows")
+        return RatMatrix._make(_sparse(self.rows, self.cols, {
+            dest[i]: row for i, row in self._sparse_rows().items()}))
 
     def select_rows(self, indices) -> "RatMatrix":
         """Matrix formed by rows indices[0], indices[1], ... of self."""
         indices = tuple(indices)
-        assert all(0 <= i < self.rows for i in indices)
+        if not all(0 <= i < self.rows for i in indices):
+            raise ValueError("row index out of range")
         sparse = self._sparse_rows()
-        dod: dict[int, dict[int, object]] = {}
-        for k, i in enumerate(indices):
-            row = sparse.get(i)
-            if row:
-                dod[k] = dict(row)
-        return RatMatrix._make(len(indices), self.cols,
-                               DomainMatrix(dod, (len(indices), self.cols), QQ))
+        return RatMatrix._make(_sparse(len(indices), self.cols, {
+            k: sparse[i] for k, i in enumerate(indices) if i in sparse}))
 
     # -- algebra ---------------------------------------------------------
 
+    def _same_shape(self, other: "RatMatrix") -> None:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} "
+                             f"against {other.rows}x{other.cols}")
+
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._make(self.cols, self.rows, self.dm.transpose())
+        return RatMatrix._make(self.dm.transpose())
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        assert isinstance(other, RatMatrix)
-        assert self.cols == other.rows, "shape mismatch in product"
-        return RatMatrix._make(self.rows, other.cols, self.dm.matmul(other.dm))
+        if not (isinstance(other, RatMatrix) and self.cols == other.rows):
+            raise ValueError("shape mismatch in product")
+        return RatMatrix._make(self.dm.matmul(other.dm))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        assert self.rows == other.rows and self.cols == other.cols
-        return RatMatrix._make(self.rows, self.cols, self.dm + other.dm)
+        self._same_shape(other)
+        return RatMatrix._make(self.dm + other.dm)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        assert self.rows == other.rows and self.cols == other.cols
-        return RatMatrix._make(self.rows, self.cols, self.dm - other.dm)
+        self._same_shape(other)
+        return RatMatrix._make(self.dm - other.dm)
 
     def scale(self, c) -> "RatMatrix":
-        q = _qq(_to_frac(c))
-        return RatMatrix._make(self.rows, self.cols, self.dm * q)
+        return RatMatrix._make(self.dm * _qq(c))
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        assert self.rows == other.rows
-        return RatMatrix._make(self.rows, self.cols + other.cols,
-                               self.dm.hstack(other.dm))
+        if self.rows != other.rows:
+            raise ValueError("row count mismatch in hstack")
+        return RatMatrix._make(self.dm.hstack(other.dm))
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        assert self.cols == other.cols
-        dod = {i: dict(row) for i, row in self._sparse_rows().items()}
-        for i, row in other._sparse_rows().items():
-            dod[self.rows + i] = dict(row)
-        return RatMatrix._make(
-            self.rows + other.rows, self.cols,
-            DomainMatrix(dod, (self.rows + other.rows, self.cols), QQ))
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch in vstack")
+        return RatMatrix._make(self.dm.vstack(other.dm))
 
     def mul_vector(self, vec) -> tuple[Fraction, ...]:
-        xs = [_qq(_to_frac(x)) for x in vec]
-        assert len(xs) == self.cols
-        out = [_QQ_ZERO] * self.rows
-        for i, row in self._sparse_rows().items():
-            acc = _QQ_ZERO
-            for j, v in row.items():
-                if xs[j]:
-                    acc += v * xs[j]
-            out[i] = acc
-        return tuple(_qq_to_frac(q) for q in out)
+        return (self @ RatMatrix.from_columns(self.cols, [vec])).column(0)
 
     def trace(self) -> Fraction:
-        assert self.rows == self.cols, "trace requires a square matrix"
-        acc = _QQ_ZERO
+        if self.rows != self.cols:
+            raise ValueError("trace requires a square matrix")
+        acc = QQ.zero
         for i, row in self._sparse_rows().items():
             v = row.get(i)
             if v is not None:
                 acc += v
-        return _qq_to_frac(acc)
+        return _from_qq(acc)
 
     def is_zero(self) -> bool:
         return not self._sparse_rows()
@@ -329,18 +285,16 @@ class RatMatrix:
             if self.rows == 0 or self.cols == 0:
                 self._rref = (self, ())
             else:
-                sparse = self.dm.rep.to_sdm()
-                key = (self.cols, frozenset(frozenset(row.items())
-                                            for row in sparse.values() if row))
+                key = (self.cols, frozenset(
+                    frozenset(row.items())
+                    for row in self._sparse_rows().values() if row))
                 shared = _RREF_BY_ROWS.get(key)
                 if shared is None:
                     red, pivots = self.dm.rref(method="GJ")
-                    shared = _RREF_BY_ROWS[key] = (_dm_rows(red),
-                                                   tuple(pivots))
+                    shared = _RREF_BY_ROWS[key] = (red.rep, tuple(pivots))
                 nonzero, pivots = shared
-                red = DomainMatrix(nonzero, (self.rows, self.cols), QQ)
-                self._rref = (RatMatrix._make(self.rows, self.cols, red),
-                              pivots)
+                red = _sparse(self.rows, self.cols, nonzero)
+                self._rref = (RatMatrix._make(red), pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -357,21 +311,18 @@ class RatMatrix:
         pivot_set = set(pivots)
         free = [j for j in range(self.cols) if j not in pivot_set]
         free_index = {f: k for k, f in enumerate(free)}
-        dod: dict[int, dict[int, object]] = {}
-        for k, f in enumerate(free):
-            dod.setdefault(f, {})[k] = _QQ_ONE
-        red_rows = _dm_rows(red.dm)
+        dod: dict[int, dict[int, object]] = {f: {k: QQ.one}
+                                             for k, f in enumerate(free)}
+        red_rows = red._sparse_rows()
         for r_idx, p in enumerate(pivots):
-            row = red_rows.get(r_idx, {})
             out = {}
-            for j, val in row.items():
+            for j, val in red_rows.get(r_idx, {}).items():
                 k = free_index.get(j)
                 if k is not None:
                     out[k] = -val
             if out:
                 dod[p] = out
-        dm = DomainMatrix(dod, (self.cols, len(free)), QQ)
-        return RatMatrix._make(self.cols, len(free), dm,
+        return RatMatrix._make(_sparse(self.cols, len(free), dod),
                                unit_rows=tuple(free))
 
     def image_basis(self) -> "RatMatrix":
@@ -381,20 +332,16 @@ class RatMatrix:
         as columns; the pivot positions become unit rows of the result.
         """
         red_t, pivots_t = self.transpose().rref()
-        red_rows = _dm_rows(red_t.dm)
-        dod: dict[int, dict[int, object]] = {}
-        for k in range(len(pivots_t)):
-            for j, val in red_rows.get(k, {}).items():
-                dod.setdefault(j, {})[k] = val
-        dm = DomainMatrix(dod, (self.rows, len(pivots_t)), QQ)
-        return RatMatrix._make(self.rows, len(pivots_t), dm,
+        dod = red_t.transpose()._sparse_rows()
+        return RatMatrix._make(_sparse(self.rows, len(pivots_t), dod),
                                unit_rows=tuple(pivots_t))
 
     def det(self) -> Fraction:
-        assert self.rows == self.cols, "determinant requires a square matrix"
+        if self.rows != self.cols:
+            raise ValueError("determinant requires a square matrix")
         if self.rows == 0:
             return _ONE
-        return _qq_to_frac(self.dm.det())
+        return _from_qq(self.dm.det())
 
     def unit_rows(self):
         """Row set on which the columns restrict to an identity, if one exists.
@@ -408,7 +355,7 @@ class RatMatrix:
             for i, row in self._sparse_rows().items():
                 if len(row) == 1:
                     (j, v), = row.items()
-                    if v == _QQ_ONE and (j not in found or i < found[j]):
+                    if v == QQ.one and (j not in found or i < found[j]):
                         found[j] = i
             if len(found) == self.cols:
                 self._unit_rows = tuple(found[j] for j in range(self.cols))
@@ -437,26 +384,25 @@ def solve_membership(span: RatMatrix, vector):
 
     The returned tuple x (length span.cols) satisfies span @ x == vector
     exactly; absence of a solution returns None.  A length mismatch between
-    vector and span.rows is a contract violation, not a math result.
+    vector and span.rows is a contract violation (``ValueError``), not a math
+    result.
     """
-    vec = tuple(_to_frac(x) for x in vector)
-    assert len(vec) == span.rows, (
-        f"dimension mismatch: vector of length {len(vec)} against "
-        f"{span.rows} rows")
+    vector = list(vector)
+    if len(vector) != span.rows:
+        raise ValueError(f"dimension mismatch: vector of length "
+                         f"{len(vector)} against {span.rows} rows")
+    column = RatMatrix.from_columns(span.rows, [vector])
     unit = span.unit_rows()
     if unit is not None:
-        x = tuple(vec[i] for i in unit)
-        return x if span.mul_vector(x) == vec else None
-    if span.cols == 0:
-        return () if all(v == 0 for v in vec) else None
-    aug = span.hstack(RatMatrix.from_columns(span.rows, [vec]))
-    red, pivots = aug.rref()
+        coeffs = column.select_rows(unit)
+        return coeffs.column(0) if span @ coeffs == column else None
+    red, pivots = span.hstack(column).rref()
     if span.cols in pivots:
         return None
     coeffs = [_ZERO] * span.cols
-    red_rows = _dm_rows(red.dm)
+    red_rows = red._sparse_rows()
     for k, p in enumerate(pivots):
         val = red_rows.get(k, {}).get(span.cols)
         if val is not None:
-            coeffs[p] = _qq_to_frac(val)
+            coeffs[p] = _from_qq(val)
     return tuple(coeffs)

@@ -278,18 +278,21 @@ def _check_dimension_counts(bound: int) -> CheckReport:
     def evaluate(cell):
         b, a = cell
         where = _at(b, a)
-        surj = len(enumerate_hom(HomClass.SURJECTION, b, a))
-        surj_formula = factorial(a) * int(stirling(b, a, kind=2))
-        inj = len(enumerate_hom(HomClass.INJECTION, a, b))
-        inj_formula = factorial(b) // factorial(b - a)
-        if surj != surj_formula or surj != hom_dimension(
-                HomClass.SURJECTION, b, a):
-            return (dict(where, surjections=surj_formula),
-                    dict(where, surjections=surj))
-        if inj != inj_formula or inj != hom_dimension(
-                HomClass.INJECTION, a, b):
-            return (dict(where, injections=inj_formula),
-                    dict(where, injections=inj))
+        counts = (
+            ("surjections", HomClass.SURJECTION, (b, a),
+             factorial(a) * int(stirling(b, a, kind=2))),
+            ("injections", HomClass.INJECTION, (a, b),
+             factorial(b) // factorial(b - a)))
+        for name, flavor, sizes, formula in counts:
+            enumerated = len(enumerate_hom(flavor, *sizes))
+            if enumerated != formula:
+                return (dict(where, **{name: formula}),
+                        dict(where, **{name: enumerated}))
+            dimension = hom_dimension(flavor, *sizes)
+            if dimension != formula:
+                key = f"{name}_hom_dimension"
+                return (dict(where, **{key: formula}),
+                        dict(where, **{key: dimension}))
         return None
     return _sweep("dimension_counts", {"bound": bound}, _cells(bound),
                   evaluate)

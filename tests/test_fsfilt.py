@@ -29,9 +29,9 @@ from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report,
                            theta_target_module)
-from fsprim.fsfilt import _reduced_restriction
+from fsprim.fsfilt import _in_level, _reduced_restriction
 from fsprim.partitions import irrep_dimension, partition_index
-from fsprim.ratlinalg import RatMatrix
+from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import BiSchurClass, SchurClass, decompose
 
 SURJ = HomClass.SURJECTION
@@ -481,11 +481,79 @@ def test_composition_of_primitives_stays_primitive():
                 assert closure_check(b, x, y), (b, x, y)
 
 
-def test_closure_generator_path_agrees_with_all_pairs(monkeypatch):
+def _all_pairs_closure(b, x, y):
+    """Reference closure: every product of basis columns of the two primitive
+    blocks, each certified by ``solve_membership`` against the goal basis."""
+    inner, outer = hom_module(SURJ, b, x), hom_module(SURJ, x, y)
+    result = hom_module(SURJ, b, y)
+    goal = primitives(b, y).basis_matrix
+    inner_cols = primitives(b, x).basis_matrix.sparse_columns().values()
+    outer_cols = primitives(x, y).basis_matrix.sparse_columns().values()
+    for u in outer_cols:
+        for v in inner_cols:
+            w = [Fraction(0)] * result.dimension
+            for g_idx, cu in u.items():
+                for f_idx, cv in v.items():
+                    g, f = outer.basis[g_idx], inner.basis[f_idx]
+                    w[result.index_of(compose(g, f))] += cu * cv
+            if solve_membership(goal, w) is None:
+                return False
+    return True
+
+
+def test_closure_agrees_with_the_all_pairs_reference():
+    for b in range(6):
+        for x in range(b + 1):
+            for y in range(x + 1):
+                assert closure_check(b, x, y) == _all_pairs_closure(b, x, y), (
+                    b, x, y)
+
+
+def test_closure_detects_an_outer_factor_outside_the_primitives(monkeypatch):
     import fsprim.fsfilt as fsfilt
-    monkeypatch.setattr(fsfilt, "_ALL_PAIRS_LIMIT", 0)
-    for b, x, y in [(4, 3, 2), (4, 3, 3), (4, 4, 3), (3, 3, 2)]:
-        assert closure_check(b, x, y), (b, x, y)
+    from fsprim.verify import run_check
+    real = fsfilt._module_generator_columns
+    full_span = tuple({i: Fraction(1)}
+                      for i in range(hom_dimension(SURJ, 3, 2)))
+
+    def outer_is_full_span(source_size, target_size, side):
+        if (source_size, target_size, side) == (3, 2, "left"):
+            return full_span
+        return real(source_size, target_size, side)
+
+    monkeypatch.setattr(fsfilt, "_module_generator_columns",
+                        outer_is_full_span)
+    assert not closure_check(3, 3, 2)
+    assert closure_check(3, 2, 2)
+    (report,) = run_check("closure", 3)
+    assert report.status == "fail"
+    assert report.expected == (
+        '{"closed":true,"mid_size":3,"source_size":3,"target_size":2}')
+    assert report.computed == (
+        '{"closed":false,"mid_size":3,"source_size":3,"target_size":2}')
+
+
+def test_level_test_agrees_with_membership_in_the_level_basis():
+    for b in range(5):
+        for a in range(b + 1):
+            ambient = hom_dimension(SURJ, b, a)
+            units = RatMatrix.identity(ambient).sparse_columns()
+            for t in range(-1, b + 1):
+                basis = filtration_level(b, a, t).basis_matrix
+                assert _in_level(b, a, t, basis), (b, a, t)
+                outside = 0
+                candidates = (list(basis.sparse_columns().values())
+                              + list(units.values()))
+                for vec in candidates:
+                    column = RatMatrix.from_triplets(
+                        ambient, 1, ((i, 0, v) for i, v in vec.items()))
+                    member = solve_membership(basis, column.column(0))
+                    assert _in_level(b, a, t, column) == (member is not None), (
+                        b, a, t, vec)
+                    outside += member is None
+                # unit vectors span the ambient space, so some lie outside
+                # exactly when the level is proper
+                assert (outside > 0) == (basis.cols < ambient), (b, a, t)
 
 
 # ------------------------------------------------- assembly identity checks

@@ -70,7 +70,7 @@ def test_float_entries_rejected():
 
 
 def test_ragged_rows_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         RatMatrix([[1, 2], [3]])
 
 
@@ -268,7 +268,7 @@ def test_membership_repeated_column():
 
 
 def test_membership_dimension_mismatch_is_error():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         solve_membership(RatMatrix.identity(3), (1, 2))
 
 
@@ -359,7 +359,7 @@ def test_det_matches_permutation_expansion():
 
 
 def test_det_not_defined_for_rectangular():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         RatMatrix([[1, 2, 3]]).det()
 
 
@@ -379,7 +379,7 @@ def test_matmul_and_transpose():
                                (Fraction(2), Fraction(1), Fraction(0)))
     assert A.transpose().entries == ((Fraction(1), Fraction(0)),
                                      (Fraction(2), Fraction(1)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         B @ A
 
 
@@ -400,11 +400,32 @@ def test_hstack():
                                    (Fraction(2), Fraction(5), Fraction(6)))
 
 
+def test_vstack():
+    A = RatMatrix([[1, 2]])
+    B = RatMatrix([[0, 0], [3, Fraction(1, 2)]])
+    assert A.vstack(B).entries == ((Fraction(1), Fraction(2)),
+                                   (Fraction(0), Fraction(0)),
+                                   (Fraction(3), Fraction(1, 2)))
+
+
 def test_unit_rows_detection():
     assert RatMatrix([[0, 1], [1, 0], [2, 3]]).unit_rows() == (1, 0)
     assert RatMatrix([[1, 1], [0, 1]]).unit_rows() is None
     assert RatMatrix([[2, 0], [0, 1]]).unit_rows() is None
     assert RatMatrix.identity(3).unit_rows() == (0, 1, 2)
+
+
+def test_every_operation_keeps_the_sparse_format():
+    # RatMatrix reads dm.rep as its dict of nonzero rows.
+    from sympy.polys.matrices.sdm import SDM
+    A = RatMatrix([[1, 2], [0, Fraction(1, 3)]])
+    B = RatMatrix.from_triplets(2, 2, [(0, 1, 1)])
+    results = [A, B, RatMatrix.identity(2), RatMatrix.zeros(2, 3),
+               RatMatrix.from_columns(2, [(1, 0)]), A @ B, A + B, A - B,
+               A.scale(3), A.hstack(B), A.vstack(B), A.transpose(),
+               A.permute_rows((1, 0)), A.select_rows((1, 1)), A.rref()[0],
+               A.kernel_basis(), A.image_basis()]
+    assert all(isinstance(M.dm.rep, SDM) for M in results)
 
 
 def test_rows_dict_round_trip():
@@ -427,7 +448,7 @@ def test_permute_rows():
     assert P.entries == ((Fraction(3), Fraction(4)),
                          (Fraction(5), Fraction(6)),
                          (Fraction(1), Fraction(2)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         M.permute_rows((0, 0, 1))
 
 

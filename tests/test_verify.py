@@ -176,15 +176,28 @@ def test_contracts_hold_under_optimize():
     # python -O strips assert statements; these contracts must not be.
     code = """
 from fsprim.finsetcat import FinMap
-from fsprim.fsfilt import theta_matrix
+from fsprim.fsfilt import _reduced_restriction, closure_check, theta_matrix
+from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
                            primfs_formula, run_check, subquotient_formula)
+A, B = RatMatrix([[1, 2], [3, 4]]), RatMatrix([[1, 2, 3]])
 for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: CheckReport("x", {}, "fail"),
              lambda: CheckReport("x", {}, "bogus-status"),
              lambda: primfs_formula(0), lambda: kring_fs_check(0),
              lambda: subquotient_formula(0),
-             lambda: run_check("closure", -1), lambda: collect_reports(-1)):
+             lambda: run_check("closure", -1), lambda: collect_reports(-1),
+             lambda: RatMatrix([[1, 2], [3]]), lambda: A @ B,
+             lambda: A + B, lambda: A - B, lambda: A.hstack(B),
+             lambda: A.vstack(B.transpose()),
+             lambda: RatMatrix.from_columns(2, [(1, 2, 3)]),
+             lambda: RatMatrix.from_triplets(2, 2, [(2, 0, 1)]),
+             lambda: A.permute_rows((0, 0)), lambda: A.select_rows((2,)),
+             lambda: A.entry(2, 0), lambda: A.row(2), lambda: A.column(2),
+             lambda: RatMatrix.zeros(-1, 0), lambda: B.det(),
+             lambda: B.trace(), lambda: solve_membership(A, (1, 2, 3)),
+             lambda: _reduced_restriction(2, 1, 3),
+             lambda: closure_check(2, 3, 1)):
     try:
         call()
     except ValueError:
@@ -329,6 +342,11 @@ _FAULTS = {
         lambda maps: maps[1:],
         '{"source_size":3,"surjections":6,"target_size":2}',
         '{"source_size":3,"surjections":5,"target_size":2}'),
+    "dimension_counts-hom_dimension": (
+        "dimension_counts", "hom_dimension", (HomClass.SURJECTION, 3, 2),
+        lambda dim: dim + 1,
+        '{"source_size":3,"surjections_hom_dimension":6,"target_size":2}',
+        '{"source_size":3,"surjections_hom_dimension":7,"target_size":2}'),
     "dimension_counts-injections": (
         "dimension_counts", "enumerate_hom", (HomClass.INJECTION, 2, 3),
         lambda maps: maps[1:],
