@@ -8,7 +8,7 @@ surjection and injection hom-spaces, the primitive filtration of the
 surjection category with its subquotients, and a deterministic verification
 driver that certifies the structural identities instance by instance.
 
-All arithmetic is exact: matrices are dense rational matrices, characters
+All arithmetic is exact: matrices are sparse rational matrices, characters
 and multiplicities are integers or exact fractions, and no floating point
 is used anywhere.
 """

@@ -44,12 +44,10 @@ from .finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                         hom_dimension, sections)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix
-from .repdecomp import (BiClassFunction, BiSchurClass,
-                        ClassFunction, RepSpace, SchurClass,
+from .repdecomp import (BiClassFunction, BiSchurClass, RepSpace, SchurClass,
                         adjacent_transposition, bidecompose_character,
                         boxtimes, class_representative, convolution_class,
-                        biconvolution_right, decompose_character, sign_class,
-                        trivial_class)
+                        biconvolution_right, sign_class, trivial_class)
 
 __all__ = [
     "HomModule", "hom_module", "theta_target_module",
@@ -60,11 +58,11 @@ __all__ = [
     "theta_rank_report", "coker_theta_decompose",
     "coker_action_triviality",
     "lambda_bar_rep",
-    "SesCell", "SesReport", "ses_check", "sgn_vanishing_check",
+    "sgn_vanishing_check",
     "closure_check", "automorphism_block_check",
     "filtration_nesting_check", "fi_stability_check",
     "IdentityCheck", "primfs_identity_check", "kring_identity_check",
-    "subquotient_identity_check",
+    "subquotient_identity_check", "ses_identity_check",
 ]
 
 _SURJ = HomClass.SURJECTION
@@ -129,9 +127,6 @@ class HomModule:
                   for pr in right_reps)
             for pl in left_reps)
         return BiClassFunction(self.left_degree, self.right_degree, values)
-
-    def bidecompose(self) -> BiSchurClass:
-        return bidecompose_character(self.bicharacter())
 
     def __repr__(self) -> str:
         tag = self.flavor.value if self.flavor is not None else "dual"
@@ -327,7 +322,16 @@ def primitives_bidecompose(source_size: int, target_size: int) -> BiSchurClass:
 @cache
 def full_fs_bidecompose(source_size: int, target_size: int) -> BiSchurClass:
     """Exact bimodule decomposition of the whole surjection span."""
-    return hom_module(_SURJ, source_size, target_size).bidecompose()
+    return bidecompose_character(
+        hom_module(_SURJ, source_size, target_size).bicharacter())
+
+
+def _difference(upper: BiClassFunction,
+                lower: BiClassFunction) -> BiClassFunction:
+    """Class function ``upper - lower``: the character of a quotient."""
+    return BiClassFunction(upper.left_degree, upper.right_degree, tuple(
+        tuple(u - l for u, l in zip(urow, lrow))
+        for urow, lrow in zip(upper.values, lower.values)))
 
 
 @cache
@@ -341,12 +345,8 @@ def subquotient_decompose(level: int, source_size: int,
     """
     b, a, ell = source_size, target_size, level
     assert ell >= 0
-    upper = level_bicharacter(b, a, ell)
-    lower = level_bicharacter(b, a, ell - 1)
-    diff = BiClassFunction(upper.left_degree, upper.right_degree, tuple(
-        tuple(u - l for u, l in zip(urow, lrow))
-        for urow, lrow in zip(upper.values, lower.values)))
-    return bidecompose_character(diff)
+    return bidecompose_character(_difference(level_bicharacter(b, a, ell),
+                                             level_bicharacter(b, a, ell - 1)))
 
 
 # ------------------------------------------------------- section-sum pairing
@@ -440,13 +440,61 @@ def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
     a, b = target_size, source_size
     assert 0 <= a <= b
     target = theta_target_module(a, b)
-    image = _theta_image(a, b)
-    total = target.bicharacter()
-    inside = _restricted_bicharacter(target, image)
-    diff = BiClassFunction(total.left_degree, total.right_degree, tuple(
-        tuple(x - y for x, y in zip(xrow, yrow))
-        for xrow, yrow in zip(total.values, inside.values)))
-    return bidecompose_character(diff)
+    return bidecompose_character(_difference(
+        target.bicharacter(),
+        _restricted_bicharacter(target, _theta_image(a, b))))
+
+
+@cache
+def _theta_quotient(target_size: int,
+                    source_size: int) -> tuple[RatMatrix, RatMatrix]:
+    """Quotient map onto the pairing's cokernel, and a section of it.
+
+    Cokernel coordinates are the non-pivot rows of the image basis.  The
+    image basis restricts to the identity on its pivot rows, so a functional
+    is congruent modulo the image to the one obtained by subtracting, for
+    each pivot row, that row's entry times its image column; the quotient
+    map is therefore ``Q = N - image[nonpivots] @ E[pivots]``, where ``N``
+    and ``E[pivots]`` select the non-pivot and pivot rows of the identity.
+    ``N``'s transpose embeds cokernel coordinates as functionals supported
+    off the pivots, so ``Q @ N.T`` is the identity.
+    """
+    image = _theta_image(target_size, source_size)
+    pivots = image.unit_rows()
+    pivot_set = set(pivots)
+    nonpivots = [j for j in range(image.rows) if j not in pivot_set]
+    identity = RatMatrix.identity(image.rows)
+    select = identity.select_rows(nonpivots)
+    quotient = select - image.select_rows(nonpivots) @ identity.select_rows(
+        pivots)
+    return quotient, select.transpose()
+
+
+def _coker_relations(target_size: int, low_size: int,
+                     source_size: int) -> RatMatrix:
+    """Relations ``u.s (x) w - u (x) s.w`` of the block and the cokernel.
+
+    Rows index the tensor of the primitive block ``target -> low`` with the
+    pairing's cokernel (block coordinate outermost); there is one column per
+    adjacent transposition ``s`` of the shared group and pair of basis
+    vectors ``(u, w)``.  For each ``s`` the columns are
+    ``kron(A_s, I) - kron(I, B_s)``, with ``A_s`` the action of ``s`` on the
+    block's coordinates (through its source) and ``B_s`` its action on
+    cokernel coordinates (through post-composition of the functionals).
+    """
+    a, c, b = target_size, low_size, source_size
+    block = primitives(a, c).basis_matrix
+    unit = block.unit_rows()
+    quotient, section = _theta_quotient(a, b)
+    p, q = block.cols, quotient.rows
+    relations = RatMatrix.zeros(p * q, 0)
+    for rperm, lperm in zip(hom_module(_SURJ, a, c).right_generator_perms,
+                            theta_target_module(a, b).left_generator_perms):
+        acted = block.permute_rows(rperm).select_rows(unit)
+        moved = quotient @ _perm_matrix(lperm) @ section
+        relations = relations.hstack(acted.kron(RatMatrix.identity(q))
+                                     - RatMatrix.identity(p).kron(moved))
+    return relations
 
 
 def coker_action_triviality(target_size: int, low_size: int,
@@ -469,56 +517,10 @@ def coker_action_triviality(target_size: int, low_size: int,
     """
     a, c, b = target_size, low_size, source_size
     assert 0 <= c < a <= b
-    prim = primitives(a, c)
-    p = prim.dimension
-    if p == 0:
+    if primitives(a, c).dimension == 0:
         return True
-    image = _theta_image(a, b)
-    pivots = image.unit_rows()
-    pivot_col = {j: m for m, j in enumerate(pivots)}
-    nonpivots = [j for j in range(image.rows) if j not in pivot_col]
-    q = len(nonpivots)
-    if q == 0:
-        return True
-    position = {j: k for k, j in enumerate(nonpivots)}
-    image_cols = image.sparse_columns()
-
-    def project(dest: int) -> dict[int, Fraction]:
-        """Quotient coordinates of one functional basis vector."""
-        if dest in position:
-            return {position[dest]: Fraction(1)}
-        out: dict[int, Fraction] = {}
-        for j, val in image_cols.get(pivot_col[dest], {}).items():
-            k = position.get(j)
-            if k is not None:
-                out[k] = -val
-        return out
-
-    block = prim.basis_matrix
-    unit = block.unit_rows()
-    fs_mod = hom_module(_SURJ, a, c)
-    target = theta_target_module(a, b)
-    triplets: list[tuple[int, int, Fraction]] = []
-    col = 0
-    for rperm, lperm in zip(fs_mod.right_generator_perms,
-                            target.left_generator_perms):
-        acted = block.permute_rows(rperm).select_rows(unit).sparse_columns()
-        quotient_cols = [project(lperm[j]) for j in nonpivots]
-        for i in range(p):
-            block_col = acted.get(i, {})
-            for k in range(q):
-                entries: dict[int, Fraction] = {}
-                for r, val in block_col.items():
-                    key = r * q + k
-                    entries[key] = entries.get(key, 0) + val
-                for r, val in quotient_cols[k].items():
-                    key = i * q + r
-                    entries[key] = entries.get(key, 0) - val
-                triplets.extend((key, col, val)
-                                for key, val in entries.items() if val)
-                col += 1
-    relations = RatMatrix.from_triplets(p * q, col, triplets)
-    return relations.rank() == p * q
+    relations = _coker_relations(a, c, b)
+    return relations.rank() == relations.rows
 
 
 # -------------------------------------------------- augmentation-kernel power
@@ -557,53 +559,7 @@ def lambda_bar_rep(power: int, set_size: int) -> RepSpace:
     return RepSpace(b, len(subsets), tuple(gens))
 
 
-# -------------------------------------------------------- assembly-level sweeps
-
-
-class SesCell(NamedTuple):
-    source_size: int
-    target_size: int
-    ok: bool
-    lhs: BiSchurClass
-    rhs: BiSchurClass
-
-
-class SesReport(NamedTuple):
-    level: int
-    bound: int
-    ok: bool
-    cells: tuple[SesCell, ...]
-
-    @property
-    def failures(self) -> tuple[SesCell, ...]:
-        return tuple(cell for cell in self.cells if not cell.ok)
-
-
-def ses_check(level: int, bound: int) -> SesReport:
-    """Per-cell exact identity for one filtration subquotient layer.
-
-    For each cell (source b, target a) with a + level <= b <= bound, checks
-
-        [level/(level-1) subquotient]  (+ sign-hook term exactly at
-        b = a + level)  ==  [primitives of (b - level, a)] convolved on the
-        right with the trivial class of the layer,
-
-    as BiSchurClass equalities.  Vacuously passing (empty cell list) when the
-    layer exceeds the bound.
-    """
-    ell = level
-    assert ell >= 1 and bound >= 0
-    cells = []
-    for a in range(0, bound - ell + 1):
-        for b in range(a + ell, bound + 1):
-            lhs = subquotient_decompose(ell, b, a)
-            if b == a + ell:
-                hook = SchurClass({(ell,) + (1,) * a: 1})
-                lhs = lhs + boxtimes(sign_class(a), hook)
-            rhs = biconvolution_right(primitives_bidecompose(b - ell, a),
-                                      trivial_class(ell))
-            cells.append(SesCell(b, a, lhs == rhs, lhs, rhs))
-    return SesReport(ell, bound, all(c.ok for c in cells), tuple(cells))
+# ------------------------------------------------------ primitive block checks
 
 
 def sgn_vanishing_check(source_size: int, target_size: int) -> bool:
@@ -612,26 +568,31 @@ def sgn_vanishing_check(source_size: int, target_size: int) -> bool:
     Considers the span of surjections source -> target (target strictly
     smaller) as a representation of the source symmetric group acting by
     inverse pre-composition, and checks that the multiplicity of the sign
-    representation is zero.
+    representation is zero: no term of the span's bimodule class has the
+    single column (1^source) on the right.  Multiplicities are nonnegative,
+    so no term cancels another.
     """
     a, c = source_size, target_size
     assert 0 <= c < a
-    module = hom_module(_SURJ, a, c)
-    values = []
-    for mu in partitions_of(a):
-        perm = module.right_perm(class_representative(mu))
-        values.append(sum(1 for i in range(module.dimension)
-                          if perm[i] == i))
-    chi = ClassFunction(a, tuple(values))
-    return decompose_character(chi).coefficient((1,) * a) == 0
+    sign = (1,) * a
+    return all(right != sign
+               for (_, right), _ in full_fs_bidecompose(a, c).terms)
 
 
 def automorphism_block_check(set_size: int) -> bool:
-    """True iff the primitive block at equal sizes is the whole bijection span."""
+    """True iff the primitive block at equal sizes is the whole bijection span.
+
+    Compares ``primitives(n, n)`` with the identity, and, for n >= 1, with
+    the kernel of the restriction stage to size n - 1 that defines level 0
+    (no surjection from a smaller set reaches n, so that kernel is the whole
+    span too).
+    """
     n = set_size
     level = primitives(n, n)
-    return (level.dimension == hom_dimension(_SURJ, n, n)
-            and level.basis_matrix == RatMatrix.identity(level.dimension))
+    full = RatMatrix.identity(hom_dimension(_SURJ, n, n))
+    return (level.basis_matrix == full
+            and (n == 0
+                 or _reduced_restriction(n, n, n - 1).kernel_basis() == full))
 
 
 # ------------------------------------------------------------------ closure
@@ -879,4 +840,26 @@ def subquotient_identity_check(level: int, source_size: int,
     if b == a + ell:
         hook = SchurClass({(ell,) + (1,) * a: 1})
         rhs = rhs - boxtimes(sign_class(a), hook)
+    return IdentityCheck(lhs == rhs, lhs, rhs)
+
+
+def ses_identity_check(level: int, source_size: int,
+                       target_size: int) -> IdentityCheck:
+    """Subquotient assembly: one filtration layer from smaller primitives.
+
+    For a cell with b >= a + level, the level/(level-1) subquotient, plus
+    the sign-hook term exactly at b = a + level, equals the primitives of
+    (b - level, a) convolved on the right with the trivial class of the
+    layer.  Cells with b < a + level have no layer and are refused.
+    """
+    ell, b, a = level, source_size, target_size
+    if ell < 1 or a < 0 or b < a + ell:
+        raise ValueError("assembly needs level >= 1 and source >= target "
+                         "+ level")
+    lhs = subquotient_decompose(ell, b, a)
+    if b == a + ell:
+        hook = SchurClass({(ell,) + (1,) * a: 1})
+        lhs = lhs + boxtimes(sign_class(a), hook)
+    rhs = biconvolution_right(primitives_bidecompose(b - ell, a),
+                              trivial_class(ell))
     return IdentityCheck(lhs == rhs, lhs, rhs)

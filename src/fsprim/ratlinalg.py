@@ -22,7 +22,8 @@ Matrices with the same set of nonzero rows span the same row space and so
 have the same nonzero RREF rows and pivots.  Results are therefore shared by
 row content: a matrix whose row set was already eliminated (for example a
 row permutation of it, or a copy with repeated rows) reuses that result,
-padded with zero rows to its own row count.
+padded with zero rows to its own row count.  The augmented matrix that
+:func:`solve_membership` eliminates is a one-off and is not kept.
 
 Kernel and image bases are produced in free-column echelon form: there is a
 set of rows (the "unit rows") on which the basis columns restrict to an
@@ -60,6 +61,12 @@ def _from_qq(q) -> Fraction:
 def _sparse(rows: int, cols: int, dod) -> DomainMatrix:
     """DomainMatrix over QQ from nonzero rows {row: {col: QQ element}}."""
     return DomainMatrix(dict(dod), (rows, cols), QQ)
+
+
+def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
+    """Nonzero RREF rows {row: {col: QQ element}} and pivot columns of dm."""
+    red, pivots = dm.rref(method="GJ")
+    return red.rep, tuple(pivots)
 
 
 # Nonzero RREF rows and pivots, keyed by (cols, frozenset of nonzero rows):
@@ -249,6 +256,19 @@ class RatMatrix:
             raise ValueError("column count mismatch in vstack")
         return RatMatrix._make(self.dm.vstack(other.dm))
 
+    def kron(self, other: "RatMatrix") -> "RatMatrix":
+        """Kronecker product, of shape (rows * p) x (cols * q).
+
+        For ``other`` of shape p x q, entry (i*p + k, j*q + l) of the result
+        is self[i, j] * other[k, l].
+        """
+        p, q = other.rows, other.cols
+        dod = {i * p + k: {j * q + l: v * w
+                           for j, v in mine.items() for l, w in theirs.items()}
+               for i, mine in self._sparse_rows().items()
+               for k, theirs in other._sparse_rows().items()}
+        return RatMatrix._make(_sparse(self.rows * p, self.cols * q, dod))
+
     def mul_vector(self, vec) -> tuple[Fraction, ...]:
         return (self @ RatMatrix.from_columns(self.cols, [vec])).column(0)
 
@@ -290,8 +310,7 @@ class RatMatrix:
                     for row in self._sparse_rows().values() if row))
                 shared = _RREF_BY_ROWS.get(key)
                 if shared is None:
-                    red, pivots = self.dm.rref(method="GJ")
-                    shared = _RREF_BY_ROWS[key] = (red.rep, tuple(pivots))
+                    shared = _RREF_BY_ROWS[key] = _gauss_jordan(self.dm)
                 nonzero, pivots = shared
                 red = _sparse(self.rows, self.cols, nonzero)
                 self._rref = (RatMatrix._make(red), pivots)
@@ -396,11 +415,11 @@ def solve_membership(span: RatMatrix, vector):
     if unit is not None:
         coeffs = column.select_rows(unit)
         return coeffs.column(0) if span @ coeffs == column else None
-    red, pivots = span.hstack(column).rref()
+    # A one-off elimination: sharing it would keep one entry per vector.
+    red_rows, pivots = _gauss_jordan(span.hstack(column).dm)
     if span.cols in pivots:
         return None
     coeffs = [_ZERO] * span.cols
-    red_rows = red._sparse_rows()
     for k, p in enumerate(pivots):
         val = red_rows.get(k, {}).get(span.cols)
         if val is not None:

@@ -1,14 +1,17 @@
 """Symmetric-group character theory and decomposition into irreducibles.
 
 Irreducible characters come from the Murnaghan-Nakayama recursion on
-beta-numbers.  Representations are carried by :class:`RepSpace` (one
-symmetric group acting) and :class:`BiRepSpace` (commuting left and right
-actions); both verify the defining generator relations at construction, so
-a value of these types is evidence that the matrices really do define an
-action.  Decomposition into irreducibles goes through exact character inner
-products, and the multiplicities are validated (integral, nonnegative,
-dimensions adding up) before anything is returned -- a violation raises
-:class:`InternalConsistencyError` rather than producing a wrong answer.
+beta-numbers.  A representation of one symmetric group is carried by
+:class:`RepSpace`, which verifies the defining generator relations at
+construction, so a value of this type is evidence that the matrices really
+do define an action; two-sided (bimodule) actions enter only through their
+joint characters, :class:`BiClassFunction`.  Decomposition into irreducibles
+goes through exact character inner products in one routine,
+:func:`bidecompose_character` (a one-group character is the bicharacter
+whose left group is S_0), and the multiplicities are validated (integral,
+nonnegative, dimensions adding up) before anything is returned -- a
+violation raises :class:`InternalConsistencyError` rather than producing a
+wrong answer.
 
 Formal integer combinations of irreducibles live in :class:`SchurClass`
 (one group) and :class:`BiSchurClass` (ordered pairs, left/covariant factor
@@ -372,12 +375,11 @@ class RepSpace:
 
     generators[t-1] is the action matrix of the adjacent transposition s_t.
     Construction verifies the defining relations (involution, braid,
-    distant commutation) unless check=False is passed, so a RepSpace is
-    evidence its matrices define a genuine action.
+    distant commutation), so a RepSpace is evidence its matrices define a
+    genuine action.
     """
 
-    def __init__(self, degree: int, dimension: int, generators,
-                 check: bool = True):
+    def __init__(self, degree: int, dimension: int, generators):
         assert degree >= 0 and dimension >= 0
         self.degree = degree
         self.dimension = dimension
@@ -387,8 +389,7 @@ class RepSpace:
         for A in self.generators:
             assert isinstance(A, RatMatrix)
             assert A.rows == A.cols == dimension
-        if check:
-            _verify_coxeter(self.generators, dimension)
+        _verify_coxeter(self.generators, dimension)
 
     def action_matrix(self, perm: FinMap) -> RatMatrix:
         """Matrix of the permutation, assembled from the generator word."""
@@ -416,64 +417,6 @@ def _verify_coxeter(gens, dimension: int) -> None:
             if A @ B != B @ A:
                 raise InternalConsistencyError(
                     f"distant generators {t + 1}, {u + 1} do not commute")
-
-
-class BiRepSpace:
-    """Commuting left and right symmetric-group actions on one space.
-
-    left_generators act for the degree-left_degree group, right_generators
-    for the degree-right_degree group; every left matrix must commute with
-    every right matrix.  Both actions are plain homomorphisms.
-    """
-
-    def __init__(self, left_degree: int, right_degree: int, dimension: int,
-                 left_generators, right_generators, check: bool = True):
-        self.left_degree = left_degree
-        self.right_degree = right_degree
-        self.dimension = dimension
-        self.left_generators = tuple(left_generators)
-        self.right_generators = tuple(right_generators)
-        assert len(self.left_generators) == max(left_degree - 1, 0)
-        assert len(self.right_generators) == max(right_degree - 1, 0)
-        for A in self.left_generators + self.right_generators:
-            assert isinstance(A, RatMatrix)
-            assert A.rows == A.cols == dimension
-        if check:
-            _verify_coxeter(self.left_generators, dimension)
-            _verify_coxeter(self.right_generators, dimension)
-            for i, L in enumerate(self.left_generators, start=1):
-                for j, R in enumerate(self.right_generators, start=1):
-                    if L @ R != R @ L:
-                        raise InternalConsistencyError(
-                            f"left generator {i} does not commute with "
-                            f"right generator {j}")
-
-    def left_matrix(self, perm: FinMap) -> RatMatrix:
-        assert perm.source_size == perm.target_size == self.left_degree
-        M = RatMatrix.identity(self.dimension)
-        for t in transposition_word(perm):
-            M = M @ self.left_generators[t - 1]
-        return M
-
-    def right_matrix(self, perm: FinMap) -> RatMatrix:
-        assert perm.source_size == perm.target_size == self.right_degree
-        M = RatMatrix.identity(self.dimension)
-        for t in transposition_word(perm):
-            M = M @ self.right_generators[t - 1]
-        return M
-
-    def bicharacter(self) -> BiClassFunction:
-        """Trace of (left rep) * (right rep) per pair of classes."""
-        left_parts = partitions_of(self.left_degree)
-        right_parts = partitions_of(self.right_degree)
-        rights = [self.right_matrix(class_representative(mu))
-                  for mu in right_parts]
-        rows = []
-        for mu_l in left_parts:
-            L = self.left_matrix(class_representative(mu_l))
-            rows.append(tuple((L @ R).trace() for R in rights))
-        return BiClassFunction(self.left_degree, self.right_degree,
-                               tuple(rows))
 
 
 # ------------------------------------------------------- standard rep spaces
@@ -527,30 +470,16 @@ def rep_character(V: RepSpace) -> ClassFunction:
 def decompose_character(chi: ClassFunction) -> SchurClass:
     """Multiplicities of irreducibles in a genuine character.
 
-    Validates that every multiplicity is a nonnegative integer and that the
-    dimensions add up to the character's value at the identity; a failure
-    means the input was not the character of an actual representation and
-    raises InternalConsistencyError.
+    Decomposed as the bicharacter of S_0 x S_n, whose left group has one
+    class and one irreducible, so :func:`bidecompose_character` does the
+    validation: a multiplicity that is not a nonnegative integer, or
+    dimensions that do not add up to the character's value at the identity,
+    mean the input was not the character of an actual representation and
+    raise InternalConsistencyError.
     """
-    n = chi.degree
-    parts = partitions_of(n)
-    table = character_table(n)
-    sizes = [class_size(mu) for mu in parts]
-    order = factorial(n)
-    mults: dict[Partition, int] = {}
-    for li, lam in enumerate(parts):
-        acc = sum((size * t * v for size, t, v
-                   in zip(sizes, table[li], chi.values)), Fraction(0))
-        mult = Fraction(acc, order)
-        if mult.denominator != 1 or mult < 0:
-            raise InternalConsistencyError(
-                f"multiplicity of {lam} is {mult}, not a nonnegative integer")
-        if mult:
-            mults[lam] = int(mult)
-    dim_at_identity = chi.values[partition_index((1,) * n)]
-    if sum(c * irrep_dimension(lam) for lam, c in mults.items()) != dim_at_identity:
-        raise InternalConsistencyError("dimension bookkeeping failed")
-    return SchurClass(mults)
+    pairs = bidecompose_character(
+        BiClassFunction(0, chi.degree, (chi.values,)))
+    return SchurClass((right, c) for (_, right), c in pairs.terms)
 
 
 def decompose(V: RepSpace) -> SchurClass:
@@ -592,11 +521,6 @@ def bidecompose_character(chi: BiClassFunction) -> BiSchurClass:
     if total != dim_at_identity:
         raise InternalConsistencyError("dimension bookkeeping failed")
     return BiSchurClass(mults)
-
-
-def bidecompose(V: BiRepSpace) -> BiSchurClass:
-    """Isotypic multiplicities of a two-sided representation space."""
-    return bidecompose_character(V.bicharacter())
 
 
 # ------------------------------------------------------- products of classes

@@ -51,7 +51,7 @@ from .fsfilt import (
     lambda_bar_rep,
     primfs_identity_check,
     primitives,
-    ses_check,
+    ses_identity_check,
     sgn_vanishing_check,
     subquotient_decompose,
     subquotient_identity_check,
@@ -69,6 +69,7 @@ from .partitions import (
 from .repdecomp import (
     BiSchurClass,
     SchurClass,
+    bidecompose_character,
     boxtimes,
     character_table,
     decompose,
@@ -478,14 +479,14 @@ def _check_sgn_vanishing(bound: int) -> CheckReport:
 
 def _check_ses(bound: int) -> list[CheckReport]:
     """Per-layer subquotient assembly identity, one report per layer size."""
-    def layer_cells(level):
-        yield from ses_check(level, bound).cells
-
-    return [_sweep("ses", {"level": level, "bound": bound}, layer_cells(level),
-                   lambda cell, level=level: _identity_failure(
-                       dict(_at(cell.source_size, cell.target_size),
-                            level=level), cell))
-            for level in range(1, bound + 1)]
+    def layer(level):
+        cells = [(b, a) for a in range(bound - level + 1)
+                 for b in range(a + level, bound + 1)]
+        return _sweep("ses", {"level": level, "bound": bound}, cells,
+                      lambda c: _identity_failure(
+                          dict(_at(*c), level=level),
+                          ses_identity_check(level, *c)))
+    return [layer(level) for level in range(1, bound + 1)]
 
 
 # Checks whose report is a single CheckReport are wrapped in a list by
@@ -714,7 +715,8 @@ def _cmd_decompose(args) -> int:
     if args.flavor == "fs":
         cls = full_fs_bidecompose(b, a)
     else:
-        cls = hom_module(HomClass.INJECTION, a, b).bidecompose()
+        cls = bidecompose_character(
+            hom_module(HomClass.INJECTION, a, b).bicharacter())
     for (left, right), mult in cls.terms:
         print(f"{json.dumps(list(left))} {json.dumps(list(right))} {mult}")
     if not cls.terms:

@@ -23,16 +23,20 @@ from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            filtration_nesting_check, full_fs_bidecompose,
                            hom_module, kring_identity_check, lambda_bar_rep,
                            level_bicharacter, primfs_identity_check,
-                           primitives, primitives_bidecompose, ses_check,
-                           sgn_vanishing_check, subquotient_decompose,
+                           primitives, primitives_bidecompose,
+                           ses_identity_check, sgn_vanishing_check,
+                           subquotient_decompose,
                            subquotient_identity_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report,
                            theta_target_module)
-from fsprim.fsfilt import _in_level, _reduced_restriction
-from fsprim.partitions import irrep_dimension, partition_index
+from fsprim.fsfilt import (_coker_relations, _in_level, _reduced_restriction,
+                           _theta_image)
+from fsprim.partitions import irrep_dimension, partition_index, partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
-from fsprim.repdecomp import BiSchurClass, SchurClass, decompose
+from fsprim.repdecomp import (BiSchurClass, ClassFunction, SchurClass,
+                              character_inner_product, class_representative,
+                              decompose)
 
 SURJ = HomClass.SURJECTION
 INJ = HomClass.INJECTION
@@ -186,6 +190,25 @@ def test_equal_size_blocks_are_fully_primitive():
     for n in range(5):
         assert automorphism_block_check(n)
         assert primitives(n, n).dimension == factorial(n)
+
+
+def test_automorphism_block_check_reads_the_defining_stage(monkeypatch):
+    import fsprim.fsfilt as fsfilt
+    from fsprim.verify import run_check
+    real = fsfilt._reduced_restriction
+
+    def stage_with_a_relation(source_size, target_size, restricted_size):
+        if (source_size, target_size, restricted_size) == (2, 2, 1):
+            return RatMatrix([[1, -1]])
+        return real(source_size, target_size, restricted_size)
+
+    monkeypatch.setattr(fsfilt, "_reduced_restriction", stage_with_a_relation)
+    assert not automorphism_block_check(2)
+    assert automorphism_block_check(3)
+    (report,) = run_check("closure", 3)
+    assert report.status == "fail"
+    assert report.expected == '{"block_is_full":true,"set_size":2}'
+    assert report.computed == '{"block_is_full":false,"set_size":2}'
 
 
 def test_primitive_dimension_table():
@@ -434,10 +457,89 @@ def test_size_decreasing_primitives_act_as_zero_on_cokernels():
                 assert coker_action_triviality(a, c, b), (a, c, b)
 
 
+def _hand_assembled_coker_relations(a, c, b):
+    """Reference: the contraction relations entry by entry, from Fraction
+    dicts, in quotient coordinates read off the image's non-pivot rows."""
+    prim = primitives(a, c)
+    p = prim.dimension
+    image = _theta_image(a, b)
+    pivots = image.unit_rows()
+    pivot_col = {j: m for m, j in enumerate(pivots)}
+    nonpivots = [j for j in range(image.rows) if j not in pivot_col]
+    q = len(nonpivots)
+    position = {j: k for k, j in enumerate(nonpivots)}
+    image_cols = image.sparse_columns()
+
+    def project(dest):
+        if dest in position:
+            return {position[dest]: Fraction(1)}
+        out = {}
+        for j, val in image_cols.get(pivot_col[dest], {}).items():
+            k = position.get(j)
+            if k is not None:
+                out[k] = -val
+        return out
+
+    block = prim.basis_matrix
+    unit = block.unit_rows()
+    fs_mod = hom_module(SURJ, a, c)
+    target = theta_target_module(a, b)
+    triplets = []
+    col = 0
+    for rperm, lperm in zip(fs_mod.right_generator_perms,
+                            target.left_generator_perms):
+        acted = block.permute_rows(rperm).select_rows(unit).sparse_columns()
+        quotient_cols = [project(lperm[j]) for j in nonpivots]
+        for i in range(p):
+            block_col = acted.get(i, {})
+            for k in range(q):
+                entries = {}
+                for r, val in block_col.items():
+                    key = r * q + k
+                    entries[key] = entries.get(key, 0) + val
+                for r, val in quotient_cols[k].items():
+                    key = i * q + r
+                    entries[key] = entries.get(key, 0) - val
+                triplets.extend((key, col, val)
+                                for key, val in entries.items() if val)
+                col += 1
+    return RatMatrix.from_triplets(p * q, col, triplets)
+
+
+def test_coker_relations_match_the_hand_assembled_reference():
+    for b in range(7):
+        for a in range(b + 1):
+            for c in range(a):
+                assert (_coker_relations(a, c, b)
+                        == _hand_assembled_coker_relations(a, c, b)), (a, c, b)
+
+
 def test_sign_component_of_size_decreasing_blocks_vanishes():
     for a in range(1, 7):
         for c in range(a):
             assert sgn_vanishing_check(a, c), (a, c)
+
+
+def test_sign_multiplicity_matches_the_fixed_point_count():
+    # The source-side sign multiplicity read off the bimodule class equals
+    # the inner product of the fixed-point character with the sign.
+    for a in range(7):
+        sign_row = (1,) * a
+        sign = ClassFunction(a, tuple(
+            (-1) ** (a - len(mu)) for mu in partitions_of(a)))
+        for c in range(a + 1):
+            module = hom_module(SURJ, a, c)
+            chi = ClassFunction(a, tuple(
+                sum(1 for i, j in enumerate(
+                    module.right_perm(class_representative(mu))) if i == j)
+                for mu in partitions_of(a)))
+            counted = character_inner_product(chi, sign)
+            read = sum(mult * irrep_dimension(left)
+                       for (left, right), mult in full_fs_bidecompose(a, c).terms
+                       if right == sign_row)
+            assert read == counted, (a, c)
+            if c < a:
+                assert sgn_vanishing_check(a, c) == (counted == 0), (a, c)
 
 
 def test_sign_vanishing_rejects_equal_sizes():
@@ -560,18 +662,20 @@ def test_level_test_agrees_with_membership_in_the_level_basis():
 
 
 def test_level_assembly_reports():
-    assert ses_check(1, 4).ok
-    report = ses_check(2, 4)
-    assert report.ok and report.failures == ()
+    for level in (1, 2):
+        for b in range(level, 5):
+            for a in range(b - level + 1):
+                assert ses_identity_check(level, b, a).ok, (level, b, a)
     # boundary cells carry the sign-hook correction and still balance
-    boundary = [cell for cell in report.cells
-                if cell.source_size == cell.target_size + 2]
-    assert boundary and all(cell.ok for cell in boundary)
+    boundary = ses_identity_check(2, 4, 2)
+    assert boundary.ok
+    assert boundary.lhs != subquotient_decompose(2, 4, 2)
 
 
-def test_level_assembly_beyond_bound_is_vacuous():
-    report = ses_check(6, 5)
-    assert report.ok and report.cells == ()
+def test_level_assembly_refuses_cells_outside_the_layer():
+    for level, b, a in ((6, 5, 0), (2, 3, 2), (0, 3, 1), (1, 3, -1)):
+        with pytest.raises(ValueError):
+            ses_identity_check(level, b, a)
 
 
 def test_primitive_class_identity_per_cell():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fsprim import ratlinalg
 from fsprim.ratlinalg import (
     RatMatrix,
     image_basis,
@@ -315,6 +316,17 @@ def test_membership_of_actual_combination(rows):
     assert M.mul_vector(x) == combo
 
 
+def test_membership_leaves_the_shared_rref_table_alone():
+    span = RatMatrix([[2, 0], [0, 2], [1, 1]])
+    assert span.unit_rows() is None  # the generic path
+    before = len(ratlinalg._RREF_BY_ROWS)
+    for i in range(1000):
+        x = (Fraction(i), Fraction(1, 1 + i % 3))
+        assert solve_membership(span, span.mul_vector(x)) == x
+    assert solve_membership(span, (1, 0, 0)) is None
+    assert len(ratlinalg._RREF_BY_ROWS) == before
+
+
 def test_membership_fast_path_and_generic_path_agree():
     # a kernel basis has unit rows (fast path); destroy them by row-scaling
     M = RatMatrix([[1, 1, 1, 0], [0, 1, 1, 1]])
@@ -408,6 +420,32 @@ def test_vstack():
                                    (Fraction(3), Fraction(1, 2)))
 
 
+def _kron_by_entries(A, B):
+    p, q = B.rows, B.cols
+    return RatMatrix.from_triplets(
+        A.rows * p, A.cols * q,
+        ((i * p + k, j * q + l, A.entry(i, j) * B.entry(k, l))
+         for i in range(A.rows) for j in range(A.cols)
+         for k in range(p) for l in range(q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, matrices)
+def test_kron_matches_the_entry_formula(rows_a, rows_b):
+    A, B = RatMatrix(rows_a), RatMatrix(rows_b)
+    assert A.kron(B) == _kron_by_entries(A, B)
+
+
+def test_kron_of_empty_shapes():
+    A = RatMatrix([[1, 2], [0, Fraction(1, 3)]])
+    for rows, cols in ((0, 0), (0, 3), (2, 0)):
+        E = RatMatrix.zeros(rows, cols)
+        for X, Y in ((A, E), (E, A)):
+            K = X.kron(Y)
+            assert (K.rows, K.cols) == (X.rows * Y.rows, X.cols * Y.cols)
+            assert K.is_zero() and K == _kron_by_entries(X, Y)
+
+
 def test_unit_rows_detection():
     assert RatMatrix([[0, 1], [1, 0], [2, 3]]).unit_rows() == (1, 0)
     assert RatMatrix([[1, 1], [0, 1]]).unit_rows() is None
@@ -424,7 +462,7 @@ def test_every_operation_keeps_the_sparse_format():
                RatMatrix.from_columns(2, [(1, 0)]), A @ B, A + B, A - B,
                A.scale(3), A.hstack(B), A.vstack(B), A.transpose(),
                A.permute_rows((1, 0)), A.select_rows((1, 1)), A.rref()[0],
-               A.kernel_basis(), A.image_basis()]
+               A.kernel_basis(), A.image_basis(), A.kron(B)]
     assert all(isinstance(M.dm.rep, SDM) for M in results)
 
 

@@ -7,6 +7,7 @@ Independent oracles used here:
     full ambient symmetric group (feasible through degree 6).
 """
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,14 +24,13 @@ from fsprim.partitions import (
 from fsprim.ratlinalg import RatMatrix
 from fsprim.repdecomp import (
     BiClassFunction,
-    BiRepSpace,
     BiSchurClass,
     ClassFunction,
     InternalConsistencyError,
     RepSpace,
     SchurClass,
     adjacent_transposition,
-    bidecompose,
+    bidecompose_character,
     biconvolution_right,
     boxtimes,
     character_inner_product,
@@ -239,9 +239,10 @@ def test_decompose_trivial_and_sign():
 
 
 def test_decompose_rejects_corrupted_space():
-    fake = RepSpace(2, 1, (RatMatrix([[2]]),), check=False)
+    # the character a one-dimensional "space" with s_1 acting as 2 would have
+    fake = ClassFunction(2, (2, 1))
     with pytest.raises(InternalConsistencyError):
-        decompose(fake)
+        decompose_character(fake)
 
 
 def test_decompose_character_rejects_negative():
@@ -255,48 +256,64 @@ def test_decompose_character_rejects_negative():
 # ------------------------------------------------------------------ bimodule
 
 
-def _regular_bimodule(n):
+def _loop_decompose_character(chi):
+    """Reference: one inner product with each irreducible character."""
+    table = character_table(chi.degree)
+    mults = {}
+    for lam, row in zip(partitions_of(chi.degree), table):
+        mult = character_inner_product(chi, ClassFunction(chi.degree, row))
+        if mult.denominator != 1 or mult < 0:
+            raise InternalConsistencyError(f"multiplicity of {lam} is {mult}")
+        mults[lam] = int(mult)
+    return SchurClass(mults)
+
+
+def test_decompose_character_matches_the_inner_product_loop():
+    checked = 0
+    for n in range(8):
+        parts = partitions_of(n)
+        regular = tuple(factorial(n) if mu == (1,) * n else 0 for mu in parts)
+        for values in character_table(n) + (regular,):
+            chi = ClassFunction(n, values)
+            assert decompose_character(chi) == _loop_decompose_character(chi)
+            checked += 1
+        negative = ClassFunction(n, tuple(-v for v in character_table(n)[0]))
+        for decomposer in (decompose_character, _loop_decompose_character):
+            with pytest.raises(InternalConsistencyError):
+                decomposer(negative)
+    assert checked == 53
+
+
+def _regular_bicharacter(n):
+    """Fixed points of x -> g x h^-1 on the group: the two-sided regular rep."""
     elements = enumerate_hom(HomClass.BIJECTION, n, n)
-    index = {g.values: i for i, g in enumerate(elements)}
-    left, right = [], []
-    for t in range(1, n):
-        s = adjacent_transposition(n, t)
-        left.append(RatMatrix.from_triplets(
-            len(elements), len(elements),
-            ((index[compose(s, g).values], i, 1)
-             for i, g in enumerate(elements))))
-        right.append(RatMatrix.from_triplets(
-            len(elements), len(elements),
-            ((index[compose(g, s.inverse()).values], i, 1)
-             for i, g in enumerate(elements))))
-    return BiRepSpace(n, n, len(elements), left, right)
+    reps = [class_representative(mu) for mu in partitions_of(n)]
+    return BiClassFunction(n, n, tuple(
+        tuple(sum(1 for x in elements
+                  if compose(compose(g, x), h.inverse()) == x)
+              for h in reps)
+        for g in reps))
 
 
 def test_bidecompose_group_algebra():
-    assert bidecompose(_regular_bimodule(2)) == BiSchurClass(
+    assert bidecompose_character(_regular_bicharacter(2)) == BiSchurClass(
         {((2,), (2,)): 1, ((1, 1), (1, 1)): 1})
-    assert bidecompose(_regular_bimodule(3)) == BiSchurClass(
+    assert bidecompose_character(_regular_bicharacter(3)) == BiSchurClass(
         {(lam, lam): 1 for lam in partitions_of(3)})
-    assert bidecompose(_regular_bimodule(4)) == BiSchurClass(
+    assert bidecompose_character(_regular_bicharacter(4)) == BiSchurClass(
         {(lam, lam): 1 for lam in partitions_of(4)})
 
 
 def test_bidecompose_single_surjection_space():
     # one basis vector, trivial actions on both sides (degrees 1 and 2)
-    V = BiRepSpace(1, 2, 1, (), (RatMatrix.identity(1),))
-    assert bidecompose(V) == BiSchurClass({((1,), (2,)): 1})
+    chi = BiClassFunction(1, 2, ((1, 1),))
+    assert bidecompose_character(chi) == BiSchurClass({((1,), (2,)): 1})
 
 
 def test_bidecompose_zero_space():
-    V = BiRepSpace(2, 2, 0, (RatMatrix.zeros(0, 0),), (RatMatrix.zeros(0, 0),))
-    assert bidecompose(V) == BiSchurClass()
-    assert bidecompose(V).is_zero()
-
-
-def test_birep_space_rejects_noncommuting_sides():
-    gens = permutation_rep(3).generators
-    with pytest.raises(InternalConsistencyError):
-        BiRepSpace(3, 3, 3, gens, gens)
+    chi = BiClassFunction(2, 2, ((0, 0), (0, 0)))
+    assert bidecompose_character(chi) == BiSchurClass()
+    assert bidecompose_character(chi).is_zero()
 
 
 # -------------------------------------------------------------- formal sums

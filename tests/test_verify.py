@@ -176,7 +176,8 @@ def test_contracts_hold_under_optimize():
     # python -O strips assert statements; these contracts must not be.
     code = """
 from fsprim.finsetcat import FinMap
-from fsprim.fsfilt import _reduced_restriction, closure_check, theta_matrix
+from fsprim.fsfilt import (_reduced_restriction, closure_check,
+                           ses_identity_check, theta_matrix)
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
                            primfs_formula, run_check, subquotient_formula)
@@ -197,7 +198,8 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: RatMatrix.zeros(-1, 0), lambda: B.det(),
              lambda: B.trace(), lambda: solve_membership(A, (1, 2, 3)),
              lambda: _reduced_restriction(2, 1, 3),
-             lambda: closure_check(2, 3, 1)):
+             lambda: closure_check(2, 3, 1),
+             lambda: ses_identity_check(2, 3, 2)):
     try:
         call()
     except ValueError:
@@ -319,12 +321,6 @@ def _skew_identity(chk):
     return IdentityCheck(False, chk.lhs + _SKEW, chk.rhs)
 
 
-def _skew_first_ses_cell(report):
-    first = report.cells[0]
-    bad = first._replace(ok=False, lhs=first.lhs + _SKEW)
-    return report._replace(ok=False, cells=(bad,) + report.cells[1:])
-
-
 def _false(_):
     return False
 
@@ -422,7 +418,7 @@ _FAULTS = {
         '{"sign_multiplicity":0,"source_size":2,"target_size":1}',
         '{"sign_multiplicity":"nonzero","source_size":2,"target_size":1}'),
     "ses": (
-        "ses", "ses_check", (2, 3), _skew_first_ses_cell,
+        "ses", "ses_identity_check", (2, 2, 0), _skew_identity,
         '{"coefficient":0,"left":[1],"level":2,"right":[2],"source_size":2,'
         '"target_size":0}',
         '{"coefficient":1,"left":[1],"level":2,"right":[2],"source_size":2,'
