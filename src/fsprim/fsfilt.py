@@ -491,7 +491,8 @@ def _coker_relations(target_size: int, low_size: int,
     for rperm, lperm in zip(hom_module(_SURJ, a, c).right_generator_perms,
                             theta_target_module(a, b).left_generator_perms):
         acted = block.permute_rows(rperm).select_rows(unit)
-        moved = quotient @ _perm_matrix(lperm) @ section
+        # Q @ P @ N.T, with the permutation applied to N.T's rows directly.
+        moved = quotient @ section.permute_rows(lperm)
         relations = relations.hstack(acted.kron(RatMatrix.identity(q))
                                      - RatMatrix.identity(p).kron(moved))
     return relations
