@@ -534,9 +534,9 @@ def test_sign_multiplicity_matches_the_fixed_point_count():
                     module.right_perm(class_representative(mu))) if i == j)
                 for mu in partitions_of(a)))
             counted = character_inner_product(chi, sign)
+            terms = full_fs_bidecompose(a, c).terms
             read = sum(mult * irrep_dimension(left)
-                       for (left, right), mult in full_fs_bidecompose(a, c).terms
-                       if right == sign_row)
+                       for (left, right), mult in terms if right == sign_row)
             assert read == counted, (a, c)
             if c < a:
                 assert sgn_vanishing_check(a, c) == (counted == 0), (a, c)

@@ -285,7 +285,7 @@ def test_decompose_character_matches_the_inner_product_loop():
 
 
 def _regular_bicharacter(n):
-    """Fixed points of x -> g x h^-1 on the group: the two-sided regular rep."""
+    """Fixed points of x -> g x h^-1: the two-sided regular character."""
     elements = enumerate_hom(HomClass.BIJECTION, n, n)
     reps = [class_representative(mu) for mu in partitions_of(n)]
     return BiClassFunction(n, n, tuple(
