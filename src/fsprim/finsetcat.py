@@ -51,7 +51,8 @@ class FinMap:
             raise ValueError("value out of range")
 
     def __call__(self, i: int) -> int:
-        assert 1 <= i <= self.source_size
+        if not 1 <= i <= self.source_size:
+            raise ValueError("point outside the source")
         return self.values[i - 1]
 
     def is_surjective(self) -> bool:
@@ -64,7 +65,8 @@ class FinMap:
         return self.source_size == self.target_size and self.is_injective()
 
     def inverse(self) -> "FinMap":
-        assert self.is_bijective(), "only bijections invert"
+        if not self.is_bijective():
+            raise ValueError("only bijections invert")
         inv = [0] * self.source_size
         for i, v in enumerate(self.values, start=1):
             inv[v - 1] = i
@@ -81,7 +83,8 @@ def identity_map(n: int) -> FinMap:
 
 def compose(g: FinMap, f: FinMap) -> FinMap:
     """g after f: apply f first, then g."""
-    assert g.source_size == f.target_size, "composition size mismatch"
+    if g.source_size != f.target_size:
+        raise ValueError("composition size mismatch")
     return FinMap(f.source_size, g.target_size,
                   tuple(g.values[v - 1] for v in f.values))
 
@@ -108,7 +111,8 @@ def enumerate_hom(flavor: HomClass, source_size: int,
     there is exactly one (empty) map whatever the flavor admits; with an
     empty target and nonempty source there are none.
     """
-    assert source_size >= 0 and target_size >= 0
+    if source_size < 0 or target_size < 0:
+        raise ValueError("set sizes must be nonnegative")
     return tuple(
         FinMap(source_size, target_size, values)
         for values in product(range(1, target_size + 1), repeat=source_size)
@@ -124,7 +128,8 @@ def sections(f: FinMap) -> tuple[FinMap, ...]:
     one entry per element of the product of the fibers and every section
     is injective.
     """
-    assert f.is_surjective(), "sections require a surjective map"
+    if not f.is_surjective():
+        raise ValueError("sections require a surjective map")
     fibers = [[i for i in range(1, f.source_size + 1) if f.values[i - 1] == t]
               for t in range(1, f.target_size + 1)]
     return tuple(FinMap(f.target_size, f.source_size, choice)
@@ -148,7 +153,8 @@ def hom_dimension(flavor: HomClass, source_size: int, target_size: int) -> int:
     else 0; bijections: source! exactly when the sizes agree.
     """
     b, a = source_size, target_size
-    assert b >= 0 and a >= 0
+    if b < 0 or a < 0:
+        raise ValueError("set sizes must be nonnegative")
     if flavor is HomClass.ALL:
         return a ** b
     if flavor is HomClass.SURJECTION:

@@ -12,9 +12,10 @@ interacting structures, all over exact rational arithmetic:
 
 * **The section-sum pairing** ``theta_matrix``: a surjection ``f`` is sent to
   the indicator sum of its sections inside the space of functionals on
-  injections.  At equal sizes this is the bijection-inversion permutation
-  matrix; in general its kernel is a filtration level (see below) and its
-  cokernel is an exact, computable sign-hook bimodule.
+  injections, which is the injection span ``target -> source`` with its
+  sides exchanged.  At equal sizes this is the bijection-inversion
+  permutation matrix; in general its kernel is a filtration level (see
+  below) and its cokernel is an exact, computable sign-hook bimodule.
 
 * **The restriction filtration.**  Level ``t`` of the span of surjections
   ``source -> target`` is the joint kernel of all restriction maps along
@@ -36,12 +37,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                        hom_dimension, sections)
+from .finsetcat import (FinMap, HomClass, enumerate_hom, hom_dimension,
+                        sections)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix
 from .repdecomp import (BiClassFunction, BiSchurClass, RepSpace, SchurClass,
@@ -50,7 +51,7 @@ from .repdecomp import (BiClassFunction, BiSchurClass, RepSpace, SchurClass,
                         biconvolution_right, sign_class, trivial_class)
 
 __all__ = [
-    "HomModule", "hom_module", "theta_target_module",
+    "HomModule", "hom_module",
     "FiltrationLevel", "filtration_level", "primitives",
     "level_bicharacter", "primitives_bidecompose", "full_fs_bidecompose",
     "subquotient_decompose",
@@ -73,37 +74,35 @@ _INJ = HomClass.INJECTION
 
 
 class HomModule:
-    """Permutation bimodule spanned by a canonical basis of finite-set maps.
+    """Permutation bimodule spanned by the maps source -> target of a flavor.
 
-    ``left_apply(pi, f)`` / ``right_apply(sigma, f)`` give the basis image of
-    ``f`` under the two commuting actions; both must be group actions that
-    permute the basis.  Matrices act on column vectors of basis coefficients.
+    ``basis`` holds the maps' value tuples in canonical order and ``index``
+    sends a value tuple to its position; a tuple that is not a map of the
+    flavor is absent.  A target permutation ``pi`` acts on the left by
+    ``[f] -> [pi . f]`` and a source permutation ``sigma`` on the right by
+    ``[f] -> [f . sigma^{-1}]``.  Matrices act on column vectors.
     """
 
-    def __init__(self, left_degree: int, right_degree: int, basis,
-                 left_apply: Callable[[FinMap, FinMap], FinMap],
-                 right_apply: Callable[[FinMap, FinMap], FinMap],
-                 flavor: HomClass | None = None):
-        self.left_degree = left_degree
-        self.right_degree = right_degree
-        self.basis = tuple(basis)
-        self.dimension = len(self.basis)
+    def __init__(self, flavor: HomClass, source_size: int, target_size: int):
         self.flavor = flavor
-        self._left_apply = left_apply
-        self._right_apply = right_apply
-        self._index = {f.values: i for i, f in enumerate(self.basis)}
-
-    def index_of(self, f: FinMap) -> int:
-        return self._index[f.values]
+        self.left_degree = target_size
+        self.right_degree = source_size
+        maps = enumerate_hom(flavor, source_size, target_size)
+        self.basis = tuple(f.values for f in maps)
+        self.dimension = len(self.basis)
+        self.index = {f: i for i, f in enumerate(self.basis)}
 
     def left_perm(self, pi: FinMap) -> tuple[int, ...]:
         """Basis permutation of the left action: i -> index of pi acting on i."""
-        return tuple(self._index[self._left_apply(pi, f).values]
-                     for f in self.basis)
+        p, index = pi.values, self.index
+        return tuple(index[tuple(p[v - 1] for v in f)] for f in self.basis)
 
     def right_perm(self, sigma: FinMap) -> tuple[int, ...]:
-        return tuple(self._index[self._right_apply(sigma, f).values]
-                     for f in self.basis)
+        # Position k of f . sigma^{-1} reads f at sigma^{-1}(k).
+        preimage = sorted(range(self.right_degree),
+                          key=sigma.values.__getitem__)
+        index = self.index
+        return tuple(index[tuple(f[j] for j in preimage)] for f in self.basis)
 
     @cached_property
     def left_generator_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -116,12 +115,18 @@ class HomModule:
             self.right_perm(adjacent_transposition(self.right_degree, t))
             for t in range(1, self.right_degree))
 
+    @cached_property
+    def class_perms(self) -> tuple[tuple[tuple[int, ...], ...],
+                                   tuple[tuple[int, ...], ...]]:
+        """Left and right basis permutations of one representative per class."""
+        return (tuple(self.left_perm(class_representative(mu))
+                      for mu in partitions_of(self.left_degree)),
+                tuple(self.right_perm(class_representative(mu))
+                      for mu in partitions_of(self.right_degree)))
+
     def bicharacter(self) -> BiClassFunction:
         """Joint character by fixed-point counts, one value per class pair."""
-        left_reps = [self.left_perm(class_representative(mu))
-                     for mu in partitions_of(self.left_degree)]
-        right_reps = [self.right_perm(class_representative(mu))
-                      for mu in partitions_of(self.right_degree)]
+        left_reps, right_reps = self.class_perms
         values = tuple(
             tuple(sum(1 for i in range(self.dimension) if pl[pr[i]] == i)
                   for pr in right_reps)
@@ -129,45 +134,14 @@ class HomModule:
         return BiClassFunction(self.left_degree, self.right_degree, values)
 
     def __repr__(self) -> str:
-        tag = self.flavor.value if self.flavor is not None else "dual"
-        return (f"HomModule({tag}, left=S_{self.left_degree}, "
+        return (f"HomModule({self.flavor.value}, left=S_{self.left_degree}, "
                 f"right=S_{self.right_degree}, dim={self.dimension})")
-
-
-def _perm_matrix(perm: tuple[int, ...]) -> RatMatrix:
-    n = len(perm)
-    return RatMatrix.from_triplets(n, n, ((perm[i], i, 1) for i in range(n)))
 
 
 @cache
 def hom_module(flavor: HomClass, source_size: int, target_size: int) -> HomModule:
-    """Span of maps source -> target of the given flavor, with both actions.
-
-    Left: target permutations by post-composition.  Right: source
-    permutations by inverse pre-composition.
-    """
-    return HomModule(
-        left_degree=target_size, right_degree=source_size,
-        basis=enumerate_hom(flavor, source_size, target_size),
-        left_apply=lambda pi, f: compose(pi, f),
-        right_apply=lambda sigma, f: compose(f, sigma.inverse()),
-        flavor=flavor)
-
-
-@cache
-def theta_target_module(target_size: int, source_size: int) -> HomModule:
-    """Functionals on injections target_size -> source_size, as a bimodule.
-
-    The dual basis element of an injection ``h`` transforms by
-    ``[h]* -> [h . pi^{-1}]*`` under a left permutation ``pi`` of the small
-    set and by ``[h]* -> [sigma . h]*`` under a right permutation ``sigma``
-    of the large set, matching the equivariance of the section-sum pairing.
-    """
-    return HomModule(
-        left_degree=target_size, right_degree=source_size,
-        basis=enumerate_hom(_INJ, target_size, source_size),
-        left_apply=lambda pi, h: compose(h, pi.inverse()),
-        right_apply=lambda sigma, h: compose(sigma, h))
+    """Span of maps source -> target of the given flavor, with both actions."""
+    return HomModule(flavor, source_size, target_size)
 
 
 # ------------------------------------------------------- restriction operators
@@ -188,17 +162,16 @@ def _reduced_restriction(source_size: int, target_size: int,
         raise ValueError("restricted size must lie between 0 and the source")
     big = hom_module(_SURJ, b, a)
     small = hom_module(_SURJ, c, a)
-    subsets = list(combinations(range(1, b + 1), c))
+    subsets = list(combinations(range(b), c))
     rows = len(subsets) * small.dimension
 
     def triplets():
         for blk, subset in enumerate(subsets):
-            inj = FinMap(c, b, subset)
             base = blk * small.dimension
             for col, f in enumerate(big.basis):
-                g = compose(f, inj)
-                if g.is_surjective():
-                    yield base + small.index_of(g), col, 1
+                row = small.index.get(tuple(f[i] for i in subset))
+                if row is not None:
+                    yield base + row, col, 1
 
     return RatMatrix.from_triplets(rows, big.dimension, triplets())
 
@@ -247,7 +220,8 @@ def filtration_level(source_size: int, target_size: int,
                      level: int) -> FiltrationLevel:
     """Canonical basis of filtration level ``t`` inside surjections b -> a."""
     b, a, t = source_size, target_size, level
-    assert b >= 0 and a >= 0 and t >= -1
+    if b < 0 or a < 0 or t < -1:
+        raise ValueError("sizes must be nonnegative and the level at least -1")
     dim = hom_dimension(_SURJ, b, a)
     if t <= -1:
         basis = RatMatrix.zeros(dim, 0)
@@ -279,10 +253,7 @@ def _restricted_bicharacter(module: HomModule,
     unit = basis.unit_rows()
     assert unit is not None, "restricted traces need a unit-row basis"
     sparse = basis._sparse_rows()
-    left_reps = [module.left_perm(class_representative(mu))
-                 for mu in partitions_of(module.left_degree)]
-    right_reps = [module.right_perm(class_representative(mu))
-                  for mu in partitions_of(module.right_degree)]
+    left_reps, right_reps = module.class_perms
 
     def trace(pl: tuple[int, ...], pr: tuple[int, ...]) -> Fraction:
         combined = [pl[pr[i]] for i in range(module.dimension)]
@@ -334,6 +305,12 @@ def _difference(upper: BiClassFunction,
         for urow, lrow in zip(upper.values, lower.values)))
 
 
+def _transpose(chi: BiClassFunction) -> BiClassFunction:
+    """The same class function with its left and right groups exchanged."""
+    return BiClassFunction(chi.right_degree, chi.left_degree,
+                           tuple(zip(*chi.values)))
+
+
 @cache
 def subquotient_decompose(level: int, source_size: int,
                           target_size: int) -> BiSchurClass:
@@ -344,7 +321,8 @@ def subquotient_decompose(level: int, source_size: int,
     whenever ``level`` exceeds ``source_size - target_size``.
     """
     b, a, ell = source_size, target_size, level
-    assert ell >= 0
+    if ell < 0:
+        raise ValueError("subquotient level must be nonnegative")
     return bidecompose_character(_difference(level_bicharacter(b, a, ell),
                                              level_bicharacter(b, a, ell - 1)))
 
@@ -365,32 +343,33 @@ def theta_matrix(target_size: int, source_size: int) -> RatMatrix:
     if not 0 <= a <= b:
         raise ValueError("pairing needs target no larger than source")
     surjections = enumerate_hom(_SURJ, b, a)
-    target = theta_target_module(a, b)
+    index = hom_module(_INJ, a, b).index
 
     def triplets():
         for col, f in enumerate(surjections):
             for s in sections(f):
-                yield target.index_of(s), col, 1
+                yield index[s.values], col, 1
 
-    return RatMatrix.from_triplets(target.dimension, len(surjections),
-                                   triplets())
+    return RatMatrix.from_triplets(len(index), len(surjections), triplets())
 
 
 def theta_equivariance_check(target_size: int, source_size: int) -> bool:
-    """True iff the pairing intertwines both generator actions exactly."""
+    """True iff the pairing intertwines both generator actions exactly.
+
+    Each side of the surjections pairs with the other side of the injections.
+    For a generator with basis permutations ``ps`` and ``pt`` the pairing
+    must satisfy ``P_t @ th @ P_s^T == th``: permute rows, then columns.
+    """
     a, b = target_size, source_size
     th = theta_matrix(a, b)
     source = hom_module(_SURJ, b, a)
-    target = theta_target_module(a, b)
-    for ps, pt in zip(source.left_generator_perms,
-                      target.left_generator_perms):
-        if th @ _perm_matrix(ps) != _perm_matrix(pt) @ th:
-            return False
-    for ps, pt in zip(source.right_generator_perms,
-                      target.right_generator_perms):
-        if th @ _perm_matrix(ps) != _perm_matrix(pt) @ th:
-            return False
-    return True
+    target = hom_module(_INJ, a, b)
+    pairs = chain(
+        zip(source.left_generator_perms, target.right_generator_perms),
+        zip(source.right_generator_perms, target.left_generator_perms))
+    return all(
+        th.permute_rows(pt).transpose().permute_rows(ps).transpose() == th
+        for ps, pt in pairs)
 
 
 def theta_kernel_level_check(target_size: int, source_size: int) -> bool:
@@ -434,15 +413,17 @@ def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
     """Exact decomposition of the pairing's cokernel bimodule.
 
     Character of the injection-functional space minus the restricted-trace
-    character of the pairing's image; empty at equal sizes, and the full
-    functional space below a positive-size source with empty target.
+    character of the pairing's image, both read on the injection span and
+    then transposed; empty at equal sizes, and the full functional space
+    below a positive-size source with empty target.
     """
     a, b = target_size, source_size
-    assert 0 <= a <= b
-    target = theta_target_module(a, b)
-    return bidecompose_character(_difference(
+    if not 0 <= a <= b:
+        raise ValueError("pairing needs target no larger than source")
+    target = hom_module(_INJ, a, b)
+    return bidecompose_character(_transpose(_difference(
         target.bicharacter(),
-        _restricted_bicharacter(target, _theta_image(a, b))))
+        _restricted_bicharacter(target, _theta_image(a, b)))))
 
 
 @cache
@@ -489,7 +470,7 @@ def _coker_relations(target_size: int, low_size: int,
     p, q = block.cols, quotient.rows
     relations = RatMatrix.zeros(p * q, 0)
     for rperm, lperm in zip(hom_module(_SURJ, a, c).right_generator_perms,
-                            theta_target_module(a, b).left_generator_perms):
+                            hom_module(_INJ, a, b).right_generator_perms):
         acted = block.permute_rows(rperm).select_rows(unit)
         # Q @ P @ N.T, with the permutation applied to N.T's rows directly.
         moved = quotient @ section.permute_rows(lperm)
@@ -517,7 +498,8 @@ def coker_action_triviality(target_size: int, low_size: int,
     block with the cokernel -- an exact full-rank condition.
     """
     a, c, b = target_size, low_size, source_size
-    assert 0 <= c < a <= b
+    if not 0 <= c < a <= b:
+        raise ValueError("cokernel action needs low < target <= source")
     if primitives(a, c).dimension == 0:
         return True
     relations = _coker_relations(a, c, b)
@@ -538,7 +520,8 @@ def lambda_bar_rep(power: int, set_size: int) -> RepSpace:
     exceeds ``set_size - 1``; power 0 is the one-dimensional trivial space.
     """
     t, b = power, set_size
-    assert t >= 0 and b >= 0
+    if t < 0 or b < 0:
+        raise ValueError("power and set size must be nonnegative")
     if b == 0:
         return RepSpace(0, 0, ())
     ones = RatMatrix([[1] * b])
@@ -574,7 +557,8 @@ def sgn_vanishing_check(source_size: int, target_size: int) -> bool:
     so no term cancels another.
     """
     a, c = source_size, target_size
-    assert 0 <= c < a
+    if not 0 <= c < a:
+        raise ValueError("sign vanishing needs a strictly smaller target")
     sign = (1,) * a
     return all(right != sign
                for (_, right), _ in full_fs_bidecompose(a, c).terms)
@@ -714,7 +698,7 @@ def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:
     outer_cols = _module_generator_columns(x, y, "left")
     inner_basis = hom_module(_SURJ, b, x).basis
     outer_basis = hom_module(_SURJ, x, y).basis
-    result_module = hom_module(_SURJ, b, y)
+    result_index = hom_module(_SURJ, b, y).index
 
     def triplets():
         pairs = ((u, v) for u in outer_cols for v in inner_cols)
@@ -722,10 +706,10 @@ def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:
             for g_idx, cu in u.items():
                 g = outer_basis[g_idx]
                 for f_idx, cv in v.items():
-                    f = inner_basis[f_idx]
-                    yield result_module.index_of(compose(g, f)), col, cu * cv
+                    composite = tuple(g[i - 1] for i in inner_basis[f_idx])
+                    yield result_index[composite], col, cu * cv
 
-    products = RatMatrix.from_triplets(result_module.dimension,
+    products = RatMatrix.from_triplets(len(result_index),
                                        len(outer_cols) * len(inner_cols),
                                        triplets())
     return _in_level(b, y, 0, products)
@@ -825,7 +809,8 @@ def subquotient_identity_check(level: int, source_size: int,
     exactly at b = a + l.
     """
     ell, b, a = level, source_size, target_size
-    assert ell >= 1
+    if ell < 1:
+        raise ValueError("subquotient identity needs level >= 1")
     lhs = subquotient_decompose(ell, b, a)
     rhs = BiSchurClass()
     for t in range(0, b - ell + 1):

@@ -20,7 +20,6 @@ from fsprim.fsfilt import (
     hom_module,
     lambda_bar_rep,
     theta_matrix,
-    theta_target_module,
 )
 from fsprim.partitions import partitions_of
 from fsprim.ratlinalg import RatMatrix
@@ -61,12 +60,12 @@ def test_criterion_01_hom_set_counts_match_closed_forms():
 
 def test_criterion_02_equal_size_pairing_is_inversion_permutation_matrix():
     for a in range(7):
-        domain = hom_module(HomClass.SURJECTION, a, a)
-        target = theta_target_module(a, a)
-        triplets = [(target.index_of(alpha.inverse()), j, Fraction(1))
-                    for j, alpha in enumerate(domain.basis)]
-        expected = RatMatrix.from_triplets(target.dimension,
-                                           domain.dimension, triplets)
+        domain = enumerate_hom(HomClass.SURJECTION, a, a)
+        target = hom_module(HomClass.INJECTION, a, a)
+        triplets = [(target.index[alpha.inverse().values], j, Fraction(1))
+                    for j, alpha in enumerate(domain)]
+        expected = RatMatrix.from_triplets(target.dimension, len(domain),
+                                           triplets)
         assert theta_matrix(a, a) == expected
 
 

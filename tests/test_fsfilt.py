@@ -28,18 +28,19 @@ from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            subquotient_decompose,
                            subquotient_identity_check,
                            theta_equivariance_check, theta_kernel_level_check,
-                           theta_matrix, theta_rank_report,
-                           theta_target_module)
+                           theta_matrix, theta_rank_report)
 from fsprim.fsfilt import (_coker_relations, _in_level, _reduced_restriction,
-                           _theta_image)
+                           _theta_image, _transpose)
 from fsprim.partitions import irrep_dimension, partition_index, partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
-from fsprim.repdecomp import (BiSchurClass, ClassFunction, SchurClass,
+from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
+                              SchurClass,
                               character_inner_product, class_representative,
                               decompose)
 
 SURJ = HomClass.SURJECTION
 INJ = HomClass.INJECTION
+BIJ = HomClass.BIJECTION
 
 
 def bischur(mapping):
@@ -57,8 +58,9 @@ def bimodule_dimension(cls: BiSchurClass) -> int:
 def test_hom_module_basis_and_index_roundtrip():
     mod = hom_module(SURJ, 3, 2)
     assert mod.dimension == hom_dimension(SURJ, 3, 2) == 6
+    assert mod.basis == tuple(f.values for f in enumerate_hom(SURJ, 3, 2))
     for i, f in enumerate(mod.basis):
-        assert mod.index_of(f) == i
+        assert mod.index[f] == i
 
 
 def test_hom_module_actions_are_commuting_permutations():
@@ -79,6 +81,44 @@ def test_hom_module_bicharacter_diagonal_entry_counts_fixed_maps():
     left_id = partition_index((1, 1))
     right_id = partition_index((1, 1, 1))
     assert char.values[left_id][right_id] == mod.dimension
+
+
+def test_tuple_actions_match_the_composition_reference():
+    # oracle: both actions written with compose on validated maps
+    for flavor in (SURJ, INJ):
+        for b in range(5):
+            for a in range(b + 1):
+                source, target = (b, a) if flavor is SURJ else (a, b)
+                mod = hom_module(flavor, source, target)
+                maps = enumerate_hom(flavor, source, target)
+                for pi in enumerate_hom(BIJ, target, target):
+                    assert mod.left_perm(pi) == tuple(
+                        mod.index[compose(pi, f).values] for f in maps)
+                for sigma in enumerate_hom(BIJ, source, source):
+                    assert mod.right_perm(sigma) == tuple(
+                        mod.index[compose(f, sigma.inverse()).values]
+                        for f in maps)
+
+
+def _functional_character(a, b):
+    """Character of the functionals on injections a -> b, by composition.
+
+    S_a acts on the left by ``h -> h . pi^{-1}`` and S_b on the right by
+    ``h -> sigma . h``; the value at a class pair counts the fixed maps.
+    """
+    injections = enumerate_hom(INJ, a, b)
+    return BiClassFunction(a, b, tuple(
+        tuple(sum(1 for h in injections
+                  if compose(sigma, compose(h, pi.inverse())) == h)
+              for sigma in map(class_representative, partitions_of(b)))
+        for pi in map(class_representative, partitions_of(a))))
+
+
+def test_transposed_injection_character_is_the_functional_character():
+    for b in range(5):
+        for a in range(b + 1):
+            assert (_transpose(hom_module(INJ, a, b).bicharacter())
+                    == _functional_character(a, b)), (a, b)
 
 
 # ------------------------------------------------------- restriction matrices
@@ -103,10 +143,10 @@ def fi_action_on_fs(source_size, target_size, restricted_size):
     def triplets():
         for blk, inj in enumerate(injections):
             base = blk * small.dimension
-            for col, f in enumerate(big.basis):
+            for col, f in enumerate(enumerate_hom(SURJ, b, a)):
                 g = compose(f, inj)
                 if g.is_surjective():
-                    yield base + small.index_of(g), col, 1
+                    yield base + small.index[g.values], col, 1
 
     return RatMatrix.from_triplets(rows, big.dimension, triplets())
 
@@ -307,11 +347,11 @@ def test_top_subquotient_of_single_surjection_space():
 def test_pairing_at_equal_sizes_inverts_bijections():
     for a in range(5):
         mat = theta_matrix(a, a)
-        target = theta_target_module(a, a)
+        target = hom_module(INJ, a, a)
         surjections = enumerate_hom(SURJ, a, a)
         assert (mat.rows, mat.cols) == (factorial(a), factorial(a))
         for col, alpha in enumerate(surjections):
-            inverse_row = target.index_of(alpha.inverse())
+            inverse_row = target.index[alpha.inverse().values]
             for row in range(mat.rows):
                 assert mat.entry(row, col) == (1 if row == inverse_row else 0)
 
@@ -332,10 +372,10 @@ def test_pairing_columns_count_right_inverses():
     # oracle: sections are exactly the injections h with f . h = identity
     a, b = 2, 4
     mat = theta_matrix(a, b)
-    target = theta_target_module(a, b)
+    target = hom_module(INJ, a, b)
     ident = identity_map(a)
     for col, f in enumerate(enumerate_hom(SURJ, b, a)):
-        expected_rows = {target.index_of(h)
+        expected_rows = {target.index[h.values]
                          for h in enumerate_hom(INJ, a, b)
                          if compose(f, h) == ident}
         for row in range(mat.rows):
@@ -483,11 +523,11 @@ def _hand_assembled_coker_relations(a, c, b):
     block = prim.basis_matrix
     unit = block.unit_rows()
     fs_mod = hom_module(SURJ, a, c)
-    target = theta_target_module(a, b)
+    target = hom_module(INJ, a, b)
     triplets = []
     col = 0
     for rperm, lperm in zip(fs_mod.right_generator_perms,
-                            target.left_generator_perms):
+                            target.right_generator_perms):
         acted = block.permute_rows(rperm).select_rows(unit).sparse_columns()
         quotient_cols = [project(lperm[j]) for j in nonpivots]
         for i in range(p):
@@ -543,7 +583,7 @@ def test_sign_multiplicity_matches_the_fixed_point_count():
 
 
 def test_sign_vanishing_rejects_equal_sizes():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         sgn_vanishing_check(2, 2)
 
 
@@ -586,7 +626,7 @@ def test_composition_of_primitives_stays_primitive():
 def _all_pairs_closure(b, x, y):
     """Reference closure: every product of basis columns of the two primitive
     blocks, each certified by ``solve_membership`` against the goal basis."""
-    inner, outer = hom_module(SURJ, b, x), hom_module(SURJ, x, y)
+    inner, outer = enumerate_hom(SURJ, b, x), enumerate_hom(SURJ, x, y)
     result = hom_module(SURJ, b, y)
     goal = primitives(b, y).basis_matrix
     inner_cols = primitives(b, x).basis_matrix.sparse_columns().values()
@@ -596,8 +636,8 @@ def _all_pairs_closure(b, x, y):
             w = [Fraction(0)] * result.dimension
             for g_idx, cu in u.items():
                 for f_idx, cv in v.items():
-                    g, f = outer.basis[g_idx], inner.basis[f_idx]
-                    w[result.index_of(compose(g, f))] += cu * cv
+                    g, f = outer[g_idx], inner[f_idx]
+                    w[result.index[compose(g, f).values]] += cu * cv
             if solve_membership(goal, w) is None:
                 return False
     return True

@@ -175,9 +175,14 @@ def test_reports_byte_identical_across_processes(tmp_path):
 def test_contracts_hold_under_optimize():
     # python -O strips assert statements; these contracts must not be.
     code = """
-from fsprim.finsetcat import FinMap
+from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
+                              hom_dimension, sections)
 from fsprim.fsfilt import (_reduced_restriction, closure_check,
-                           ses_identity_check, theta_matrix)
+                           coker_action_triviality, coker_theta_decompose,
+                           filtration_level, lambda_bar_rep,
+                           ses_identity_check, sgn_vanishing_check,
+                           subquotient_decompose, subquotient_identity_check,
+                           theta_matrix)
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
                            primfs_formula, run_check, subquotient_formula)
@@ -199,7 +204,21 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: B.trace(), lambda: solve_membership(A, (1, 2, 3)),
              lambda: _reduced_restriction(2, 1, 3),
              lambda: closure_check(2, 3, 1),
-             lambda: ses_identity_check(2, 3, 2)):
+             lambda: ses_identity_check(2, 3, 2),
+             lambda: coker_action_triviality(2, 3, 4),
+             lambda: sgn_vanishing_check(2, 3),
+             lambda: filtration_level(2, 1, -2),
+             lambda: subquotient_decompose(-1, 2, 1),
+             lambda: subquotient_identity_check(0, 2, 1),
+             lambda: coker_theta_decompose(3, 2),
+             lambda: lambda_bar_rep(1, -1),
+             lambda: compose(FinMap(3, 3, (1, 2, 3)), FinMap(1, 2, (2,))),
+             lambda: sections(FinMap(2, 3, (1, 1))),
+             lambda: FinMap(2, 3, (1, 2)).inverse(),
+             lambda: FinMap(2, 2, (2, 1))(0),
+             lambda: FinMap(2, 2, (2, 1))(3),
+             lambda: enumerate_hom(HomClass.ALL, 2, -1),
+             lambda: hom_dimension(HomClass.ALL, 2, -1)):
     try:
         call()
     except ValueError:
@@ -261,6 +280,36 @@ def test_theta_injectivity_fails_on_a_dropped_entry(monkeypatch):
     wrong = [c for c in json.loads(report.computed)
              if not c["kernel_is_filtration_level"]]
     assert [(c["target_size"], c["source_size"]) for c in wrong] == [(3, 5)]
+
+
+def test_theta_equivariance_detects_a_dropped_entry(monkeypatch):
+    from fsprim.fsfilt import theta_equivariance_check
+    _theta_missing_one_entry(monkeypatch, (2, 3))
+    assert not theta_equivariance_check(2, 3)
+    assert theta_equivariance_check(1, 3)
+    (report,) = run_check("theta_equivariance", 3)
+    assert report.status == "fail"
+    assert (report.expected, report.computed) == (
+        '{"equivariant":true,"source_size":3,"target_size":2}',
+        '{"equivariant":false,"source_size":3,"target_size":2}')
+
+
+def test_theta_equivariance_detects_generators_on_the_wrong_side(
+        monkeypatch):
+    import fsprim.fsfilt as fsfilt
+    from fsprim.fsfilt import theta_equivariance_check
+    real = fsfilt.hom_module
+
+    def wrong_sides(flavor, source_size, target_size):
+        module = real(flavor, source_size, target_size)
+        if flavor is not HomClass.INJECTION:
+            return module
+        return types.SimpleNamespace(
+            left_generator_perms=module.right_generator_perms,
+            right_generator_perms=module.left_generator_perms)
+
+    monkeypatch.setattr(fsfilt, "hom_module", wrong_sides)
+    assert not theta_equivariance_check(2, 3)
 
 
 def test_ses_reports_one_per_layer():
