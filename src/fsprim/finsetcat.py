@@ -130,10 +130,22 @@ def sections(f: FinMap) -> tuple[FinMap, ...]:
     """
     if not f.is_surjective():
         raise ValueError("sections require a surjective map")
-    fibers = [[i for i in range(1, f.source_size + 1) if f.values[i - 1] == t]
-              for t in range(1, f.target_size + 1)]
     return tuple(FinMap(f.target_size, f.source_size, choice)
-                 for choice in product(*fibers))
+                 for choice in section_values(f.values, f.target_size))
+
+
+def section_values(values: tuple[int, ...], target_size: int):
+    """Value tuples of the sections of a surjection, in lexicographic order.
+
+    ``values`` is the value tuple of a surjection onto ``target_size``
+    points, unchecked; :func:`sections` is the validated form.  Each section
+    picks one point from each fiber, so the tuples are the product of the
+    fibers.
+    """
+    fibers: list[list[int]] = [[] for _ in range(target_size)]
+    for i, v in enumerate(values, start=1):
+        fibers[v - 1].append(i)
+    return product(*fibers)
 
 
 @cache

@@ -42,7 +42,7 @@ from math import comb
 from typing import NamedTuple
 
 from .finsetcat import (FinMap, HomClass, enumerate_hom, hom_dimension,
-                        sections)
+                        section_values)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix
 from .repdecomp import (BiClassFunction, BiSchurClass, RepSpace, SchurClass,
@@ -347,8 +347,8 @@ def theta_matrix(target_size: int, source_size: int) -> RatMatrix:
 
     def triplets():
         for col, f in enumerate(surjections):
-            for s in sections(f):
-                yield index[s.values], col, 1
+            for s in section_values(f.values, a):
+                yield index[s], col, 1
 
     return RatMatrix.from_triplets(len(index), len(surjections), triplets())
 
@@ -583,6 +583,10 @@ def automorphism_block_check(set_size: int) -> bool:
 # ------------------------------------------------------------------ closure
 
 
+# The prime of the generator search, 2**31 - 19.
+_PRIME = 2_147_483_629
+
+
 @cache
 def _module_generator_columns(source_size: int, target_size: int,
                               side: str) -> tuple[dict[int, Fraction], ...]:
@@ -591,27 +595,50 @@ def _module_generator_columns(source_size: int, target_size: int,
     Computes coordinate matrices of the adjacent-transposition generators on
     the level (valid because the level is action-stable), then grows a column
     set greedily until the orbit of the chosen columns under repeated
-    generator application is certified, by exact incremental row reduction,
-    to span the whole level.  The reduced basis is kept as a pivot-indexed
-    dictionary of rows in reduced echelon form; a unit vector lies in the
-    span exactly when its coordinate is a pivot whose stored row has a
-    single entry.  Columns are returned as sparse {row: value} vectors.
+    generator application is certified, by incremental row reduction over
+    the integers mod ``_PRIME``, to span the whole level.  The reduced basis
+    is kept as a pivot-indexed dictionary of rows in reduced echelon form; a
+    unit vector lies in the span exactly when its coordinate is a pivot whose
+    stored row has a single entry.  Columns are returned as exact sparse
+    {row: Fraction} vectors of the level basis.
+
+    The certificate is one-sided and sound over Q.  When no denominator of
+    the action matrices is divisible by p, they are p-integral, so the
+    chosen unit vectors generate a Z_(p)-lattice under the action whose
+    reduction mod p is the span the search found.  That span is F_p^dim, so
+    by Nakayama the lattice has rank dim and the orbit vectors span Q^dim.
+    An unlucky prime only shrinks the spans found, so it can add generators
+    but never drop a needed one.  If some denominator is divisible by p,
+    every basis column is returned: that set generates trivially.
     """
     level = primitives(source_size, target_size)
     K = level.basis_matrix
     dim = K.cols
     if dim == 0:
         return ()
+    columns = _column_vectors(K)
     unit = K.unit_rows()
     module = hom_module(_SURJ, level.source_size, level.target_size)
     perms = (module.left_generator_perms if side == "left"
              else module.right_generator_perms)
-    actions = [_column_vectors(K.permute_rows(p).select_rows(unit))
-               for p in perms]
+    p = _PRIME
+    actions: list[list[dict[int, int]]] = []
+    for perm in perms:
+        acted = K.permute_rows(perm).select_rows(unit)._sparse_rows()
+        cols: list[dict[int, int]] = [{} for _ in range(dim)]
+        for r, row in acted.items():
+            for j, val in row.items():
+                den = val.denominator % p
+                if not den:
+                    return tuple(columns)
+                entry = val.numerator * pow(den, -1, p) % p
+                if entry:
+                    cols[j][r] = entry
+        actions.append(cols)
 
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
 
-    def reduce_vector(vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduce_vector(vec: dict[int, int]) -> dict[int, int]:
         out = dict(vec)
         for c in sorted(set(out) & rows.keys()):
             coeff = out.pop(c, None)
@@ -620,17 +647,17 @@ def _module_generator_columns(source_size: int, target_size: int,
             for j, val in rows[c].items():
                 if j == c:
                     continue
-                new = out.get(j, 0) - coeff * val
+                new = (out.get(j, 0) - coeff * val) % p
                 if new:
                     out[j] = new
                 else:
                     out.pop(j, None)
         return out
 
-    def insert(rem: dict[int, Fraction]) -> None:
+    def insert(rem: dict[int, int]) -> None:
         pivot = min(rem)
-        inv = 1 / rem[pivot]
-        row = {j: val * inv for j, val in rem.items()}
+        inv = pow(rem[pivot], -1, p)
+        row = {j: val * inv % p for j, val in rem.items()}
         for other in rows.values():
             coeff = other.get(pivot)
             if coeff:
@@ -638,7 +665,7 @@ def _module_generator_columns(source_size: int, target_size: int,
                     if j == pivot:
                         other.pop(j, None)
                         continue
-                    new = other.get(j, 0) - coeff * val
+                    new = (other.get(j, 0) - coeff * val) % p
                     if new:
                         other[j] = new
                     else:
@@ -646,10 +673,10 @@ def _module_generator_columns(source_size: int, target_size: int,
         rows[pivot] = row
 
     def apply_action(cols, vec):
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for j, coeff in vec.items():
             for r, val in cols[j].items():
-                new = out.get(r, 0) + coeff * val
+                new = (out.get(r, 0) + coeff * val) % p
                 if new:
                     out[r] = new
                 else:
@@ -661,7 +688,7 @@ def _module_generator_columns(source_size: int, target_size: int,
         candidate = next(j for j in range(dim)
                          if j not in rows or len(rows[j]) != 1)
         chosen.append(candidate)
-        queue = deque([{candidate: Fraction(1)}])
+        queue = deque([{candidate: 1}])
         while queue:
             rem = reduce_vector(queue.popleft())
             if not rem:
@@ -669,7 +696,6 @@ def _module_generator_columns(source_size: int, target_size: int,
             insert(rem)
             for cols in actions:
                 queue.append(apply_action(cols, rem))
-    columns = _column_vectors(K)
     return tuple(columns[j] for j in chosen)
 
 

@@ -45,7 +45,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     lexicographically with larger leading parts first.  For example
     partitions_of(3) == ((3,), (2, 1), (1, 1, 1)).
     """
-    assert n >= 0
+    if n < 0:
+        raise ValueError("cannot partition a negative number")
 
     def gen(m: int, maxpart: int):
         if m == 0:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .finsetcat import FinMap, HomClass, compose, enumerate_hom, identity_map
 from .partitions import (
@@ -53,7 +54,8 @@ class InternalConsistencyError(Exception):
 
 def cycle_type_of(perm: FinMap) -> CycleType:
     """Cycle lengths of a permutation, as a partition of its degree."""
-    assert perm.is_bijective(), "cycle type requires a bijection"
+    if not perm.is_bijective():
+        raise ValueError("cycle type requires a bijection")
     seen = [False] * perm.source_size
     lengths = []
     for start in range(1, perm.source_size + 1):
@@ -71,7 +73,8 @@ def cycle_type_of(perm: FinMap) -> CycleType:
 
 def adjacent_transposition(n: int, t: int) -> FinMap:
     """The permutation of degree n exchanging t and t+1."""
-    assert 1 <= t < n
+    if not 1 <= t < n:
+        raise ValueError("transposition index must satisfy 1 <= t < n")
     vals = list(range(1, n + 1))
     vals[t - 1], vals[t] = vals[t], vals[t - 1]
     return FinMap(n, n, tuple(vals))
@@ -122,7 +125,8 @@ def mn_character(lam: Partition, mu: CycleType) -> int:
     """
     assert_partition(lam)
     assert_partition(mu)
-    assert weight(lam) == weight(mu), "character arguments must have equal weight"
+    if weight(lam) != weight(mu):
+        raise ValueError("character arguments must have equal weight")
     if not mu:
         return 1
     strip, rest = mu[0], mu[1:]
@@ -164,8 +168,8 @@ class ClassFunction:
     def __post_init__(self):
         object.__setattr__(self, "values",
                            tuple(Fraction(v) for v in self.values))
-        assert len(self.values) == len(partitions_of(self.degree)), (
-            "one value per cycle type required")
+        if len(self.values) != len(partitions_of(self.degree)):
+            raise ValueError("one value per cycle type required")
 
     def __call__(self, mu: CycleType) -> Fraction:
         return self.values[partition_index(mu)]
@@ -196,9 +200,10 @@ class BiClassFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(
             tuple(Fraction(v) for v in row) for row in self.values))
-        assert len(self.values) == len(partitions_of(self.left_degree))
-        assert all(len(row) == len(partitions_of(self.right_degree))
-                   for row in self.values)
+        if len(self.values) != len(partitions_of(self.left_degree)) or any(
+                len(row) != len(partitions_of(self.right_degree))
+                for row in self.values):
+            raise ValueError("one value per pair of cycle types required")
 
 
 # ---------------------------------------------------------------- formal sums
@@ -357,13 +362,15 @@ def boxtimes(x: SchurClass, y: SchurClass) -> BiSchurClass:
 
 def trivial_class(n: int) -> SchurClass:
     """Class of the trivial representation: the single-row partition (n)."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     return SchurClass({(n,) if n else (): 1})
 
 
 def sign_class(n: int) -> SchurClass:
     """Class of the sign representation: the single-column partition (1^n)."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     return SchurClass({(1,) * n: 1})
 
 
@@ -487,33 +494,44 @@ def decompose(V: RepSpace) -> SchurClass:
     return decompose_character(rep_character(V))
 
 
+@cache
+def _weighted_character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Character table with each column scaled by its class size."""
+    sizes = [class_size(mu) for mu in partitions_of(n)]
+    return tuple(tuple(s * v for s, v in zip(sizes, row))
+                 for row in character_table(n))
+
+
 def bidecompose_character(chi: BiClassFunction) -> BiSchurClass:
-    """Multiplicities of external products of irreducibles in a bicharacter."""
+    """Multiplicities of external products of irreducibles in a bicharacter.
+
+    The multiplicity of lam x nu is sum_{i,j} |C_i| chi_lam(i) |C_j|
+    chi_nu(j) chi(i, j) / (a! b!).  It is computed in integers: the values
+    are scaled by the lcm L of their denominators (1 for every genuine
+    character), contracted with the class-weighted right table and then
+    with the left one, and each sum is divided by a! b! L at the end.
+    """
     a, b = chi.left_degree, chi.right_degree
     parts_a, parts_b = partitions_of(a), partitions_of(b)
-    table_a, table_b = character_table(a), character_table(b)
-    sizes_a = [class_size(mu) for mu in parts_a]
-    sizes_b = [class_size(mu) for mu in parts_b]
-    order = factorial(a) * factorial(b)
+    scale = lcm(*(v.denominator for row in chi.values for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row]
+            for row in chi.values]
+    # half[i][ri]: row i contracted with the weighted character of nu_ri.
+    half = [[sum(map(mul, weights, row))
+             for weights in _weighted_character_table(b)]
+            for row in rows]
+    order = factorial(a) * factorial(b) * scale
     mults: dict[tuple[Partition, Partition], int] = {}
-    for li, lam in enumerate(parts_a):
+    for lam, weights in zip(parts_a, _weighted_character_table(a)):
         for ri, nu in enumerate(parts_b):
-            acc = Fraction(0)
-            for i in range(len(parts_a)):
-                ci = sizes_a[i] * table_a[li][i]
-                if not ci:
-                    continue
-                row = chi.values[i]
-                acc += ci * sum(
-                    (sizes_b[j] * table_b[ri][j] * row[j]
-                     for j in range(len(parts_b))), Fraction(0))
-            mult = Fraction(acc, order)
-            if mult.denominator != 1 or mult < 0:
+            acc = sum(w * h[ri] for w, h in zip(weights, half))
+            mult, rem = divmod(acc, order)
+            if rem or mult < 0:
                 raise InternalConsistencyError(
-                    f"multiplicity of {(lam, nu)} is {mult}, "
+                    f"multiplicity of {(lam, nu)} is {Fraction(acc, order)}, "
                     "not a nonnegative integer")
             if mult:
-                mults[(lam, nu)] = int(mult)
+                mults[(lam, nu)] = mult
     dim_at_identity = chi.values[partition_index((1,) * a)][
         partition_index((1,) * b)]
     total = sum(c * irrep_dimension(l) * irrep_dimension(r)

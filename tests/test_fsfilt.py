@@ -8,6 +8,7 @@ Independent oracles used here:
   * a hand-frozen kernel vector for the smallest nontrivial primitive block,
   * rank-nullity bookkeeping tying cokernel decompositions to exact ranks.
 """
+from collections import deque
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                              hom_dimension, identity_map)
+                              hom_dimension, identity_map, section_values,
+                              sections)
 from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            closure_check, coker_action_triviality,
                            coker_theta_decompose,
@@ -382,6 +384,20 @@ def test_pairing_columns_count_right_inverses():
             assert mat.entry(row, col) == (1 if row in expected_rows else 0)
 
 
+def test_pairing_section_tuples_are_the_validated_sections():
+    for b in range(6):
+        for a in range(b + 1):
+            surjections = enumerate_hom(SURJ, b, a)
+            target = hom_module(INJ, a, b)
+            triplets = []
+            for col, f in enumerate(surjections):
+                validated = [s.values for s in sections(f)]
+                assert list(section_values(f.values, a)) == validated
+                triplets.extend((target.index[s], col, 1) for s in validated)
+            assert theta_matrix(a, b) == RatMatrix.from_triplets(
+                target.dimension, len(surjections), triplets), (a, b)
+
+
 def test_pairing_commutes_with_both_group_actions():
     for a in range(5):
         for b in range(a, 6):
@@ -673,6 +689,154 @@ def test_closure_detects_an_outer_factor_outside_the_primitives(monkeypatch):
         '{"closed":true,"mid_size":3,"source_size":3,"target_size":2}')
     assert report.computed == (
         '{"closed":false,"mid_size":3,"source_size":3,"target_size":2}')
+
+
+def _fraction_generator_columns(source_size, target_size, side):
+    """Reference: the generator search by exact Fraction row reduction."""
+    import fsprim.fsfilt as fsfilt
+    level = primitives(source_size, target_size)
+    K = level.basis_matrix
+    dim = K.cols
+    if dim == 0:
+        return ()
+    unit = K.unit_rows()
+    module = hom_module(SURJ, level.source_size, level.target_size)
+    perms = (module.left_generator_perms if side == "left"
+             else module.right_generator_perms)
+    actions = [fsfilt._column_vectors(K.permute_rows(p).select_rows(unit))
+               for p in perms]
+
+    rows = {}
+
+    def reduce_vector(vec):
+        out = dict(vec)
+        for c in sorted(set(out) & rows.keys()):
+            coeff = out.pop(c, None)
+            if not coeff:
+                continue
+            for j, val in rows[c].items():
+                if j == c:
+                    continue
+                new = out.get(j, 0) - coeff * val
+                if new:
+                    out[j] = new
+                else:
+                    out.pop(j, None)
+        return out
+
+    def insert(rem):
+        pivot = min(rem)
+        inv = 1 / rem[pivot]
+        row = {j: val * inv for j, val in rem.items()}
+        for other in rows.values():
+            coeff = other.get(pivot)
+            if coeff:
+                for j, val in row.items():
+                    if j == pivot:
+                        other.pop(j, None)
+                        continue
+                    new = other.get(j, 0) - coeff * val
+                    if new:
+                        other[j] = new
+                    else:
+                        other.pop(j, None)
+        rows[pivot] = row
+
+    def apply_action(cols, vec):
+        out = {}
+        for j, coeff in vec.items():
+            for r, val in cols[j].items():
+                new = out.get(r, 0) + coeff * val
+                if new:
+                    out[r] = new
+                else:
+                    out.pop(r, None)
+        return out
+
+    chosen = []
+    while len(rows) < dim:
+        candidate = next(j for j in range(dim)
+                         if j not in rows or len(rows[j]) != 1)
+        chosen.append(candidate)
+        queue = deque([{candidate: Fraction(1)}])
+        while queue:
+            rem = reduce_vector(queue.popleft())
+            if not rem:
+                continue
+            insert(rem)
+            for cols in actions:
+                queue.append(apply_action(cols, rem))
+    columns = fsfilt._column_vectors(K)
+    return tuple(columns[j] for j in chosen)
+
+
+def test_mod_p_generators_are_the_fraction_search_generators():
+    import fsprim.fsfilt as fsfilt
+    cells = 0
+    for b in range(7):
+        for a in range(b + 1):
+            for side in ("left", "right"):
+                got = fsfilt._module_generator_columns(b, a, side)
+                assert got == _fraction_generator_columns(b, a, side), (
+                    b, a, side)
+                cells += 1
+    assert cells == 56
+
+
+@pytest.fixture
+def fresh_generator_cache():
+    """Empty the generator cache around a test that patches the search."""
+    import fsprim.fsfilt as fsfilt
+    fsfilt._module_generator_columns.cache_clear()
+    yield fsfilt
+    fsfilt._module_generator_columns.cache_clear()
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_a_tiny_prime_only_adds_generators(fresh_generator_cache, monkeypatch,
+                                           prime):
+    fsfilt = fresh_generator_cache
+    cells = [(b, a, side) for b in range(6) for a in range(b + 1)
+             for side in ("left", "right")]
+    counts = {cell: len(fsfilt._module_generator_columns(*cell))
+              for cell in cells}
+    verdicts = {(b, x, y): closure_check(b, x, y) for b in range(6)
+                for x in range(b + 1) for y in range(x + 1)}
+    fsfilt._module_generator_columns.cache_clear()
+    monkeypatch.setattr(fsfilt, "_PRIME", prime)
+    for cell in cells:
+        assert len(fsfilt._module_generator_columns(*cell)) >= counts[cell]
+    for cell, verdict in verdicts.items():
+        assert closure_check(*cell) == verdict, cell
+    assert all(verdicts.values())
+
+
+def test_a_denominator_divisible_by_the_prime_returns_every_column(
+        fresh_generator_cache, monkeypatch):
+    # Level 1 of Surj(4, 2) in the unit-row basis on rows (0, 1, 3, 6, 8):
+    # the same stable subspace, whose action matrices have denominator 2.
+    # Every canonical basis through bound 6 has integral actions.
+    from sympy import Matrix
+    fsfilt = fresh_generator_cache
+    K = filtration_level(4, 2, 1).basis_matrix
+    unit = (0, 1, 3, 6, 8)
+    change = Matrix([list(K.row(i)) for i in unit]).inv()
+    basis = RatMatrix([[Fraction(int(x.p), int(x.q))
+                        for x in (Matrix([list(r)]) * change)]
+                       for r in K.entries])
+    assert basis.unit_rows() == unit
+    assert any(v.denominator == 2
+               for perm in hom_module(SURJ, 4, 2).right_generator_perms
+               for col in basis.permute_rows(perm).select_rows(unit)
+               .sparse_columns().values() for v in col.values())
+    monkeypatch.setattr(fsfilt, "primitives",
+                        lambda b, a: FiltrationLevel(b, a, 0, basis))
+    every_column = tuple(fsfilt._column_vectors(basis))
+    searched = fsfilt._module_generator_columns(4, 2, "right")
+    assert len(searched) < len(every_column)
+    fsfilt._module_generator_columns.cache_clear()
+    monkeypatch.setattr(fsfilt, "_PRIME", 2)
+    assert fsfilt._module_generator_columns(4, 2, "right") == every_column
 
 
 def test_level_test_agrees_with_membership_in_the_level_basis():

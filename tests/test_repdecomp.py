@@ -152,7 +152,7 @@ def test_character_table_degree_four_spot_values():
 
 
 def test_character_weight_mismatch_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mn_character((2, 1), (2, 2))
 
 
@@ -302,6 +302,98 @@ def test_bidecompose_group_algebra():
         {(lam, lam): 1 for lam in partitions_of(3)})
     assert bidecompose_character(_regular_bicharacter(4)) == BiSchurClass(
         {(lam, lam): 1 for lam in partitions_of(4)})
+
+
+def _fraction_bidecompose_character(chi):
+    """Reference: the double inner product summed in Fractions, pair by pair."""
+    a, b = chi.left_degree, chi.right_degree
+    parts_a, parts_b = partitions_of(a), partitions_of(b)
+    table_a, table_b = character_table(a), character_table(b)
+    sizes_a = [class_size(mu) for mu in parts_a]
+    sizes_b = [class_size(mu) for mu in parts_b]
+    order = factorial(a) * factorial(b)
+    mults = {}
+    for li, lam in enumerate(parts_a):
+        for ri, nu in enumerate(parts_b):
+            acc = Fraction(0)
+            for i in range(len(parts_a)):
+                ci = sizes_a[i] * table_a[li][i]
+                if not ci:
+                    continue
+                row = chi.values[i]
+                acc += ci * sum(
+                    (sizes_b[j] * table_b[ri][j] * row[j]
+                     for j in range(len(parts_b))), Fraction(0))
+            mult = Fraction(acc, order)
+            if mult.denominator != 1 or mult < 0:
+                raise InternalConsistencyError(
+                    f"multiplicity of {(lam, nu)} is {mult}, "
+                    "not a nonnegative integer")
+            if mult:
+                mults[(lam, nu)] = int(mult)
+    dim_at_identity = chi.values[partition_index((1,) * a)][
+        partition_index((1,) * b)]
+    total = sum(c * irrep_dimension(l) * irrep_dimension(r)
+                for (l, r), c in mults.items())
+    if total != dim_at_identity:
+        raise InternalConsistencyError("dimension bookkeeping failed")
+    return BiSchurClass(mults)
+
+
+def _outer_character(a, li, b, ri):
+    left, right = character_table(a)[li], character_table(b)[ri]
+    return BiClassFunction(a, b, tuple(tuple(x * y for y in right)
+                                       for x in left))
+
+
+def test_integer_bidecompose_matches_the_fraction_reference():
+    checked = 0
+    for a in range(7):
+        for b in range(7):
+            for li, lam in enumerate(partitions_of(a)):
+                for ri, nu in enumerate(partitions_of(b)):
+                    chi = _outer_character(a, li, b, ri)
+                    got = bidecompose_character(chi)
+                    assert got == _fraction_bidecompose_character(chi)
+                    assert got == BiSchurClass({(lam, nu): 1})
+                    checked += 1
+    assert checked == 30 * 30
+    for n in range(5):
+        chi = _regular_bicharacter(n)
+        assert bidecompose_character(chi) == \
+            _fraction_bidecompose_character(chi)
+
+
+def test_integer_bidecompose_matches_the_reference_on_levels():
+    from fsprim.fsfilt import level_bicharacter
+    for b in range(6):
+        for a in range(b + 1):
+            for t in range(-1, b - a + 1):
+                chi = level_bicharacter(b, a, t)
+                assert bidecompose_character(chi) == \
+                    _fraction_bidecompose_character(chi), (b, a, t)
+
+
+def test_non_characters_fail_alike_on_both_paths():
+    chi = _outer_character(3, 1, 2, 0)
+    identity = (partition_index((1, 1, 1)), partition_index((1, 1)))
+    fractional = [list(row) for row in chi.values]
+    fractional[0][1] += Fraction(1, 3)
+    wrong_identity = [list(row) for row in chi.values]
+    wrong_identity[identity[0]][identity[1]] += 1
+    bad = (BiClassFunction(3, 2, fractional),
+           BiClassFunction(3, 2, tuple(tuple(-v for v in row)
+                                       for row in chi.values)),
+           BiClassFunction(3, 2, wrong_identity))
+    for chi in bad:
+        messages = []
+        for decomposer in (bidecompose_character,
+                           _fraction_bidecompose_character):
+            with pytest.raises(InternalConsistencyError) as err:
+                decomposer(chi)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "not a nonnegative integer" in messages[0]
 
 
 def test_bidecompose_single_surjection_space():
@@ -549,7 +641,10 @@ def test_inversion_identity_expands_then_cancels():
 
 
 def test_class_function_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ClassFunction(3, (Fraction(1),))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         BiClassFunction(2, 2, ((Fraction(1),),))
+    # a short row would be truncated by a positional contraction
+    with pytest.raises(ValueError):
+        BiClassFunction(2, 2, ((1, 1), (1,)))

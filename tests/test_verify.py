@@ -8,6 +8,7 @@ independently computed hom-space dimensions; exit codes are driven through
 both the library entry point and the argparse CLI.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -172,6 +173,28 @@ def test_reports_byte_identical_across_processes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# sha256 of `verify all --max-size 5 --json`; any change to it is a change
+# to the reports and must be made on purpose.
+BOUND5_REPORT_SHA256 = (
+    "66ff2e93813bb3efbc430b1902460774cb86ff68068fc7cbee8842264b6df347")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_bound5_report_bytes_are_pinned(tmp_path, flags):
+    path = tmp_path / "reports.json"
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "fsprim.verify", "--max-size", "5",
+         "verify", "all", "--json", str(path)],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        BOUND5_REPORT_SHA256
+
+
 def test_contracts_hold_under_optimize():
     # python -O strips assert statements; these contracts must not be.
     code = """
@@ -183,7 +206,11 @@ from fsprim.fsfilt import (_reduced_restriction, closure_check,
                            ses_identity_check, sgn_vanishing_check,
                            subquotient_decompose, subquotient_identity_check,
                            theta_matrix)
+from fsprim.partitions import partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
+from fsprim.repdecomp import (BiClassFunction, ClassFunction,
+                              adjacent_transposition, cycle_type_of,
+                              mn_character, sign_class, trivial_class)
 from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
                            primfs_formula, run_check, subquotient_formula)
 A, B = RatMatrix([[1, 2], [3, 4]]), RatMatrix([[1, 2, 3]])
@@ -218,7 +245,15 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: FinMap(2, 2, (2, 1))(0),
              lambda: FinMap(2, 2, (2, 1))(3),
              lambda: enumerate_hom(HomClass.ALL, 2, -1),
-             lambda: hom_dimension(HomClass.ALL, 2, -1)):
+             lambda: hom_dimension(HomClass.ALL, 2, -1),
+             lambda: adjacent_transposition(3, 0),
+             lambda: cycle_type_of(FinMap(2, 2, (1, 1))),
+             lambda: mn_character((2, 1), (2,)),
+             lambda: sign_class(-2), lambda: trivial_class(-1),
+             lambda: partitions_of(-1),
+             lambda: ClassFunction(3, (1,)),
+             lambda: BiClassFunction(2, 2, ((1, 1),)),
+             lambda: BiClassFunction(2, 2, ((1, 1), (1,)))):
     try:
         call()
     except ValueError:
