@@ -1,9 +1,9 @@
 """Maps between finite sets at bounded cardinality.
 
 Objects are the skeletal finite sets {1, ..., n}; only the size matters.
-This module enumerates hom-sets in the four flavors (all maps, surjections,
-injections, bijections), composes maps, lists the sections of a surjection,
-and gives closed-form counts that cross-check the enumerations.
+This module enumerates hom-sets in two flavors (surjections and
+injections), composes maps, lists the sections of a surjection, and gives
+closed-form counts that cross-check the enumerations.
 
 The lexicographic order on value arrays is a frozen contract: it defines the
 canonical basis of every linearized hom-space downstream, so changing it
@@ -22,10 +22,8 @@ from math import factorial
 class HomClass(Enum):
     """Which maps between finite sets count as morphisms."""
 
-    ALL = "all"
     SURJECTION = "surjection"
     INJECTION = "injection"
-    BIJECTION = "bijection"
 
 
 @dataclass(frozen=True)
@@ -91,14 +89,10 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
 
 def _admits(flavor: HomClass, values: tuple[int, ...],
             source_size: int, target_size: int) -> bool:
-    if flavor is HomClass.ALL:
-        return True
     distinct = len(set(values))
     if flavor is HomClass.SURJECTION:
         return distinct == target_size
-    if flavor is HomClass.INJECTION:
-        return distinct == source_size
-    return distinct == source_size == target_size
+    return distinct == source_size
 
 
 @cache
@@ -160,17 +154,12 @@ def _stirling2(n: int, k: int) -> int:
 def hom_dimension(flavor: HomClass, source_size: int, target_size: int) -> int:
     """Closed-form count of maps source -> target of the given flavor.
 
-    all: target^source (0^0 = 1); surjections: target! * Stirling2(source,
-    target); injections: target!/(target-source)! when source <= target,
-    else 0; bijections: source! exactly when the sizes agree.
+    surjections: target! * Stirling2(source, target); injections:
+    target!/(target-source)! when source <= target, else 0.
     """
     b, a = source_size, target_size
     if b < 0 or a < 0:
         raise ValueError("set sizes must be nonnegative")
-    if flavor is HomClass.ALL:
-        return a ** b
     if flavor is HomClass.SURJECTION:
         return factorial(a) * _stirling2(b, a)
-    if flavor is HomClass.INJECTION:
-        return factorial(a) // factorial(a - b) if b <= a else 0
-    return factorial(a) if a == b else 0
+    return factorial(a) // factorial(a - b) if b <= a else 0

@@ -41,6 +41,8 @@ from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
 
+from sympy.polys.domains import QQ
+
 from .finsetcat import (FinMap, HomClass, enumerate_hom, hom_dimension,
                         section_values)
 from .partitions import partitions_of
@@ -210,10 +212,6 @@ class FiltrationLevel:
     def dimension(self) -> int:
         return self.basis_matrix.cols
 
-    @property
-    def ambient_dimension(self) -> int:
-        return self.basis_matrix.rows
-
 
 @cache
 def filtration_level(source_size: int, target_size: int,
@@ -260,14 +258,14 @@ def _restricted_bicharacter(module: HomModule,
         inverse = [0] * module.dimension
         for i, image in enumerate(combined):
             inverse[image] = i
-        acc = Fraction(0)
+        acc = QQ.zero
         for k, j in enumerate(unit):
             row = sparse.get(inverse[j])
             if row:
                 v = row.get(k)
                 if v is not None:
-                    acc += Fraction(v.numerator, v.denominator)
-        return acc
+                    acc += v
+        return Fraction(int(acc.numerator), int(acc.denominator))
 
     values = tuple(tuple(trace(pl, pr) for pr in right_reps)
                    for pl in left_reps)

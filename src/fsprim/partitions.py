@@ -23,12 +23,14 @@ CycleType = tuple[int, ...]
 
 
 def assert_partition(parts) -> None:
-    """Validate that parts is a weakly decreasing tuple of positive integers."""
-    assert isinstance(parts, tuple), f"partition must be a tuple: {parts!r}"
-    assert all(isinstance(p, int) and p > 0 for p in parts), (
-        f"parts must be positive integers: {parts!r}")
-    assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)), (
-        f"parts must be weakly decreasing: {parts!r}")
+    """Raise ValueError unless parts is a weakly decreasing tuple of positive
+    integers."""
+    if not isinstance(parts, tuple):
+        raise ValueError(f"partition must be a tuple: {parts!r}")
+    if not all(isinstance(p, int) and p > 0 for p in parts):
+        raise ValueError(f"parts must be positive integers: {parts!r}")
+    if not all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"parts must be weakly decreasing: {parts!r}")
 
 
 def weight(parts: Partition) -> int:

@@ -80,10 +80,9 @@ class RatMatrix:
     """Immutable matrix of exact rationals, stored sparsely.
 
     ``dm`` is a ``DomainMatrix`` over QQ in sympy's sparse format: it is
-    built from a dict of rows, and products, sums, scaling, stacking,
-    transposes and Gauss--Jordan RREF keep that format, so ``dm.rep`` is
-    always the dict of nonzero rows.  Row dicts are shared between matrices
-    and never modified.
+    built from a dict of rows, and products, sums, stacking, transposes and
+    Gauss--Jordan RREF keep that format, so ``dm.rep`` is always the dict of
+    nonzero rows.  Row dicts are shared between matrices and never modified.
     """
 
     __slots__ = ("rows", "cols", "dm", "_rref", "_unit_rows")
@@ -190,11 +189,6 @@ class RatMatrix:
                 out[i] = _from_qq(row[j])
         return tuple(out)
 
-    def rows_dict(self) -> dict[int, dict[int, Fraction]]:
-        """Nonzero entries as {row: {col: Fraction}}."""
-        return {i: {j: _from_qq(v) for j, v in row.items()}
-                for i, row in self._sparse_rows().items()}
-
     def sparse_columns(self) -> dict[int, dict[int, Fraction]]:
         """Nonzero entries as {col: {row: Fraction}}."""
         out: dict[int, dict[int, Fraction]] = {}
@@ -243,18 +237,10 @@ class RatMatrix:
         self._same_shape(other)
         return RatMatrix._make(self.dm - other.dm)
 
-    def scale(self, c) -> "RatMatrix":
-        return RatMatrix._make(self.dm * _qq(c))
-
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
         return RatMatrix._make(self.dm.hstack(other.dm))
-
-    def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return RatMatrix._make(self.dm.vstack(other.dm))
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker product, of shape (rows * p) x (cols * q).
@@ -268,9 +254,6 @@ class RatMatrix:
                for i, mine in self._sparse_rows().items()
                for k, theirs in other._sparse_rows().items()}
         return RatMatrix._make(_sparse(self.rows * p, self.cols * q, dod))
-
-    def mul_vector(self, vec) -> tuple[Fraction, ...]:
-        return (self @ RatMatrix.from_columns(self.cols, [vec])).column(0)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -381,21 +364,6 @@ class RatMatrix:
             else:
                 self._unit_rows = None
         return self._unit_rows
-
-
-def rank(matrix: RatMatrix) -> int:
-    """Rank over the rationals (exact)."""
-    return matrix.rank()
-
-
-def kernel_basis(matrix: RatMatrix) -> RatMatrix:
-    """Canonical right-null-space basis; matrix @ result == 0 exactly."""
-    return matrix.kernel_basis()
-
-
-def image_basis(matrix: RatMatrix) -> RatMatrix:
-    """Canonical column-space basis with rank(matrix) columns."""
-    return matrix.image_basis()
 
 
 def solve_membership(span: RatMatrix, vector):

@@ -30,7 +30,7 @@ from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .finsetcat import FinMap, HomClass, compose, enumerate_hom, identity_map
+from .finsetcat import FinMap
 from .partitions import (
     CycleType,
     Partition,
@@ -100,7 +100,8 @@ def transposition_word(perm: FinMap) -> tuple[int, ...]:
     the first descent, so its length is the inversion number and the result
     is deterministic; the identity gets the empty word.
     """
-    assert perm.is_bijective()
+    if not perm.is_bijective():
+        raise ValueError("a transposition word requires a bijection")
     v = list(perm.values)
     swaps = []
     while True:
@@ -175,16 +176,6 @@ class ClassFunction:
         return self.values[partition_index(mu)]
 
 
-def character_inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """Standard inner product (1/n!) sum over classes of size * f * g."""
-    assert f.degree == g.degree
-    parts = partitions_of(f.degree)
-    acc = sum((class_size(mu) * fv * gv
-               for mu, fv, gv in zip(parts, f.values, g.values)),
-              Fraction(0))
-    return Fraction(acc, factorial(f.degree))
-
-
 @dataclass(frozen=True)
 class BiClassFunction:
     """Rational function of a pair of classes, one from each of two groups.
@@ -209,37 +200,37 @@ class BiClassFunction:
 # ---------------------------------------------------------------- formal sums
 
 
-def _format_terms(terms) -> str:
-    return " + ".join(f"{c}*{key}" for key, c in terms) or "0"
+class _FormalSum:
+    """Integer formal sum of keys, zero coefficients pruned.
 
-
-class SchurClass:
-    """Integer formal sum of partitions, zero coefficients pruned.
-
-    Terms are kept in canonical order (by weight, then by position within
-    partitions_of); the class is immutable and hashable.
+    Terms are kept in the canonical order of ``_sort_key``; the sum is
+    immutable and hashable, and equals only a sum of the same class.  A
+    subclass supplies the key validation (``_key``), the sort key, the
+    dimension of one key and the JSON shape of one key (``_key_json``).
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        acc: dict[Partition, int] = {}
+        acc: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for lam, c in items:
-            assert_partition(lam)
-            assert c == int(c), "coefficients must be integers"
-            acc[lam] = acc.get(lam, 0) + int(c)
+        for key, c in items:
+            key = self._key(key)
+            n = int(c)
+            if n != c:
+                raise ValueError(f"coefficients must be integers: {c!r}")
+            acc[key] = acc.get(key, 0) + n
         self._terms = tuple(sorted(
-            ((lam, c) for lam, c in acc.items() if c),
-            key=lambda lc: (weight(lc[0]), partition_index(lc[0]))))
+            ((key, c) for key, c in acc.items() if c),
+            key=lambda kc: self._sort_key(kc[0])))
 
     @property
-    def terms(self) -> tuple[tuple[Partition, int], ...]:
+    def terms(self) -> tuple:
         return self._terms
 
-    def coefficient(self, lam: Partition) -> int:
-        for key, c in self._terms:
-            if key == lam:
+    def coefficient(self, key) -> int:
+        for k, c in self._terms:
+            if k == key:
                 return c
         return 0
 
@@ -247,111 +238,97 @@ class SchurClass:
         return not self._terms
 
     def total_dimension(self) -> int:
-        """Sum of coefficient * irreducible dimension over all terms."""
-        return sum(c * irrep_dimension(lam) for lam, c in self._terms)
+        """Sum of coefficient * dimension of the key over all terms."""
+        return sum(c * self._dimension(key) for key, c in self._terms)
 
-    def scale(self, c: int) -> "SchurClass":
-        return SchurClass((lam, k * c) for lam, k in self._terms)
+    def scale(self, c: int):
+        return type(self)((key, k * c) for key, k in self._terms)
 
-    def __add__(self, other: "SchurClass") -> "SchurClass":
-        return SchurClass(self._terms + other._terms)
+    def __add__(self, other):
+        return type(self)(self._terms + other._terms)
 
-    def __sub__(self, other: "SchurClass") -> "SchurClass":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self) -> "SchurClass":
+    def __neg__(self):
         return self.scale(-1)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SchurClass) and self._terms == other._terms
+        return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self):
         return hash(self._terms)
 
     def __repr__(self) -> str:
-        return f"SchurClass({_format_terms(self._terms)})"
+        terms = " + ".join(f"{c}*{key}" for key, c in self._terms) or "0"
+        return f"{type(self).__name__}({terms})"
 
     def to_json(self) -> list:
-        """JSON-ready list of {partition, coefficient} in canonical order."""
-        return [{"partition": list(lam), "coefficient": c}
-                for lam, c in self._terms]
-
-    @classmethod
-    def from_json(cls, obj) -> "SchurClass":
-        return cls((tuple(d["partition"]), d["coefficient"]) for d in obj)
+        """JSON-ready list of the terms in canonical order."""
+        return [dict(self._key_json(key), coefficient=c)
+                for key, c in self._terms]
 
 
-class BiSchurClass:
+class SchurClass(_FormalSum):
+    """Integer formal sum of partitions, zero coefficients pruned.
+
+    Terms are kept in canonical order (by weight, then by position within
+    partitions_of); the class is immutable and hashable.  ``to_json`` gives
+    a list of {partition, coefficient}.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(lam: Partition) -> Partition:
+        assert_partition(lam)
+        return lam
+
+    @staticmethod
+    def _sort_key(lam: Partition):
+        return weight(lam), partition_index(lam)
+
+    _dimension = staticmethod(irrep_dimension)
+
+    @staticmethod
+    def _key_json(lam: Partition) -> dict:
+        return {"partition": list(lam)}
+
+
+class BiSchurClass(_FormalSum):
     """Integer formal sum of ordered partition pairs (left, right).
 
     The left coordinate is the covariant factor, the right coordinate the
     contravariant one; terms are canonically ordered by (left weight, left
-    index, right weight, right index).
+    index, right weight, right index).  ``to_json`` gives a list of {left,
+    right, coefficient}.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
-        acc: dict[tuple[Partition, Partition], int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for pair, c in items:
-            lam, mu = pair
-            assert_partition(lam)
-            assert_partition(mu)
-            assert c == int(c), "coefficients must be integers"
-            acc[(lam, mu)] = acc.get((lam, mu), 0) + int(c)
-        self._terms = tuple(sorted(
-            ((pair, c) for pair, c in acc.items() if c),
-            key=lambda pc: (weight(pc[0][0]), partition_index(pc[0][0]),
-                            weight(pc[0][1]), partition_index(pc[0][1]))))
+    @staticmethod
+    def _key(pair) -> tuple[Partition, Partition]:
+        lam, mu = pair
+        assert_partition(lam)
+        assert_partition(mu)
+        return lam, mu
 
-    @property
-    def terms(self) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
-        return self._terms
+    @staticmethod
+    def _sort_key(pair):
+        lam, mu = pair
+        return (weight(lam), partition_index(lam),
+                weight(mu), partition_index(mu))
+
+    @staticmethod
+    def _dimension(pair) -> int:
+        return irrep_dimension(pair[0]) * irrep_dimension(pair[1])
+
+    @staticmethod
+    def _key_json(pair) -> dict:
+        return {"left": list(pair[0]), "right": list(pair[1])}
 
     def coefficient(self, lam: Partition, mu: Partition) -> int:
-        for pair, c in self._terms:
-            if pair == (lam, mu):
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def total_dimension(self) -> int:
-        return sum(c * irrep_dimension(l) * irrep_dimension(r)
-                   for (l, r), c in self._terms)
-
-    def scale(self, c: int) -> "BiSchurClass":
-        return BiSchurClass((pair, k * c) for pair, k in self._terms)
-
-    def __add__(self, other: "BiSchurClass") -> "BiSchurClass":
-        return BiSchurClass(self._terms + other._terms)
-
-    def __sub__(self, other: "BiSchurClass") -> "BiSchurClass":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "BiSchurClass":
-        return self.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiSchurClass) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        return f"BiSchurClass({_format_terms(self._terms)})"
-
-    def to_json(self) -> list:
-        """JSON-ready list of {left, right, coefficient} in canonical order."""
-        return [{"left": list(l), "right": list(r), "coefficient": c}
-                for (l, r), c in self._terms]
-
-    @classmethod
-    def from_json(cls, obj) -> "BiSchurClass":
-        return cls(((tuple(d["left"]), tuple(d["right"])), d["coefficient"])
-                   for d in obj)
+        return super().coefficient((lam, mu))
 
 
 def boxtimes(x: SchurClass, y: SchurClass) -> BiSchurClass:
@@ -387,20 +364,23 @@ class RepSpace:
     """
 
     def __init__(self, degree: int, dimension: int, generators):
-        assert degree >= 0 and dimension >= 0
+        if degree < 0 or dimension < 0:
+            raise ValueError("degree and dimension must be nonnegative")
         self.degree = degree
         self.dimension = dimension
         self.generators = tuple(generators)
-        assert len(self.generators) == max(degree - 1, 0), (
-            "one generator per adjacent transposition required")
-        for A in self.generators:
-            assert isinstance(A, RatMatrix)
-            assert A.rows == A.cols == dimension
+        if len(self.generators) != max(degree - 1, 0):
+            raise ValueError("one generator per adjacent transposition required")
+        if not all(isinstance(A, RatMatrix) and A.rows == A.cols == dimension
+                   for A in self.generators):
+            raise ValueError("generators must be square RatMatrix values "
+                             "of the space's dimension")
         _verify_coxeter(self.generators, dimension)
 
     def action_matrix(self, perm: FinMap) -> RatMatrix:
         """Matrix of the permutation, assembled from the generator word."""
-        assert perm.source_size == perm.target_size == self.degree
+        if not perm.source_size == perm.target_size == self.degree:
+            raise ValueError("the permutation's degree must match the space")
         M = RatMatrix.identity(self.dimension)
         for t in transposition_word(perm):
             M = M @ self.generators[t - 1]
@@ -424,43 +404,6 @@ def _verify_coxeter(gens, dimension: int) -> None:
             if A @ B != B @ A:
                 raise InternalConsistencyError(
                     f"distant generators {t + 1}, {u + 1} do not commute")
-
-
-# ------------------------------------------------------- standard rep spaces
-
-
-def trivial_rep(n: int) -> RepSpace:
-    one = RatMatrix([[1]])
-    return RepSpace(n, 1, (one,) * max(n - 1, 0))
-
-
-def sign_rep(n: int) -> RepSpace:
-    minus = RatMatrix([[-1]])
-    return RepSpace(n, 1, (minus,) * max(n - 1, 0))
-
-
-def permutation_rep(n: int) -> RepSpace:
-    """The group permuting n basis vectors: e_i goes to e_{sigma(i)}."""
-    gens = []
-    for t in range(1, n):
-        s = adjacent_transposition(n, t)
-        gens.append(RatMatrix.from_triplets(
-            n, n, ((s.values[i] - 1, i, 1) for i in range(n))))
-    return RepSpace(n, n, gens)
-
-
-def regular_rep(n: int) -> RepSpace:
-    """Left translation on the group algebra basis of all permutations."""
-    elements = enumerate_hom(HomClass.BIJECTION, n, n)
-    index = {g.values: i for i, g in enumerate(elements)}
-    gens = []
-    for t in range(1, n):
-        s = adjacent_transposition(n, t)
-        gens.append(RatMatrix.from_triplets(
-            len(elements), len(elements),
-            ((index[compose(s, g).values], i, 1)
-             for i, g in enumerate(elements))))
-    return RepSpace(n, len(elements), gens)
 
 
 # -------------------------------------------------------------- decomposition
@@ -547,7 +490,8 @@ def bidecompose_character(chi: BiClassFunction) -> BiSchurClass:
 def pieri_h(lam: Partition, n: int) -> SchurClass:
     """All partitions adding n boxes to lam, no two in the same column."""
     assert_partition(lam)
-    assert n >= 0
+    if n < 0:
+        raise ValueError("the number of added boxes must be nonnegative")
     rows = list(lam) + [0]
     found = []
 
@@ -576,7 +520,8 @@ def pieri_e(lam: Partition, t: int) -> SchurClass:
     horizontal strip, transpose back.
     """
     assert_partition(lam)
-    assert t >= 0
+    if t < 0:
+        raise ValueError("the number of added boxes must be nonnegative")
     return SchurClass((conjugate(mu), c)
                       for mu, c in pieri_h(conjugate(lam), t).terms)
 
@@ -662,7 +607,8 @@ def derham_check(n: int) -> bool:
     Checks sum over t of (-1)^t * (n-t) * (1^t) products vanishing, the
     exactness pattern of the algebraic de Rham complex in degree n.
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError("the de Rham degree must be at least 1")
     total = SchurClass()
     for t in range(n + 1):
         term = convolution_class(trivial_class(n - t), sign_class(t))

@@ -12,15 +12,16 @@ runs one sweep per layer.  Reports serialize deterministically — timing is
 kept in memory only and never written — so repeated runs over the same
 inputs produce byte-identical JSON and CSV artifacts.
 
-The registry maps stable check ids to sweep functions.  ``run_all`` executes
-the registered checks in a fixed canonical order and returns a process exit
-status: 0 when no check failed, 1 when at least one check reported ``fail``,
-and 2 when a report file could not be written (I/O trouble is never conflated
-with a mathematical failure).  Inside ``run_all`` the two most expensive
-formula sweeps (``kring_fs_check`` and ``subquotient_formula``) are capped at
-bound 5 to keep the full run within minutes; invoking either check directly
-honours the requested bound.  A negative bound is refused with ``ValueError``
-(exit status 2 from the CLI), never swept as a pass.
+The registry maps stable check ids to sweep functions.  ``collect_reports``
+runs the registered checks in a fixed canonical order, and ``fsprim verify
+all`` writes its reports and exits with status 0 when no check failed, 1 when
+at least one check reported ``fail``, and 2 when a report file could not be
+written (I/O trouble is never conflated with a mathematical failure).  Inside
+``collect_reports`` the two most expensive formula sweeps (``kring_fs_check``
+and ``subquotient_formula``) are capped at bound 5 to keep the full run
+within minutes; invoking either check directly honours the requested bound.
+A negative bound is refused with ``ValueError`` (exit status 2 from the
+CLI), never swept as a pass.
 """
 
 from __future__ import annotations
@@ -59,13 +60,7 @@ from .fsfilt import (
     theta_matrix,
     theta_rank_report,
 )
-from .partitions import (
-    centralizer_order,
-    class_size,
-    partition_index,
-    partitions_of,
-    weight,
-)
+from .partitions import centralizer_order, class_size, partitions_of
 from .repdecomp import (
     BiSchurClass,
     SchurClass,
@@ -84,7 +79,7 @@ __all__ = [
     "kring_fs_check",
     "subquotient_formula",
     "run_check",
-    "run_all",
+    "collect_reports",
     "dimension_table",
     "render_reports_json",
     "render_dimension_csv",
@@ -182,28 +177,13 @@ def _holds(where: dict, key: str, ok) -> _Mismatch:
     return _compare(where, key, True, bool(ok))
 
 
-def _pair_sort_key(pair: tuple[tuple[int, ...], tuple[int, ...]]):
-    left, right = pair
-    return (weight(left), partition_index(left),
-            weight(right), partition_index(right))
-
-
-def _first_difference(lhs: BiSchurClass, rhs: BiSchurClass):
-    """First (left, right) partition pair whose coefficients disagree."""
-    pairs = {pair for pair, _ in lhs.terms} | {pair for pair, _ in rhs.terms}
-    for pair in sorted(pairs, key=_pair_sort_key):
-        if lhs.coefficient(*pair) != rhs.coefficient(*pair):
-            return pair
-    return None
-
-
 def _identity_failure(where: dict, chk) -> _Mismatch:
     """First differing coefficient of a failed ``chk`` (ok, lhs, rhs)."""
     if chk.ok:
         return None
-    pair = _first_difference(chk.lhs, chk.rhs)
-    assert pair is not None
-    left, right = pair
+    # Terms are in canonical order, so the first term of the difference is
+    # the first pair whose coefficients disagree.
+    (left, right), _ = (chk.lhs - chk.rhs).terms[0]
     return _compare(dict(where, left=list(left), right=list(right)),
                     "coefficient", chk.rhs.coefficient(left, right),
                     chk.lhs.coefficient(left, right))
@@ -535,7 +515,7 @@ _RUN_ORDER = (
 
 CHECK_IDS = tuple(_REGISTRY)
 
-# run_all caps the two heaviest formula sweeps at this bound.
+# collect_reports caps the two heaviest formula sweeps at this bound.
 _FORMULA_CAP = 5
 
 
@@ -607,37 +587,6 @@ def render_dimension_csv(bound: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_artifacts(reports: list[CheckReport], bound: int,
-                     json_path: Path | None,
-                     csv_path: Path | None) -> str | None:
-    """Write requested report files; returns an error message on I/O failure."""
-    try:
-        if json_path is not None:
-            json_path.write_text(render_reports_json(reports))
-        if csv_path is not None:
-            csv_path.write_text(render_dimension_csv(bound))
-    except OSError as exc:
-        return f"failed to write report artifact: {exc}"
-    return None
-
-
-def run_all(bound: int = 6, out: Path | str | None = None,
-            csv_out: Path | str | None = None) -> int:
-    """Full canonical-order run; writes artifacts; returns the exit status.
-
-    0 when every check passed (or was vacuous), 1 when any check failed,
-    2 when a report artifact could not be written.
-    """
-    reports = collect_reports(bound)
-    error = _write_artifacts(reports, bound,
-                             Path(out) if out is not None else None,
-                             Path(csv_out) if csv_out is not None else None)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    return 0 if all(r.status != "fail" for r in reports) else 1
-
-
 # ------------------------------------------------------------------- CLI
 
 
@@ -655,22 +604,36 @@ def _print_reports(reports: list[CheckReport]) -> None:
         print(f"all {len(reports)} checks passed")
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _write_outputs(*outputs: tuple[Path | None, Callable[[], str]]) -> int:
+    """Write each ``(path, render)`` whose path is set, in order.
+
+    Text is rendered only for the paths that are written.  Returns 0, or 2
+    after reporting the first I/O error on stderr.
+    """
+    for path, render in outputs:
+        if path is None:
+            continue
+        text = render()
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            print(f"failed to write report artifact: {exc}", file=sys.stderr)
+            return 2
+    return 0
+
+
 def _cmd_dims(args) -> int:
     text = render_dimension_csv(args.max_size)
     print(text, end="")
-    error = _write_artifacts([], args.max_size, None, args.csv)
-    if error is None and args.json is not None:
+
+    def payload():
         header, rows = dimension_table(args.max_size)
-        payload = [dict(zip(header, row)) for row in rows]
-        try:
-            args.json.write_text(json.dumps(payload, sort_keys=True,
-                                            indent=2) + "\n")
-        except OSError as exc:
-            error = f"failed to write report artifact: {exc}"
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    return 0
+        return _json_text([dict(zip(header, row)) for row in rows])
+    return _write_outputs((args.csv, lambda: text), (args.json, payload))
 
 
 _THETA_PRINT_LIMIT = 400
@@ -678,9 +641,6 @@ _THETA_PRINT_LIMIT = 400
 
 def _cmd_theta(args) -> int:
     a, b = args.a, args.b
-    if not (0 <= a <= b):
-        print("error: require 0 <= a <= b", file=sys.stderr)
-        return 2
     report = theta_rank_report(a, b)
     for key in ("target_size", "source_size", "domain_dimension",
                 "codomain_dimension", "rank", "kernel_dimension",
@@ -696,22 +656,12 @@ def _cmd_theta(args) -> int:
     else:
         print(f"matrix omitted ({matrix.rows}x{matrix.cols} exceeds "
               f"print limit)")
-    if args.json is not None:
-        payload = dict(report, matrix=entries)
-        try:
-            args.json.write_text(json.dumps(payload, sort_keys=True,
-                                            indent=2) + "\n")
-        except OSError as exc:
-            print(f"failed to write report artifact: {exc}", file=sys.stderr)
-            return 2
-    return 0
+    return _write_outputs(
+        (args.json, lambda: _json_text(dict(report, matrix=entries))))
 
 
 def _cmd_decompose(args) -> int:
     a, b = args.a, args.b
-    if not (0 <= a <= b):
-        print("error: require 0 <= a <= b", file=sys.stderr)
-        return 2
     if args.flavor == "fs":
         cls = full_fs_bidecompose(b, a)
     else:
@@ -721,21 +671,11 @@ def _cmd_decompose(args) -> int:
         print(f"{json.dumps(list(left))} {json.dumps(list(right))} {mult}")
     if not cls.terms:
         print("0")
-    if args.json is not None:
-        try:
-            args.json.write_text(json.dumps(cls.to_json(), sort_keys=True,
-                                            indent=2) + "\n")
-        except OSError as exc:
-            print(f"failed to write report artifact: {exc}", file=sys.stderr)
-            return 2
-    return 0
+    return _write_outputs((args.json, lambda: _json_text(cls.to_json())))
 
 
 def _cmd_filtration(args) -> int:
     a, b = args.a, args.b
-    if not (0 <= a <= b):
-        print("error: require 0 <= a <= b", file=sys.stderr)
-        return 2
     dims = {t: filtration_level(b, a, t).dimension for t in range(-1, b + 1)}
     for t in range(-1, b + 1):
         print(f"level {t} dimension {dims[t]}")
@@ -745,21 +685,13 @@ def _cmd_filtration(args) -> int:
         layers[level] = layer
         print(f"layer {level} class "
               f"{json.dumps(layer.to_json(), sort_keys=True)}")
-    if args.json is not None:
-        payload = {
-            "source_size": b,
-            "target_size": a,
-            "level_dimensions": {str(t): dims[t] for t in dims},
-            "layers": {str(level): layers[level].to_json()
-                       for level in layers},
-        }
-        try:
-            args.json.write_text(json.dumps(payload, sort_keys=True,
-                                            indent=2) + "\n")
-        except OSError as exc:
-            print(f"failed to write report artifact: {exc}", file=sys.stderr)
-            return 2
-    return 0
+    payload = {
+        "source_size": b,
+        "target_size": a,
+        "level_dimensions": {str(t): dims[t] for t in dims},
+        "layers": {str(level): layers[level].to_json() for level in layers},
+    }
+    return _write_outputs((args.json, lambda: _json_text(payload)))
 
 
 def _cmd_verify(args) -> int:
@@ -778,11 +710,10 @@ def _cmd_verify(args) -> int:
               f"{args.max_size}", file=sys.stderr)
         return 2
     _print_reports(reports)
-    error = _write_artifacts(reports, args.max_size, args.json, args.csv)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    return 0 if all(r.status != "fail" for r in reports) else 1
+    written = _write_outputs(
+        (args.json, lambda: render_reports_json(reports)),
+        (args.csv, lambda: render_dimension_csv(args.max_size)))
+    return written or (0 if all(r.status != "fail" for r in reports) else 1)
 
 
 def _add_global_options(parser: argparse.ArgumentParser,
@@ -842,6 +773,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.max_size < 0:
         print("error: --max-size must be nonnegative", file=sys.stderr)
+        return 2
+    # theta, decompose and filtration take one cell, --a and --b.
+    if "a" in vars(args) and not 0 <= args.a <= args.b:
+        print("error: require 0 <= a <= b", file=sys.stderr)
         return 2
     handlers = {
         "dims": _cmd_dims,

@@ -10,6 +10,7 @@ Independent oracles used here:
 """
 from collections import deque
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -32,17 +33,19 @@ from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report)
 from fsprim.fsfilt import (_coker_relations, _in_level, _reduced_restriction,
-                           _theta_image, _transpose)
-from fsprim.partitions import irrep_dimension, partition_index, partitions_of
+                           _restricted_bicharacter, _theta_image, _transpose)
+from fsprim.partitions import (class_size, irrep_dimension, partition_index,
+                               partitions_of)
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
-                              SchurClass,
-                              character_inner_product, class_representative,
-                              decompose)
+                              SchurClass, class_representative, decompose)
 
 SURJ = HomClass.SURJECTION
 INJ = HomClass.INJECTION
-BIJ = HomClass.BIJECTION
+
+
+def all_permutations(n):
+    return [FinMap(n, n, p) for p in permutations(range(1, n + 1))]
 
 
 def bischur(mapping):
@@ -93,10 +96,10 @@ def test_tuple_actions_match_the_composition_reference():
                 source, target = (b, a) if flavor is SURJ else (a, b)
                 mod = hom_module(flavor, source, target)
                 maps = enumerate_hom(flavor, source, target)
-                for pi in enumerate_hom(BIJ, target, target):
+                for pi in all_permutations(target):
                     assert mod.left_perm(pi) == tuple(
                         mod.index[compose(pi, f).values] for f in maps)
-                for sigma in enumerate_hom(BIJ, source, source):
+                for sigma in all_permutations(source):
                     assert mod.right_perm(sigma) == tuple(
                         mod.index[compose(f, sigma.inverse()).values]
                         for f in maps)
@@ -213,7 +216,7 @@ def test_reduced_restriction_kernels_equal_full_kernels():
 def test_level_below_zero_is_the_zero_space():
     lvl = filtration_level(3, 2, -1)
     assert lvl.dimension == 0
-    assert lvl.ambient_dimension == 6
+    assert lvl.basis_matrix.rows == 6
 
 
 def test_level_at_or_above_source_size_is_the_full_space():
@@ -452,7 +455,7 @@ def test_operator_rref_matches_denominator_clearing_reference():
 def test_pairing_rows_are_the_equal_size_stage_rows():
     # Why the pairing and level b - a - 1 share one elimination.
     def row_set(mat):
-        return {frozenset(row.items()) for row in mat.rows_dict().values()}
+        return {frozenset(row.items()) for row in mat.dm.rep.values()}
 
     for b in range(6):
         for a in range(1, b + 1):
@@ -589,7 +592,10 @@ def test_sign_multiplicity_matches_the_fixed_point_count():
                 sum(1 for i, j in enumerate(
                     module.right_perm(class_representative(mu))) if i == j)
                 for mu in partitions_of(a)))
-            counted = character_inner_product(chi, sign)
+            counted = Fraction(sum(
+                class_size(mu) * x * y
+                for mu, x, y in zip(partitions_of(a), chi.values, sign.values)),
+                factorial(a))
             terms = full_fs_bidecompose(a, c).terms
             read = sum(mult * irrep_dimension(left)
                        for (left, right), mult in terms if right == sign_row)
@@ -811,13 +817,9 @@ def test_a_tiny_prime_only_adds_generators(fresh_generator_cache, monkeypatch,
     assert all(verdicts.values())
 
 
-def test_a_denominator_divisible_by_the_prime_returns_every_column(
-        fresh_generator_cache, monkeypatch):
-    # Level 1 of Surj(4, 2) in the unit-row basis on rows (0, 1, 3, 6, 8):
-    # the same stable subspace, whose action matrices have denominator 2.
-    # Every canonical basis through bound 6 has integral actions.
+def _level_basis_on_other_unit_rows():
+    """Level 1 of Surj(4, 2) in the unit-row basis on rows (0, 1, 3, 6, 8)."""
     from sympy import Matrix
-    fsfilt = fresh_generator_cache
     K = filtration_level(4, 2, 1).basis_matrix
     unit = (0, 1, 3, 6, 8)
     change = Matrix([list(K.row(i)) for i in unit]).inv()
@@ -825,6 +827,16 @@ def test_a_denominator_divisible_by_the_prime_returns_every_column(
                         for x in (Matrix([list(r)]) * change)]
                        for r in K.entries])
     assert basis.unit_rows() == unit
+    return basis, unit
+
+
+def test_a_denominator_divisible_by_the_prime_returns_every_column(
+        fresh_generator_cache, monkeypatch):
+    # The same stable subspace as the canonical level 1 of Surj(4, 2), whose
+    # action matrices have denominator 2 in this basis.  Every canonical
+    # basis through bound 6 has integral actions.
+    fsfilt = fresh_generator_cache
+    basis, unit = _level_basis_on_other_unit_rows()
     assert any(v.denominator == 2
                for perm in hom_module(SURJ, 4, 2).right_generator_perms
                for col in basis.permute_rows(perm).select_rows(unit)
@@ -837,6 +849,38 @@ def test_a_denominator_divisible_by_the_prime_returns_every_column(
     fsfilt._module_generator_columns.cache_clear()
     monkeypatch.setattr(fsfilt, "_PRIME", 2)
     assert fsfilt._module_generator_columns(4, 2, "right") == every_column
+
+
+def _fraction_restricted_bicharacter(module, basis):
+    """Reference: each restricted trace summed entry by entry in Fractions."""
+    unit = basis.unit_rows()
+    left_reps, right_reps = module.class_perms
+
+    def trace(pl, pr):
+        # The operator sends basis vector i to pl[pr[i]].
+        source = {pl[pr[i]]: i for i in range(module.dimension)}
+        return sum((basis.entry(source[j], k) for k, j in enumerate(unit)),
+                   Fraction(0))
+
+    return BiClassFunction(module.left_degree, module.right_degree, tuple(
+        tuple(trace(pl, pr) for pr in right_reps) for pl in left_reps))
+
+
+def test_restricted_traces_match_the_fraction_reference():
+    basis, _ = _level_basis_on_other_unit_rows()
+    assert any(v.denominator > 1
+               for col in basis.sparse_columns().values() for v in col.values())
+    module = hom_module(SURJ, 4, 2)
+    assert _restricted_bicharacter(module, basis) == \
+        _fraction_restricted_bicharacter(module, basis)
+    for b in range(6):
+        for a in range(b + 1):
+            module = hom_module(SURJ, b, a)
+            for t in range(-1, b - a + 1):
+                assert level_bicharacter(b, a, t) == \
+                    _fraction_restricted_bicharacter(
+                        module, filtration_level(b, a, t).basis_matrix), \
+                    (b, a, t)
 
 
 def test_level_test_agrees_with_membership_in_the_level_basis():

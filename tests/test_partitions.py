@@ -195,9 +195,9 @@ def test_empty_partition_degree_zero():
 
 
 def test_assert_partition_rejects_bad_input():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         assert_partition((1, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         assert_partition((2, 0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         assert_partition([2, 1])

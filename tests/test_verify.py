@@ -32,7 +32,6 @@ from fsprim.verify import (
     primfs_formula,
     render_dimension_csv,
     render_reports_json,
-    run_all,
     run_check,
     subquotient_formula,
 )
@@ -198,6 +197,7 @@ def test_bound5_report_bytes_are_pinned(tmp_path, flags):
 def test_contracts_hold_under_optimize():
     # python -O strips assert statements; these contracts must not be.
     code = """
+from fractions import Fraction
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                               hom_dimension, sections)
 from fsprim.fsfilt import (_reduced_restriction, closure_check,
@@ -206,11 +206,13 @@ from fsprim.fsfilt import (_reduced_restriction, closure_check,
                            ses_identity_check, sgn_vanishing_check,
                            subquotient_decompose, subquotient_identity_check,
                            theta_matrix)
-from fsprim.partitions import partitions_of
+from fsprim.partitions import assert_partition, partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
-from fsprim.repdecomp import (BiClassFunction, ClassFunction,
-                              adjacent_transposition, cycle_type_of,
-                              mn_character, sign_class, trivial_class)
+from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
+                              RepSpace, SchurClass, adjacent_transposition,
+                              cycle_type_of, derham_check, mn_character,
+                              pieri_e, pieri_h, sign_class,
+                              transposition_word, trivial_class)
 from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
                            primfs_formula, run_check, subquotient_formula)
 A, B = RatMatrix([[1, 2], [3, 4]]), RatMatrix([[1, 2, 3]])
@@ -222,7 +224,6 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: run_check("closure", -1), lambda: collect_reports(-1),
              lambda: RatMatrix([[1, 2], [3]]), lambda: A @ B,
              lambda: A + B, lambda: A - B, lambda: A.hstack(B),
-             lambda: A.vstack(B.transpose()),
              lambda: RatMatrix.from_columns(2, [(1, 2, 3)]),
              lambda: RatMatrix.from_triplets(2, 2, [(2, 0, 1)]),
              lambda: A.permute_rows((0, 0)), lambda: A.select_rows((2,)),
@@ -244,8 +245,8 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: FinMap(2, 3, (1, 2)).inverse(),
              lambda: FinMap(2, 2, (2, 1))(0),
              lambda: FinMap(2, 2, (2, 1))(3),
-             lambda: enumerate_hom(HomClass.ALL, 2, -1),
-             lambda: hom_dimension(HomClass.ALL, 2, -1),
+             lambda: enumerate_hom(HomClass.SURJECTION, 2, -1),
+             lambda: hom_dimension(HomClass.INJECTION, 2, -1),
              lambda: adjacent_transposition(3, 0),
              lambda: cycle_type_of(FinMap(2, 2, (1, 1))),
              lambda: mn_character((2, 1), (2,)),
@@ -253,7 +254,21 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: partitions_of(-1),
              lambda: ClassFunction(3, (1,)),
              lambda: BiClassFunction(2, 2, ((1, 1),)),
-             lambda: BiClassFunction(2, 2, ((1, 1), (1,)))):
+             lambda: BiClassFunction(2, 2, ((1, 1), (1,))),
+             lambda: BiSchurClass({((2,), (1, 1)): Fraction(5, 2)}),
+             lambda: SchurClass({(2,): 1.5}),
+             lambda: SchurClass({(1, 2): 1}),
+             lambda: BiSchurClass({((2,), (0,)): 1}),
+             lambda: pieri_h((1,), -1), lambda: pieri_e((1,), -1),
+             lambda: derham_check(0),
+             lambda: transposition_word(FinMap(2, 2, (1, 1))),
+             lambda: RepSpace(3, 1, ()), lambda: RepSpace(-1, 0, ()),
+             lambda: RepSpace(2, 1, ([[1]],)),
+             lambda: RepSpace(2, 2, (RatMatrix.identity(1),)),
+             lambda: RepSpace(2, 1, (RatMatrix([[1]]),)).action_matrix(
+                 FinMap(3, 3, (1, 2, 3))),
+             lambda: assert_partition([1]), lambda: assert_partition((0,)),
+             lambda: assert_partition((1, 2))):
     try:
         call()
     except ValueError:
@@ -291,12 +306,12 @@ def _theta_missing_one_entry(monkeypatch, cell):
         mat = real(a, b)
         if (a, b) != cell:
             return mat
-        rows = mat.rows_dict()
-        first = min(rows)
-        del rows[first][min(rows[first])]
+        cols = mat.sparse_columns()
+        dropped = min((i, j) for j, col in cols.items() for i in col)
         return RatMatrix.from_triplets(
             mat.rows, mat.cols,
-            ((i, j, v) for i, row in rows.items() for j, v in row.items()))
+            ((i, j, v) for j, col in cols.items() for i, v in col.items()
+             if (i, j) != dropped))
 
     monkeypatch.setattr(fsfilt, "theta_matrix", corrupted)
 
@@ -546,7 +561,8 @@ def test_check_fails_at_an_injected_fault(monkeypatch, fault):
 def test_run_all_writes_reports_and_dimension_table(tmp_path):
     out = tmp_path / "reports.json"
     csv_out = tmp_path / "dims.csv"
-    assert run_all(2, out=out, csv_out=csv_out) == 0
+    assert main(["--max-size", "2", "verify", "all",
+                 "--json", str(out), "--csv", str(csv_out)]) == 0
     payload = json.loads(out.read_text())
     assert [item["check"] for item in payload] == BOUND2_SEQUENCE
     assert out.read_text() == render_reports_json(collect_reports(2))
@@ -555,7 +571,8 @@ def test_run_all_writes_reports_and_dimension_table(tmp_path):
 
 def test_run_all_reports_io_failure_distinctly(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "reports.json"
-    assert run_all(0, out=missing) == 2
+    assert main(["--max-size", "0", "verify", "all",
+                 "--json", str(missing)]) == 2
     assert "failed to write report artifact" in capsys.readouterr().err
 
 
@@ -573,7 +590,7 @@ def test_run_all_fails_with_exit_one_on_mathematical_failure(
 
     monkeypatch.setattr(verify, "kring_identity_check", skewed)
     out = tmp_path / "reports.json"
-    assert run_all(1, out=out) == 1
+    assert main(["--max-size", "1", "verify", "all", "--json", str(out)]) == 1
     payload = json.loads(out.read_text())
     failed = [item for item in payload if item["status"] == "fail"]
     assert len(failed) == 1
@@ -626,9 +643,24 @@ def test_cli_theta_omits_oversized_matrices(capsys):
     assert "matrix omitted" in out
 
 
-def test_cli_theta_rejects_bad_sizes(capsys):
-    assert main(["theta", "--a", "3", "--b", "2"]) == 2
-    assert "require 0 <= a <= b" in capsys.readouterr().err
+@pytest.mark.parametrize("command", [["theta"], ["decompose", "--flavor", "fs"],
+                                     ["filtration"]], ids=lambda c: c[0])
+def test_cli_one_cell_commands_reject_bad_sizes(command, capsys):
+    assert main([*command, "--a", "3", "--b", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: require 0 <= a <= b\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["dims"], ["theta", "--a", "1", "--b", "2"],
+    ["decompose", "--flavor", "fs", "--b", "2", "--a", "1"],
+    ["filtration", "--b", "2", "--a", "1"], ["verify", "derham"]],
+    ids=lambda c: c[0])
+def test_cli_reports_an_unwritable_json_path(command, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    assert main(["--max-size", "2", *command, "--json", str(missing)]) == 2
+    assert "failed to write report artifact" in capsys.readouterr().err
 
 
 def test_cli_decompose_surjection_span(capsys):
