@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 
@@ -62,21 +62,9 @@ class FinMap:
     def is_bijective(self) -> bool:
         return self.source_size == self.target_size and self.is_injective()
 
-    def inverse(self) -> "FinMap":
-        if not self.is_bijective():
-            raise ValueError("only bijections invert")
-        inv = [0] * self.source_size
-        for i, v in enumerate(self.values, start=1):
-            inv[v - 1] = i
-        return FinMap(self.target_size, self.source_size, tuple(inv))
-
     def __repr__(self) -> str:
         return (f"FinMap({self.source_size}->{self.target_size}, "
                 f"{list(self.values)})")
-
-
-def identity_map(n: int) -> FinMap:
-    return FinMap(n, n, tuple(range(1, n + 1)))
 
 
 def compose(g: FinMap, f: FinMap) -> FinMap:
@@ -85,14 +73,6 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
         raise ValueError("composition size mismatch")
     return FinMap(f.source_size, g.target_size,
                   tuple(g.values[v - 1] for v in f.values))
-
-
-def _admits(flavor: HomClass, values: tuple[int, ...],
-            source_size: int, target_size: int) -> bool:
-    distinct = len(set(values))
-    if flavor is HomClass.SURJECTION:
-        return distinct == target_size
-    return distinct == source_size
 
 
 @cache
@@ -104,13 +84,20 @@ def enumerate_hom(flavor: HomClass, source_size: int,
     the linearized hom-space.  Empty-set conventions: with an empty source
     there is exactly one (empty) map whatever the flavor admits; with an
     empty target and nonempty source there are none.
+
+    Injections are the ordered selections of distinct targets, which
+    ``permutations`` yields in lexicographic order from the sorted range;
+    surjections are the value arrays that hit every target.
     """
     if source_size < 0 or target_size < 0:
         raise ValueError("set sizes must be nonnegative")
-    return tuple(
-        FinMap(source_size, target_size, values)
-        for values in product(range(1, target_size + 1), repeat=source_size)
-        if _admits(flavor, values, source_size, target_size))
+    targets = range(1, target_size + 1)
+    if flavor is HomClass.INJECTION:
+        values = permutations(targets, source_size)
+    else:
+        values = (v for v in product(targets, repeat=source_size)
+                  if len(set(v)) == target_size)
+    return tuple(FinMap(source_size, target_size, v) for v in values)
 
 
 def sections(f: FinMap) -> tuple[FinMap, ...]:

@@ -96,15 +96,17 @@ class HomModule:
 
     def left_perm(self, pi: FinMap) -> tuple[int, ...]:
         """Basis permutation of the left action: i -> index of pi acting on i."""
-        p, index = pi.values, self.index
-        return tuple(index[tuple(p[v - 1] for v in f)] for f in self.basis)
+        image, index = (0,) + pi.values, self.index
+        return tuple(index[tuple(map(image.__getitem__, f))]
+                     for f in self.basis)
 
     def right_perm(self, sigma: FinMap) -> tuple[int, ...]:
         # Position k of f . sigma^{-1} reads f at sigma^{-1}(k).
         preimage = sorted(range(self.right_degree),
                           key=sigma.values.__getitem__)
         index = self.index
-        return tuple(index[tuple(f[j] for j in preimage)] for f in self.basis)
+        return tuple(index[tuple(map(f.__getitem__, preimage))]
+                     for f in self.basis)
 
     @cached_property
     def left_generator_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -356,17 +358,19 @@ def theta_equivariance_check(target_size: int, source_size: int) -> bool:
 
     Each side of the surjections pairs with the other side of the injections.
     For a generator with basis permutations ``ps`` and ``pt`` the pairing
-    must satisfy ``P_t @ th @ P_s^T == th``: permute rows, then columns.
+    must satisfy ``P_t @ th @ P_s^T == th``: moving entry (i, j) to
+    (pt[i], ps[j]) must give back the same entries, values included.
     """
     a, b = target_size, source_size
-    th = theta_matrix(a, b)
+    rows = theta_matrix(a, b)._sparse_rows()
     source = hom_module(_SURJ, b, a)
     target = hom_module(_INJ, a, b)
     pairs = chain(
         zip(source.left_generator_perms, target.right_generator_perms),
         zip(source.right_generator_perms, target.left_generator_perms))
     return all(
-        th.permute_rows(pt).transpose().permute_rows(ps).transpose() == th
+        {pt[i]: {ps[j]: v for j, v in row.items()}
+         for i, row in rows.items()} == rows
         for ps, pt in pairs)
 
 

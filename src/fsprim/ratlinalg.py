@@ -47,6 +47,8 @@ _ONE = Fraction(1)
 
 def _qq(x):
     """An exact rational as an element of QQ; floats are refused."""
+    if type(x) is int:
+        return QQ(x)
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in RatMatrix")
     f = x if isinstance(x, Fraction) else Fraction(x)

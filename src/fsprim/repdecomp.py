@@ -52,25 +52,6 @@ class InternalConsistencyError(Exception):
 # --------------------------------------------------------------- permutations
 
 
-def cycle_type_of(perm: FinMap) -> CycleType:
-    """Cycle lengths of a permutation, as a partition of its degree."""
-    if not perm.is_bijective():
-        raise ValueError("cycle type requires a bijection")
-    seen = [False] * perm.source_size
-    lengths = []
-    for start in range(1, perm.source_size + 1):
-        if seen[start - 1]:
-            continue
-        length = 0
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            i = perm.values[i - 1]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def adjacent_transposition(n: int, t: int) -> FinMap:
     """The permutation of degree n exchanging t and t+1."""
     if not 1 <= t < n:

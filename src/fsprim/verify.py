@@ -722,7 +722,7 @@ def _add_global_options(parser: argparse.ArgumentParser,
     suppress = {"default": argparse.SUPPRESS} if trailing else {}
     parser.add_argument("--max-size", type=int, metavar="N",
                         help="sweep bound on set sizes (default 6)",
-                        **(suppress or {"default": 6}))
+                        **(suppress or {"default": None}))
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="write a deterministic JSON artifact",
                         **(suppress or {"default": None}))
@@ -771,13 +771,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.max_size < 0:
-        print("error: --max-size must be nonnegative", file=sys.stderr)
-        return 2
-    # theta, decompose and filtration take one cell, --a and --b.
-    if "a" in vars(args) and not 0 <= args.a <= args.b:
-        print("error: require 0 <= a <= b", file=sys.stderr)
-        return 2
+    # theta, decompose and filtration take one cell, --a and --b, and
+    # neither a sweep bound nor a dimension table.
+    if "a" in vars(args):
+        given = [flag for flag, value in (("--max-size", args.max_size),
+                                          ("--csv", args.csv))
+                 if value is not None]
+        if given:
+            print(f"error: {args.command} does not take "
+                  f"{' or '.join(given)}", file=sys.stderr)
+            return 2
+        if not 0 <= args.a <= args.b:
+            print("error: require 0 <= a <= b", file=sys.stderr)
+            return 2
+    else:
+        if args.max_size is None:
+            args.max_size = 6
+        if args.max_size < 0:
+            print("error: --max-size must be nonnegative", file=sys.stderr)
+            return 2
     handlers = {
         "dims": _cmd_dims,
         "theta": _cmd_theta,

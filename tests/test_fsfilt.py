@@ -10,14 +10,14 @@ Independent oracles used here:
 """
 from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                              hom_dimension, identity_map, section_values,
+                              hom_dimension, section_values,
                               sections)
 from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            closure_check, coker_action_triviality,
@@ -46,6 +46,12 @@ INJ = HomClass.INJECTION
 
 def all_permutations(n):
     return [FinMap(n, n, p) for p in permutations(range(1, n + 1))]
+
+
+def inverse(perm):
+    """Reference: the permutation undoing ``perm``."""
+    return FinMap(perm.source_size, perm.source_size,
+                  tuple(sorted(range(1, perm.source_size + 1), key=perm)))
 
 
 def bischur(mapping):
@@ -101,7 +107,7 @@ def test_tuple_actions_match_the_composition_reference():
                         mod.index[compose(pi, f).values] for f in maps)
                 for sigma in all_permutations(source):
                     assert mod.right_perm(sigma) == tuple(
-                        mod.index[compose(f, sigma.inverse()).values]
+                        mod.index[compose(f, inverse(sigma)).values]
                         for f in maps)
 
 
@@ -114,7 +120,7 @@ def _functional_character(a, b):
     injections = enumerate_hom(INJ, a, b)
     return BiClassFunction(a, b, tuple(
         tuple(sum(1 for h in injections
-                  if compose(sigma, compose(h, pi.inverse())) == h)
+                  if compose(sigma, compose(h, inverse(pi))) == h)
               for sigma in map(class_representative, partitions_of(b)))
         for pi in map(class_representative, partitions_of(a))))
 
@@ -356,7 +362,7 @@ def test_pairing_at_equal_sizes_inverts_bijections():
         surjections = enumerate_hom(SURJ, a, a)
         assert (mat.rows, mat.cols) == (factorial(a), factorial(a))
         for col, alpha in enumerate(surjections):
-            inverse_row = target.index[alpha.inverse().values]
+            inverse_row = target.index[inverse(alpha).values]
             for row in range(mat.rows):
                 assert mat.entry(row, col) == (1 if row == inverse_row else 0)
 
@@ -378,7 +384,7 @@ def test_pairing_columns_count_right_inverses():
     a, b = 2, 4
     mat = theta_matrix(a, b)
     target = hom_module(INJ, a, b)
-    ident = identity_map(a)
+    ident = FinMap(a, a, tuple(range(1, a + 1)))
     for col, f in enumerate(enumerate_hom(SURJ, b, a)):
         expected_rows = {target.index[h.values]
                          for h in enumerate_hom(INJ, a, b)
@@ -401,10 +407,52 @@ def test_pairing_section_tuples_are_the_validated_sections():
                 target.dimension, len(surjections), triplets), (a, b)
 
 
+def _matrix_equivariance(th, a, b):
+    """Reference: ``P_t @ th @ P_s^T == th`` with permuted matrices."""
+    source = hom_module(SURJ, b, a)
+    target = hom_module(INJ, a, b)
+    pairs = chain(
+        zip(source.left_generator_perms, target.right_generator_perms),
+        zip(source.right_generator_perms, target.left_generator_perms))
+    return all(
+        th.permute_rows(pt).transpose().permute_rows(ps).transpose() == th
+        for ps, pt in pairs)
+
+
 def test_pairing_commutes_with_both_group_actions():
-    for a in range(5):
-        for b in range(a, 6):
+    for b in range(6):
+        for a in range(b + 1):
             assert theta_equivariance_check(a, b), (a, b)
+            assert _matrix_equivariance(theta_matrix(a, b), a, b), (a, b)
+
+
+def test_equivariance_compares_values_not_only_the_support(monkeypatch):
+    import fsprim.fsfilt as fsfilt
+    a, b = 2, 3
+    th = theta_matrix(a, b)
+    cols = th.sparse_columns()
+    doubled = min((i, j) for j, col in cols.items() for i in col)
+    scaled = RatMatrix.from_triplets(th.rows, th.cols, (
+        (i, j, 2 if (i, j) == doubled else v)
+        for j, col in cols.items() for i, v in col.items()))
+    assert ({j: col.keys() for j, col in scaled.sparse_columns().items()}
+            == {j: col.keys() for j, col in cols.items()})
+    assert not _matrix_equivariance(scaled, a, b)
+    monkeypatch.setattr(fsfilt, "theta_matrix", lambda a, b: scaled)
+    assert not theta_equivariance_check(a, b)
+
+
+def test_equivariance_builds_no_matrix_besides_theta(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix operation in the equivariance check")
+
+    cells = [(a, b) for b in range(5) for a in range(b + 1)]
+    for a, b in cells:
+        theta_matrix(a, b)
+    for name in ("_make", "permute_rows", "transpose", "__eq__"):
+        monkeypatch.setattr(RatMatrix, name, refuse)
+    for a, b in cells:
+        assert theta_equivariance_check(a, b), (a, b)
 
 
 def test_pairing_kernel_is_the_penultimate_filtration_level():

@@ -67,6 +67,20 @@ def test_entries_are_fractions_and_dense():
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
         RatMatrix([[0.5]])
+    with pytest.raises(TypeError):
+        RatMatrix.from_triplets(1, 1, [(0, 0, 1.0)])
+
+
+def test_triplet_values_agree_across_exact_types():
+    cells = [(0, 0, 1), (0, 2, -3), (1, 1, 0), (1, 2, 1)]
+    as_int = RatMatrix.from_triplets(2, 3, cells)
+    as_fraction = RatMatrix.from_triplets(
+        2, 3, [(i, j, Fraction(v)) for i, j, v in cells])
+    assert as_int == as_fraction == RatMatrix([[1, 0, -3], [0, 0, 1]])
+    units = [(i, j, v) for i, j, v in cells if v in (0, 1)]
+    as_bool = RatMatrix.from_triplets(
+        2, 3, [(i, j, bool(v)) for i, j, v in units])
+    assert as_bool == RatMatrix.from_triplets(2, 3, units)
 
 
 def test_ragged_rows_rejected():

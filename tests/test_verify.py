@@ -210,7 +210,7 @@ from fsprim.partitions import assert_partition, partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                               RepSpace, SchurClass, adjacent_transposition,
-                              cycle_type_of, derham_check, mn_character,
+                              derham_check, mn_character,
                               pieri_e, pieri_h, sign_class,
                               transposition_word, trivial_class)
 from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
@@ -242,13 +242,11 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: lambda_bar_rep(1, -1),
              lambda: compose(FinMap(3, 3, (1, 2, 3)), FinMap(1, 2, (2,))),
              lambda: sections(FinMap(2, 3, (1, 1))),
-             lambda: FinMap(2, 3, (1, 2)).inverse(),
              lambda: FinMap(2, 2, (2, 1))(0),
              lambda: FinMap(2, 2, (2, 1))(3),
              lambda: enumerate_hom(HomClass.SURJECTION, 2, -1),
              lambda: hom_dimension(HomClass.INJECTION, 2, -1),
              lambda: adjacent_transposition(3, 0),
-             lambda: cycle_type_of(FinMap(2, 2, (1, 1))),
              lambda: mn_character((2, 1), (2,)),
              lambda: sign_class(-2), lambda: trivial_class(-1),
              lambda: partitions_of(-1),
@@ -274,6 +272,12 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
     except ValueError:
         continue
     raise SystemExit("accepted")
+try:
+    RatMatrix.from_triplets(1, 1, [(0, 0, 0.5)])
+except TypeError:
+    pass
+else:
+    raise SystemExit("accepted a float")
 """
     result = subprocess.run([sys.executable, "-O", "-c", code],
                             capture_output=True, text=True,
@@ -652,15 +656,34 @@ def test_cli_one_cell_commands_reject_bad_sizes(command, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", [
-    ["dims"], ["theta", "--a", "1", "--b", "2"],
+_ONE_CELL_COMMANDS = [
+    ["theta", "--a", "1", "--b", "2"],
     ["decompose", "--flavor", "fs", "--b", "2", "--a", "1"],
-    ["filtration", "--b", "2", "--a", "1"], ["verify", "derham"]],
-    ids=lambda c: c[0])
+    ["filtration", "--b", "2", "--a", "1"]]
+
+
+@pytest.mark.parametrize("command", [
+    ["dims", "--max-size", "2"], *_ONE_CELL_COMMANDS,
+    ["verify", "derham", "--max-size", "2"]], ids=lambda c: c[0])
 def test_cli_reports_an_unwritable_json_path(command, tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "x.json"
-    assert main(["--max-size", "2", *command, "--json", str(missing)]) == 2
+    assert main([*command, "--json", str(missing)]) == 2
     assert "failed to write report artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position", ["leading", "trailing"])
+@pytest.mark.parametrize("flag", ["--max-size", "--csv"])
+@pytest.mark.parametrize("command", _ONE_CELL_COMMANDS, ids=lambda c: c[0])
+def test_cli_one_cell_commands_refuse_sweep_flags(command, flag, position,
+                                                  tmp_path, capsys):
+    value = "3" if flag == "--max-size" else str(tmp_path / "x.csv")
+    argv = ([flag, value, *command] if position == "leading"
+            else [*command, flag, value])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command[0]} does not take {flag}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_decompose_surjection_span(capsys):
