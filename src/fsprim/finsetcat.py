@@ -82,8 +82,9 @@ def enumerate_hom(flavor: HomClass, source_size: int,
 
     Lexicographic order of the value arrays is the canonical basis order of
     the linearized hom-space.  Empty-set conventions: with an empty source
-    there is exactly one (empty) map whatever the flavor admits; with an
-    empty target and nonempty source there are none.
+    there is exactly one (empty) map, an injection into any target and a
+    surjection onto the empty target only; with an empty target and
+    nonempty source there are none.
 
     Injections are the ordered selections of distinct targets, which
     ``permutations`` yields in lexicographic order from the sorted range;
