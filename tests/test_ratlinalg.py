@@ -4,12 +4,15 @@ The independent oracle here is a deliberately naive Gaussian elimination
 written directly with fractions.Fraction.  Reduced row echelon form is
 unique, so the library result must match the naive result cell for cell.
 """
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
 
 from fsprim import ratlinalg
+from fsprim.fsfilt import _reduced_restriction, theta_matrix
 from fsprim.ratlinalg import RatMatrix, solve_membership
 
 # ---------------------------------------------------------------- oracle
@@ -117,18 +120,58 @@ def test_identity_and_zeros():
 # ------------------------------------------------------------------ rref
 
 
+def is_qq_matrix(matrix):
+    return all(QQ.of_type(v)
+               for row in matrix.dm.rep.values() for v in row.values())
+
+
 def test_rref_matches_oracle_fixed():
+    big = 10**40
     cases = [
         [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
         [[0, 0], [0, 0]],
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]],
         [[2, 0, 1], [0, 3, 1]],
+        # Pivots other than 1: -1 negates its row, others leave the ints.
+        [[-1, 2, 0], [0, -1, 3]],
+        [[2, 1, 0], [4, 3, 5]],
+        [[3, 0, 2, 1], [0, 2, 0, 3], [6, 4, 1, 0]],
+        # Mixed denominators within and across rows.
+        [[Fraction(1, 2), Fraction(2, 3), 1],
+         [Fraction(3, 4), 0, Fraction(5, 6)],
+         [1, Fraction(-1, 7), Fraction(2, 5)]],
+        # Entries near 10**40.
+        [[big + 1, big, 3], [big, big - 1, Fraction(1, big + 7)],
+         [2, big, -big]],
     ]
     for rows in cases:
-        R, piv = RatMatrix(rows).rref()
+        M = RatMatrix(rows)
+        before = copy.deepcopy(dict(M.dm.rep))
+        R, piv = M.rref()
         exp_rows, exp_piv = oracle_rref(rows)
         assert piv == exp_piv
         assert list(R.entries) == exp_rows
+        assert is_qq_matrix(R)
+        assert dict(M.dm.rep) == before and is_qq_matrix(M)
+
+
+def test_rref_matches_sympy_gauss_jordan_on_the_operators(monkeypatch):
+    # sympy's sparse Gauss--Jordan over QQ is the reference elimination.
+    monkeypatch.setattr(ratlinalg, "_RREF_BY_ROWS", {})
+    operators = [theta_matrix(a, 6) for a in range(7)]
+    operators += [_reduced_restriction(6, a, c)
+                  for a in range(7) for c in range(a, 7)]
+    for op in operators:
+        if not (op.rows and op.cols):
+            continue
+        M = RatMatrix._make(op.dm)  # a new instance, so rref() eliminates
+        before = copy.deepcopy(dict(M.dm.rep))
+        red, pivots = M.rref()
+        ref, ref_pivots = M.dm.rref(method="GJ")
+        assert pivots == tuple(ref_pivots)
+        assert dict(red.dm.rep) == dict(ref.rep)
+        assert is_qq_matrix(red)
+        assert dict(M.dm.rep) == before and is_qq_matrix(M)
 
 
 @settings(max_examples=80, deadline=None)

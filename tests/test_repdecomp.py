@@ -45,9 +45,7 @@ from fsprim.repdecomp import (
     pieri_e,
     pieri_h,
     rep_character,
-    sign_class,
     transposition_word,
-    trivial_class,
 )
 from fsprim.repdecomp import _induced_product
 
