@@ -41,8 +41,6 @@ from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
 
-from sympy.polys.domains import QQ
-
 from .finsetcat import (FinMap, HomClass, enumerate_hom, hom_dimension,
                         section_values)
 from .partitions import partitions_of
@@ -244,11 +242,15 @@ def _restricted_bicharacter(module: HomModule,
                             basis: RatMatrix) -> BiClassFunction:
     """Joint character of both actions restricted to an invariant subspace.
 
-    ``basis`` must have unit rows J (it restricts to the identity there); for
-    a basis-permuting operator with permutation p, the restricted trace is
-    sum_k basis[p^{-1}(J_k), k].  Exactness relies on the subspace being
-    stable under both actions, which holds for every kernel and image basis
-    produced by the equivariant operators of this module.
+    ``basis`` must have unit rows J (it restricts to the identity there).
+    For the operator P sending basis vector i to p(i), the restricted trace
+    of P is sum_k basis[p^{-1}(J_k), k], and the same sum over p(J_k) is the
+    restricted trace of P^{-1}; this reads the latter, with no inverse to
+    build.  The two are equal: every element of S_a x S_b is conjugate to its
+    inverse, and the character of a stable subspace is a class function.
+    Exactness relies on the subspace being stable under both actions, which
+    holds for every kernel and image basis produced by the equivariant
+    operators of this module.
     """
     unit = basis.unit_rows()
     assert unit is not None, "restricted traces need a unit-row basis"
@@ -256,18 +258,12 @@ def _restricted_bicharacter(module: HomModule,
     left_reps, right_reps = module.class_perms
 
     def trace(pl: tuple[int, ...], pr: tuple[int, ...]) -> Fraction:
-        combined = [pl[pr[i]] for i in range(module.dimension)]
-        inverse = [0] * module.dimension
-        for i, image in enumerate(combined):
-            inverse[image] = i
-        acc = QQ.zero
+        acc = 0
         for k, j in enumerate(unit):
-            row = sparse.get(inverse[j])
+            row = sparse.get(pl[pr[j]])
             if row:
-                v = row.get(k)
-                if v is not None:
-                    acc += v
-        return Fraction(int(acc.numerator), int(acc.denominator))
+                acc += row.get(k, 0)
+        return Fraction(acc)
 
     values = tuple(tuple(trace(pl, pr) for pr in right_reps)
                    for pl in left_reps)

@@ -4,23 +4,28 @@ The public type is :class:`RatMatrix`, an immutable matrix of exact
 rationals.  Row reduction, rank, kernels, images and membership
 certificates are all exact; no floating point appears anywhere.
 
-A matrix has one representation: a sparse sympy ``DomainMatrix`` over QQ,
-whose ``rep`` is a dict of nonzero rows.  Arithmetic and elimination run on
-it, and ``fractions.Fraction`` entries are built from it only when entries,
-rows or columns are read.
+A matrix stores its nonzero entries as {row: {col: value}}, a value being an
+``int`` when integral and a ``fractions.Fraction`` otherwise (constructors
+and elimination normalise; a sum or product of Fractions may leave an
+integral Fraction, which compares and hashes like its int).  Floats are
+refused.  The container is a sparse sympy ``DomainMatrix`` whose ``rep`` is
+that dict and whose QQ tag is only nominal: only the sympy operations that
+work through the values' own ``+``, ``-`` and ``*`` run on it (``matmul``,
+``+``, ``-``, ``transpose``, ``hstack``), never its ``det`` or ``rref``,
+which invert a pivot as ``Aij**-1``, a float for an int.
 
 Elimination is exact Gauss--Jordan over Python integers
 (:func:`_gauss_jordan`).  Each row is scaled by the lcm of its denominators,
 which keeps the row space; the elimination then runs on ints and divides
-only at a pivot other than 1 or -1, whose row becomes exact QQ elements.
-Nothing is rounded, and reduced row echelon form is unique, so the result
-is the matrix sympy's Gauss--Jordan over QQ gives, at a fraction of the
-cost: the operators this package builds are integer matrices whose RREF
-entries are small integers, and Python ints skip the gcd that every QQ
-operation pays.  On theta(4, 7) the RREF takes 0.58 s against 2.9 s over
-QQ (sympy 1.14 with pure-Python QQ, one core of a 2-core x86-64 host).
-Every derived object (kernel basis, image basis, solution coefficients) is
-canonical and deterministic whichever exact method computes it.
+only at a pivot other than 1 or -1, whose row becomes Fractions.  Nothing
+is rounded, and reduced row echelon form is unique, so the result is the
+matrix sympy's Gauss--Jordan over QQ gives, at a fraction of the cost: the
+operators this package builds are integer matrices whose RREF entries are
+small integers, and Python ints skip the gcd that every rational operation
+pays.  On theta(4, 7) the RREF takes 0.58 s against 2.9 s over QQ (sympy
+1.14 with pure-Python QQ, one core of a 2-core x86-64 host).  Every derived
+object (kernel basis, image basis, solution coefficients) is canonical and
+deterministic whichever exact method computes it.
 
 Matrices with the same set of nonzero rows span the same row space and so
 have the same nonzero RREF rows and pivots.  Results are therefore shared by
@@ -51,40 +56,30 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _qq(x):
-    """An exact rational as an element of QQ; floats are refused."""
+def _exact(x):
+    """An exact rational as an int when integral, else a Fraction; no floats."""
     if type(x) is int:
-        return QQ(x)
+        return x
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in RatMatrix")
     f = x if isinstance(x, Fraction) else Fraction(x)
-    return QQ(f.numerator, f.denominator)
-
-
-def _from_qq(q) -> Fraction:
-    """An element of QQ as a ``fractions.Fraction``."""
-    return Fraction(int(q.numerator), int(q.denominator))
+    return f.numerator if f.denominator == 1 else f
 
 
 def _sparse(rows: int, cols: int, dod) -> DomainMatrix:
-    """DomainMatrix over QQ from nonzero rows {row: {col: QQ element}}."""
+    """The container for nonzero rows {row: {col: int or Fraction}}."""
     return DomainMatrix(dict(dod), (rows, cols), QQ)
 
 
-class _SharedQQ(dict):
-    """int -> QQ element, built once per value.
-
-    QQ elements are immutable, so RREF entries share them; building one per
-    entry doubled the time of the RREF of theta(4, 7).
-    """
-
-    def __missing__(self, v: int):
-        self[v] = q = QQ(v)
-        return q
+def _clear_denominators(row: dict) -> tuple[int, dict]:
+    """(d, d * row) for the lcm d of the row's denominators; d * row is ints."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return den, {j: v.numerator * (den // v.denominator)
+                 for j, v in row.items()}
 
 
 def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
-    """Nonzero RREF rows {row: {col: QQ element}} and pivot columns of dm.
+    """Nonzero RREF rows {row: {col: int or Fraction}} and pivot columns.
 
     Sound because:
 
@@ -92,7 +87,7 @@ def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
       a nonzero scalar, so the row space (and hence its RREF) is unchanged;
     * the elimination then adds multiples of rows to rows and scales a
       pivot row by the inverse of its pivot, in Python ints until a pivot
-      other than 1 or -1 makes that row's entries QQ elements, which mix
+      other than 1 or -1 makes that row's entries Fractions, which mix
       exactly with ints; nothing is ever rounded;
     * the RREF of a row space is unique, so the rows and pivots returned
       are those of sympy's Gauss--Jordan over QQ.
@@ -102,12 +97,7 @@ def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
     nonzero column becomes its pivot, and that column is cleared from the
     earlier rows that hold it.  ``dm`` and its row dicts are not modified.
     """
-    rows = []
-    for row in dm.rep.values():
-        if row:
-            den = lcm(*(int(v.denominator) for v in row.values()))
-            rows.append({j: int(v.numerator) * (den // int(v.denominator))
-                         for j, v in row.items()})
+    rows = [_clear_denominators(row)[1] for row in dm.rep.values() if row]
     rows.sort(key=min)
     pivot_row = {}  # pivot column -> its row
     reduced = set()  # pivots whose row holds nothing but the pivot
@@ -134,7 +124,7 @@ def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
             for l in Ai:
                 Ai[l] = -Ai[l]
         elif Aij != 1:
-            inverse = QQ.one / Aij
+            inverse = Fraction(1, Aij)
             for l in Ai:
                 Ai[l] *= inverse
         pivot_row[j] = Ai
@@ -162,9 +152,8 @@ def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
         else:
             reduced.add(j)
     pivots = tuple(sorted(pivot_row))
-    qq = _SharedQQ()
-    return ({i: {l: qq[v] if type(v) is int else v
-                 for l, v in pivot_row[p].items()}
+    return ({i: {l: v if type(v) is int or v.denominator != 1
+                 else v.numerator for l, v in pivot_row[p].items()}
              for i, p in enumerate(pivots)}, pivots)
 
 
@@ -178,10 +167,11 @@ _RREF_BY_ROWS: dict[tuple, tuple[dict[int, dict[int, object]],
 class RatMatrix:
     """Immutable matrix of exact rationals, stored sparsely.
 
-    ``dm`` is a ``DomainMatrix`` over QQ in sympy's sparse format: it is
-    built from a dict of rows, and products, sums, stacking, transposes and
-    Gauss--Jordan RREF keep that format, so ``dm.rep`` is always the dict of
-    nonzero rows.  Row dicts are shared between matrices and never modified.
+    ``dm`` is a ``DomainMatrix`` in sympy's sparse format, holding int and
+    Fraction values under a nominal QQ tag: it is built from a dict of rows,
+    and products, sums, stacking and transposes keep that format, so
+    ``dm.rep`` is always the dict of nonzero rows.  Row dicts are shared
+    between matrices and never modified.
     """
 
     __slots__ = ("rows", "cols", "dm", "_rref", "_unit_rows")
@@ -193,7 +183,7 @@ class RatMatrix:
             raise ValueError("ragged rows")
         dod = {}
         for i, row in enumerate(table):
-            nonzero = {j: q for j, x in enumerate(row) if (q := _qq(x))}
+            nonzero = {j: q for j, x in enumerate(row) if (q := _exact(x))}
             if nonzero:
                 dod[i] = nonzero
         self._set(_sparse(len(table), cols, dod))
@@ -218,7 +208,7 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls._make(_sparse(n, n, {i: {i: QQ.one} for i in range(n)}),
+        return cls._make(_sparse(n, n, {i: {i: 1} for i in range(n)}),
                          unit_rows=tuple(range(n)))
 
     @classmethod
@@ -231,7 +221,7 @@ class RatMatrix:
             if len(col) != rows:
                 raise ValueError("column length mismatch")
             for i, x in enumerate(col):
-                if x and (q := _qq(x)):
+                if x and (q := _exact(x)):
                     dod.setdefault(i, {})[j] = q
         return cls._make(_sparse(rows, len(columns), dod))
 
@@ -243,10 +233,10 @@ class RatMatrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(
                     f"triplet ({i}, {j}) outside a {rows}x{cols} matrix")
-            q = _qq(v)
+            q = v if type(v) is int else _exact(v)
             row = dod.setdefault(i, {})
             got = row.get(j)
-            row[j] = q if got is None else got + q
+            row[j] = q if got is None else _exact(got + q)
         for i, row in list(dod.items()):
             dead = [j for j, v in row.items() if not v]
             for j in dead:
@@ -258,7 +248,7 @@ class RatMatrix:
     # -- reading entries ------------------------------------------------
 
     def _sparse_rows(self) -> dict[int, dict[int, object]]:
-        """Nonzero entries as {row: {col: QQ element}} (read-only)."""
+        """Nonzero entries as {row: {col: int or Fraction}} (read-only)."""
         return self.dm.rep
 
     @property
@@ -270,13 +260,13 @@ class RatMatrix:
             raise ValueError(f"entry ({i}, {j}) outside a "
                              f"{self.rows}x{self.cols} matrix")
         v = self._sparse_rows().get(i, {}).get(j)
-        return _ZERO if v is None else _from_qq(v)
+        return _ZERO if v is None else Fraction(v)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 0 <= i < self.rows:
             raise ValueError(f"row {i} outside {self.rows} rows")
         row = self._sparse_rows().get(i, {})
-        return tuple(_from_qq(row[j]) if j in row else _ZERO
+        return tuple(Fraction(row[j]) if j in row else _ZERO
                      for j in range(self.cols))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
@@ -285,7 +275,7 @@ class RatMatrix:
         out = [_ZERO] * self.rows
         for i, row in self._sparse_rows().items():
             if j in row:
-                out[i] = _from_qq(row[j])
+                out[i] = Fraction(row[j])
         return tuple(out)
 
     def sparse_columns(self) -> dict[int, dict[int, Fraction]]:
@@ -293,7 +283,7 @@ class RatMatrix:
         out: dict[int, dict[int, Fraction]] = {}
         for i, row in self._sparse_rows().items():
             for j, v in row.items():
-                out.setdefault(j, {})[i] = _from_qq(v)
+                out.setdefault(j, {})[i] = Fraction(v)
         return out
 
     def permute_rows(self, dest) -> "RatMatrix":
@@ -357,12 +347,8 @@ class RatMatrix:
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace requires a square matrix")
-        acc = QQ.zero
-        for i, row in self._sparse_rows().items():
-            v = row.get(i)
-            if v is not None:
-                acc += v
-        return _from_qq(acc)
+        return Fraction(sum(row.get(i, 0)
+                            for i, row in self._sparse_rows().items()))
 
     def is_zero(self) -> bool:
         return not self._sparse_rows()
@@ -412,7 +398,7 @@ class RatMatrix:
         pivot_set = set(pivots)
         free = [j for j in range(self.cols) if j not in pivot_set]
         free_index = {f: k for k, f in enumerate(free)}
-        dod: dict[int, dict[int, object]] = {f: {k: QQ.one}
+        dod: dict[int, dict[int, object]] = {f: {k: 1}
                                              for k, f in enumerate(free)}
         red_rows = red._sparse_rows()
         for r_idx, p in enumerate(pivots):
@@ -438,11 +424,36 @@ class RatMatrix:
                                unit_rows=tuple(pivots_t))
 
     def det(self) -> Fraction:
+        """Determinant by fraction-free (Bareiss) elimination.
+
+        Rows are scaled to ints by the lcm of their denominators.  Step k sets
+        a[i][j] = (a[i][j] a[k][k] - a[i][k] a[k][j]) / p for i, j > k, p the
+        previous pivot: by Sylvester's identity a minor, so p divides exactly.
+        """
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        if self.rows == 0:
+        n = self.rows
+        if not n:
             return _ONE
-        return _from_qq(self.dm.det())
+        scale, a = 1, []
+        for i in range(n):
+            den, row = _clear_denominators(self._sparse_rows().get(i, {}))
+            scale *= den
+            a.append([row.get(j, 0) for j in range(n)])
+        sign = previous = 1
+        for k in range(n - 1):
+            if not a[k][k]:
+                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if swap is None:
+                    return _ZERO
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+            pivot = a[k][k]
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // previous
+            previous = pivot
+        return Fraction(sign * a[-1][-1], scale)
 
     def unit_rows(self):
         """Row set on which the columns restrict to an identity, if one exists.
@@ -456,7 +467,7 @@ class RatMatrix:
             for i, row in self._sparse_rows().items():
                 if len(row) == 1:
                     (j, v), = row.items()
-                    if v == QQ.one and (j not in found or i < found[j]):
+                    if v == 1 and (j not in found or i < found[j]):
                         found[j] = i
             if len(found) == self.cols:
                 self._unit_rows = tuple(found[j] for j in range(self.cols))
@@ -490,5 +501,5 @@ def solve_membership(span: RatMatrix, vector):
     for k, p in enumerate(pivots):
         val = red_rows.get(k, {}).get(span.cols)
         if val is not None:
-            coeffs[p] = _from_qq(val)
+            coeffs[p] = Fraction(val)
     return tuple(coeffs)

@@ -35,8 +35,6 @@ from math import comb, factorial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from sympy.functions.combinatorial.numbers import stirling
-
 from .finsetcat import HomClass, enumerate_hom, hom_dimension
 from .fsfilt import (
     automorphism_block_check,
@@ -261,7 +259,8 @@ def _check_dimension_counts(bound: int) -> CheckReport:
         where = _at(b, a)
         counts = (
             ("surjections", HomClass.SURJECTION, (b, a),
-             factorial(a) * int(stirling(b, a, kind=2))),
+             sum((-1) ** j * comb(a, j) * (a - j) ** b
+                 for j in range(a + 1))),
             ("injections", HomClass.INJECTION, (a, b),
              factorial(b) // factorial(b - a)))
         for name, flavor, sizes, formula in counts:

@@ -6,10 +6,12 @@ unique, so the library result must match the naive result cell for cell.
 """
 import copy
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from fsprim import ratlinalg
 from fsprim.fsfilt import _reduced_restriction, theta_matrix
@@ -120,9 +122,34 @@ def test_identity_and_zeros():
 # ------------------------------------------------------------------ rref
 
 
-def is_qq_matrix(matrix):
-    return all(QQ.of_type(v)
+def exact_values(matrix):
+    """Every stored value is an int or a Fraction: no float, bool or QQ."""
+    return all(type(v) in (int, Fraction)
                for row in matrix.dm.rep.values() for v in row.values())
+
+
+def normalised_values(matrix):
+    """Every stored value is an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for row in matrix.dm.rep.values() for v in row.values())
+
+
+def sympy_rref(matrix, method):
+    """sympy's RREF of matrix, with its entries converted to QQ first.
+
+    Returns the nonzero rows as {row: {col: Fraction}} and the pivots.  On
+    the int values a RatMatrix stores, sympy would invert a pivot as
+    ``Aij**-1``, a float, and a float RREF compares equal to the exact one.
+    """
+    qq = DomainMatrix({i: {j: QQ(v.numerator, v.denominator)
+                           for j, v in row.items()}
+                       for i, row in matrix.dm.rep.items()},
+                      matrix.dm.shape, QQ)
+    red, pivots = qq.rref(method=method)
+    assert all(QQ.of_type(v) for row in red.rep.values() for v in row.values())
+    return ({i: {j: Fraction(int(v.numerator), int(v.denominator))
+                 for j, v in row.items()}
+             for i, row in red.rep.items() if row}, tuple(pivots))
 
 
 def test_rref_matches_oracle_fixed():
@@ -151,8 +178,8 @@ def test_rref_matches_oracle_fixed():
         exp_rows, exp_piv = oracle_rref(rows)
         assert piv == exp_piv
         assert list(R.entries) == exp_rows
-        assert is_qq_matrix(R)
-        assert dict(M.dm.rep) == before and is_qq_matrix(M)
+        assert normalised_values(R)
+        assert dict(M.dm.rep) == before and normalised_values(M)
 
 
 def test_rref_matches_sympy_gauss_jordan_on_the_operators(monkeypatch):
@@ -167,11 +194,11 @@ def test_rref_matches_sympy_gauss_jordan_on_the_operators(monkeypatch):
         M = RatMatrix._make(op.dm)  # a new instance, so rref() eliminates
         before = copy.deepcopy(dict(M.dm.rep))
         red, pivots = M.rref()
-        ref, ref_pivots = M.dm.rref(method="GJ")
-        assert pivots == tuple(ref_pivots)
-        assert dict(red.dm.rep) == dict(ref.rep)
-        assert is_qq_matrix(red)
-        assert dict(M.dm.rep) == before and is_qq_matrix(M)
+        ref, ref_pivots = sympy_rref(M, "GJ")
+        assert pivots == ref_pivots
+        assert dict(red.dm.rep) == ref
+        assert normalised_values(red)
+        assert dict(M.dm.rep) == before and normalised_values(M)
 
 
 @settings(max_examples=80, deadline=None)
@@ -188,8 +215,7 @@ def reference_rref(matrix):
     """sympy's denominator-clearing RREF over ZZ, as sparse rows and pivots."""
     if not matrix.rows or not matrix.cols:
         return {}, ()
-    red, pivots = matrix.dm.rref(method="CD")
-    return dict(red.rep.to_sdm()), tuple(pivots)
+    return sympy_rref(matrix, "CD")
 
 
 def fast_rref(matrix):
@@ -408,22 +434,39 @@ def test_det_known_values():
     assert RatMatrix.identity(4).det() == 1
 
 
-def test_det_matches_permutation_expansion():
-    from itertools import permutations
-    rows = [[1, 2, 0], [Fraction(1, 2), 1, 3], [0, -1, 1]]
-    M = RatMatrix(rows)
+def leibniz_det(rows):
+    """The determinant as the signed sum over all permutations."""
+    n = len(rows)
     total = Fraction(0)
-    for perm in permutations(range(3)):
+    for perm in permutations(range(n)):
         sign = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
+        for i in range(n):
+            for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
         term = Fraction(sign)
-        for i in range(3):
+        for i in range(n):
             term *= rows[i][perm[i]]
         total += term
-    assert M.det() == total
+    return total
+
+
+square_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_frac, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices, st.integers(min_value=0, max_value=4), small_frac)
+@example([[1, 2, 0], [Fraction(1, 2), 1, 3], [0, -1, 1]], 0, 0)
+@example([[2, 1, 3], [4, 5, 1], [6, 1, 7]], 0, 0)
+@example([[2, 1, 3], [4, 5, 1], [1, 3, 2]], 2, Fraction(-3, 2))
+def test_det_matches_permutation_expansion(rows, singular_row, scale):
+    # A nonzero singular_row is overwritten by a multiple of row 0.
+    if 0 < singular_row < len(rows):
+        rows[singular_row] = [scale * x for x in rows[0]]
+    det = RatMatrix(rows).det()
+    assert type(det) is Fraction and det == leibniz_det(rows)
 
 
 def test_det_not_defined_for_rectangular():
@@ -503,7 +546,19 @@ def test_every_operation_keeps_the_sparse_format():
                A.hstack(B), A.transpose(),
                A.permute_rows((1, 0)), A.select_rows((1, 1)), A.rref()[0],
                A.kernel_basis(), A.image_basis(), A.kron(B)]
-    assert all(isinstance(M.dm.rep, SDM) for M in results)
+    assert all(isinstance(M.dm.rep, SDM) and exact_values(M)
+               for M in results)
+
+
+def test_an_integral_fraction_from_a_product_equals_its_int():
+    # A product of Fractions runs in Fraction arithmetic and may store
+    # Fraction(4) where a constructor stores 4; the two compare and hash
+    # alike, and the elimination returns ints.
+    P = RatMatrix([[Fraction(3, 2), 1]]) @ RatMatrix([[2], [1]])
+    assert exact_values(P) and not normalised_values(P)
+    assert P == RatMatrix([[4]])
+    red, pivots = P.rref()
+    assert red == RatMatrix.identity(1) and normalised_values(red)
 
 
 def test_repeated_calls_are_deterministic():
