@@ -5,17 +5,23 @@ This module enumerates hom-sets in two flavors (surjections and
 injections), composes maps, lists the sections of a surjection, and gives
 closed-form counts that cross-check the enumerations.
 
-The lexicographic order on value arrays is a frozen contract: it defines the
-canonical basis of every linearized hom-space downstream, so changing it
-would silently permute every matrix in the package.
+A map's basis form is its value string: the ``bytes`` whose k-th byte is
+the image of k + 1.  The lexicographic order on value strings is a frozen
+contract: it defines the canonical basis of every linearized hom-space
+downstream, so changing it would silently permute every matrix in the
+package.  Value strings of one length compare exactly like the int tuples
+they spell, so this order is the lexicographic order of value arrays.  A
+byte holds values up to 255; ``bytes`` refuses a larger value with
+``ValueError``, so a target of more than 255 points is refused.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import cache
-from itertools import permutations, product
+from itertools import compress, permutations, product, repeat, tee
 from math import factorial
+from operator import eq
 
 
 @unique
@@ -76,29 +82,41 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
 
 
 @cache
-def enumerate_hom(flavor: HomClass, source_size: int,
-                  target_size: int) -> tuple[FinMap, ...]:
-    """All maps source -> target of the given flavor, in lexicographic order.
+def hom_values(flavor: HomClass, source_size: int,
+               target_size: int) -> tuple[bytes, ...]:
+    """Value strings of all maps source -> target of a flavor, in order.
 
-    Lexicographic order of the value arrays is the canonical basis order of
+    Lexicographic order of the value strings is the canonical basis order of
     the linearized hom-space.  Empty-set conventions: with an empty source
     there is exactly one (empty) map, an injection into any target and a
     surjection onto the empty target only; with an empty target and
     nonempty source there are none.
 
-    Injections are the ordered selections of distinct targets, which
-    ``permutations`` yields in lexicographic order from the sorted range;
-    surjections are the value arrays that hit every target.
+    Injections, and surjections between sets of one size, are the ordered
+    selections of distinct targets, which ``permutations`` yields in
+    lexicographic order from the sorted range; other surjections are the
+    words of ``product`` that hit every target.
     """
-    if source_size < 0 or target_size < 0:
+    b, a = source_size, target_size
+    if b < 0 or a < 0:
         raise ValueError("set sizes must be nonnegative")
-    targets = range(1, target_size + 1)
-    if flavor is HomClass.INJECTION:
-        values = permutations(targets, source_size)
-    else:
-        values = (v for v in product(targets, repeat=source_size)
-                  if len(set(v)) == target_size)
-    return tuple(FinMap(source_size, target_size, v) for v in values)
+    targets = bytes(range(1, a + 1))
+    if flavor is HomClass.INJECTION or b == a:
+        return tuple(map(bytes, permutations(targets, b)))
+    words, probe = tee(map(bytes, product(targets, repeat=b)))
+    return tuple(compress(words, map(eq, map(len, map(set, probe)),
+                                     repeat(a))))
+
+
+@cache
+def enumerate_hom(flavor: HomClass, source_size: int,
+                  target_size: int) -> tuple[FinMap, ...]:
+    """All maps source -> target of a flavor, as validated ``FinMap``s.
+
+    The maps of :func:`hom_values`, in the same order.
+    """
+    return tuple(FinMap(source_size, target_size, values)
+                 for values in hom_values(flavor, source_size, target_size))
 
 
 def sections(f: FinMap) -> tuple[FinMap, ...]:
@@ -119,8 +137,8 @@ def sections(f: FinMap) -> tuple[FinMap, ...]:
 def section_values(values: tuple[int, ...], target_size: int):
     """Value tuples of the sections of a surjection, in lexicographic order.
 
-    ``values`` is the value tuple of a surjection onto ``target_size``
-    points, unchecked; :func:`sections` is the validated form.  Each section
+    ``values`` is the value tuple or string of a surjection onto
+    ``target_size`` points, unchecked; :func:`sections` is the validated form.  Each section
     picks one point from each fiber, so the tuples are the product of the
     fibers.
     """

@@ -33,15 +33,16 @@ statement, never a numerical estimate.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb
+from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .finsetcat import (FinMap, HomClass, enumerate_hom, hom_dimension,
+from .finsetcat import (FinMap, HomClass, hom_dimension, hom_values,
                         section_values)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix
@@ -76,35 +77,38 @@ _INJ = HomClass.INJECTION
 class HomModule:
     """Permutation bimodule spanned by the maps source -> target of a flavor.
 
-    ``basis`` holds the maps' value tuples in canonical order and ``index``
-    sends a value tuple to its position; a tuple that is not a map of the
-    flavor is absent.  A target permutation ``pi`` acts on the left by
-    ``[f] -> [pi . f]`` and a source permutation ``sigma`` on the right by
-    ``[f] -> [f . sigma^{-1}]``.  Matrices act on column vectors.
+    ``basis`` holds the maps' value strings (see :func:`hom_values`) in
+    canonical order and ``index`` sends a value string to its position; a
+    string that is not a map of the flavor is absent.  A target permutation
+    ``pi`` acts on the left by ``[f] -> [pi . f]``, which translates each
+    byte of ``f``, and a source permutation ``sigma`` on the right by
+    ``[f] -> [f . sigma^{-1}]``, which reorders its bytes.  Both run over the
+    whole basis at once.  Matrices act on column vectors.
     """
 
     def __init__(self, flavor: HomClass, source_size: int, target_size: int):
         self.flavor = flavor
         self.left_degree = target_size
         self.right_degree = source_size
-        maps = enumerate_hom(flavor, source_size, target_size)
-        self.basis = tuple(f.values for f in maps)
+        self.basis = hom_values(flavor, source_size, target_size)
         self.dimension = len(self.basis)
-        self.index = {f: i for i, f in enumerate(self.basis)}
+        self.index = dict(zip(self.basis, range(self.dimension)))
 
     def left_perm(self, pi: FinMap) -> tuple[int, ...]:
         """Basis permutation of the left action: i -> index of pi acting on i."""
-        image, index = (0,) + pi.values, self.index
-        return tuple(index[tuple(map(image.__getitem__, f))]
-                     for f in self.basis)
+        table = bytes.maketrans(bytes(range(1, self.left_degree + 1)),
+                                bytes(pi.values))
+        return tuple(map(self.index.__getitem__,
+                         map(bytes.translate, self.basis, repeat(table))))
 
     def right_perm(self, sigma: FinMap) -> tuple[int, ...]:
+        if self.right_degree < 2:
+            return tuple(range(self.dimension))
         # Position k of f . sigma^{-1} reads f at sigma^{-1}(k).
         preimage = sorted(range(self.right_degree),
                           key=sigma.values.__getitem__)
-        index = self.index
-        return tuple(index[tuple(map(f.__getitem__, preimage))]
-                     for f in self.basis)
+        return tuple(map(self.index.__getitem__,
+                         map(bytes, map(itemgetter(*preimage), self.basis))))
 
     @cached_property
     def left_generator_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -129,8 +133,9 @@ class HomModule:
     def bicharacter(self) -> BiClassFunction:
         """Joint character by fixed-point counts, one value per class pair."""
         left_reps, right_reps = self.class_perms
+        points = range(self.dimension)
         values = tuple(
-            tuple(sum(1 for i in range(self.dimension) if pl[pr[i]] == i)
+            tuple(sum(map(eq, map(pl.__getitem__, pr), points))
                   for pr in right_reps)
             for pl in left_reps)
         return BiClassFunction(self.left_degree, self.right_degree, values)
@@ -170,12 +175,22 @@ def _reduced_restriction(source_size: int, target_size: int,
     def triplets():
         for blk, subset in enumerate(subsets):
             base = blk * small.dimension
-            for col, f in enumerate(big.basis):
-                row = small.index.get(tuple(f[i] for i in subset))
+            restricted = map(small.index.get, _restrict(big.basis, subset))
+            for col, row in enumerate(restricted):
                 if row is not None:
                     yield base + row, col, 1
 
     return RatMatrix.from_triplets(rows, big.dimension, triplets())
+
+
+def _restrict(words: tuple[bytes, ...], positions: tuple[int, ...]):
+    """Each value string of ``words`` read at ``positions``, in order."""
+    if len(positions) > 1:
+        return map(bytes, map(itemgetter(*positions), words))
+    # itemgetter returns an int for one position and refuses none.
+    if positions:
+        return map(itemgetter(slice(positions[0], positions[0] + 1)), words)
+    return repeat(b"", len(words))
 
 
 def _in_level(source_size: int, target_size: int, level: int,
@@ -338,13 +353,14 @@ def theta_matrix(target_size: int, source_size: int) -> RatMatrix:
     a, b = target_size, source_size
     if not 0 <= a <= b:
         raise ValueError("pairing needs target no larger than source")
-    surjections = enumerate_hom(_SURJ, b, a)
+    surjections = hom_values(_SURJ, b, a)
     index = hom_module(_INJ, a, b).index
 
     def triplets():
         for col, f in enumerate(surjections):
-            for s in section_values(f.values, a):
-                yield index[s], col, 1
+            for row in map(index.__getitem__,
+                           map(bytes, section_values(f, a))):
+                yield row, col, 1
 
     return RatMatrix.from_triplets(len(index), len(surjections), triplets())
 
@@ -635,6 +651,8 @@ def _module_generator_columns(source_size: int, target_size: int,
         actions.append(cols)
 
     rows: dict[int, dict[int, int]] = {}
+    # Column -> pivots of the stored rows that hold it off their pivot.
+    holders: defaultdict[int, set[int]] = defaultdict(set)
 
     def reduce_vector(vec: dict[int, int]) -> dict[int, int]:
         out = dict(vec)
@@ -656,18 +674,22 @@ def _module_generator_columns(source_size: int, target_size: int,
         pivot = min(rem)
         inv = pow(rem[pivot], -1, p)
         row = {j: val * inv % p for j, val in rem.items()}
-        for other in rows.values():
-            coeff = other.get(pivot)
-            if coeff:
-                for j, val in row.items():
-                    if j == pivot:
-                        other.pop(j, None)
-                        continue
-                    new = (other.get(j, 0) - coeff * val) % p
-                    if new:
-                        other[j] = new
-                    else:
-                        other.pop(j, None)
+        tail = [(j, val) for j, val in row.items() if j != pivot]
+        # Only the rows holding the new pivot change.
+        for q in holders.pop(pivot, ()):
+            other = rows[q]
+            coeff = other.pop(pivot)
+            for j, val in tail:
+                new = (other.get(j, 0) - coeff * val) % p
+                if not new:
+                    del other[j]
+                    holders[j].discard(q)
+                else:
+                    if j not in other:
+                        holders[j].add(q)
+                    other[j] = new
+        for j, _ in tail:
+            holders[j].add(pivot)
         rows[pivot] = row
 
     def apply_action(cols, vec):
@@ -723,15 +745,20 @@ def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:
     inner_basis = hom_module(_SURJ, b, x).basis
     outer_basis = hom_module(_SURJ, x, y).basis
     result_index = hom_module(_SURJ, b, y).index
+    mid = bytes(range(1, x + 1))
 
     def triplets():
-        pairs = ((u, v) for u in outer_cols for v in inner_cols)
-        for col, (u, v) in enumerate(pairs):
-            for g_idx, cu in u.items():
-                g = outer_basis[g_idx]
-                for f_idx, cv in v.items():
-                    composite = tuple(g[i - 1] for i in inner_basis[f_idx])
-                    yield result_index[composite], col, cu * cv
+        col = 0
+        for u in outer_cols:
+            # g . f translates each byte of f through g's value string.
+            outer = [(bytes.maketrans(mid, outer_basis[g_idx]), cu)
+                     for g_idx, cu in u.items()]
+            for v in inner_cols:
+                for table, cu in outer:
+                    for f_idx, cv in v.items():
+                        composite = inner_basis[f_idx].translate(table)
+                        yield result_index[composite], col, cu * cv
+                col += 1
 
     products = RatMatrix.from_triplets(len(result_index),
                                        len(outer_cols) * len(inner_cols),

@@ -35,7 +35,7 @@ from math import comb, factorial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .finsetcat import HomClass, enumerate_hom, hom_dimension
+from .finsetcat import HomClass, hom_dimension, hom_values
 from .fsfilt import (
     automorphism_block_check,
     closure_check,
@@ -264,7 +264,7 @@ def _check_dimension_counts(bound: int) -> CheckReport:
             ("injections", HomClass.INJECTION, (a, b),
              factorial(b) // factorial(b - a)))
         for name, flavor, sizes, formula in counts:
-            enumerated = len(enumerate_hom(flavor, *sizes))
+            enumerated = len(hom_values(flavor, *sizes))
             if enumerated != formula:
                 return (dict(where, **{name: formula}),
                         dict(where, **{name: enumerated}))

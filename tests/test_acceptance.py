@@ -62,7 +62,7 @@ def test_criterion_02_equal_size_pairing_is_inversion_permutation_matrix():
     for a in range(7):
         domain = enumerate_hom(HomClass.SURJECTION, a, a)
         target = hom_module(HomClass.INJECTION, a, a)
-        triplets = [(target.index[tuple(sorted(range(1, a + 1), key=alpha))],
+        triplets = [(target.index[bytes(sorted(range(1, a + 1), key=alpha))],
                      j, Fraction(1))
                     for j, alpha in enumerate(domain)]
         expected = RatMatrix.from_triplets(target.dimension, len(domain),

@@ -14,6 +14,7 @@ from fsprim.finsetcat import (
     compose,
     enumerate_hom,
     hom_dimension,
+    hom_values,
     sections,
 )
 
@@ -96,6 +97,27 @@ def test_enumeration_matches_brute_force():
             for a in range(7):
                 got = [m.values for m in enumerate_hom(flavor, b, a)]
                 assert got == brute_maps(flavor, b, a), (flavor, b, a)
+
+
+def test_value_strings_match_brute_force():
+    # Both flavours and every size pair through 6, empty sets included.
+    for flavor in FLAVORS:
+        for b in range(7):
+            for a in range(7):
+                got = hom_values(flavor, b, a)
+                assert all(type(v) is bytes for v in got)
+                assert [tuple(v) for v in got] == brute_maps(flavor, b, a), (
+                    flavor, b, a)
+
+
+def test_value_strings_refuse_targets_beyond_a_byte():
+    assert hom_values(HomClass.INJECTION, 0, 255) == (b"",)
+    assert len(hom_values(HomClass.INJECTION, 1, 255)) == 255
+    for flavor in FLAVORS:
+        with pytest.raises(ValueError):
+            hom_values(flavor, 0, 256)
+        with pytest.raises(ValueError):
+            hom_values(flavor, -1, 2)
 
 
 def test_empty_set_conventions():

@@ -10,7 +10,7 @@ Independent oracles used here:
 """
 from collections import deque
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -71,7 +71,8 @@ def bimodule_dimension(cls: BiSchurClass) -> int:
 def test_hom_module_basis_and_index_roundtrip():
     mod = hom_module(SURJ, 3, 2)
     assert mod.dimension == hom_dimension(SURJ, 3, 2) == 6
-    assert mod.basis == tuple(f.values for f in enumerate_hom(SURJ, 3, 2))
+    assert mod.basis == tuple(bytes(f.values)
+                             for f in enumerate_hom(SURJ, 3, 2))
     for i, f in enumerate(mod.basis):
         assert mod.index[f] == i
 
@@ -106,11 +107,30 @@ def test_tuple_actions_match_the_composition_reference():
                 maps = enumerate_hom(flavor, source, target)
                 for pi in all_permutations(target):
                     assert mod.left_perm(pi) == tuple(
-                        mod.index[compose(pi, f).values] for f in maps)
+                        mod.index[bytes(compose(pi, f).values)] for f in maps)
                 for sigma in all_permutations(source):
                     assert mod.right_perm(sigma) == tuple(
-                        mod.index[compose(f, inverse(sigma)).values]
+                        mod.index[bytes(compose(f, inverse(sigma)).values)]
                         for f in maps)
+
+
+def test_actions_of_the_trivial_groups_match_the_composition_reference():
+    # Degrees 0 and 1, where the right action is the identity without a
+    # byte reordering and the left action translates through a 0- or
+    # 1-entry table, against modules of every size on the other side.
+    cells = [(SURJ, b, a) for b in range(7) for a in (0, 1)]
+    cells += [(INJ, a, b) for b in range(7) for a in (0, 1)]
+    cells += [(SURJ, a, a) for a in (0, 1)]
+    for flavor, source, target in cells:
+        mod = hom_module(flavor, source, target)
+        maps = enumerate_hom(flavor, source, target)
+        for pi in all_permutations(target):
+            assert mod.left_perm(pi) == tuple(
+                mod.index[bytes(compose(pi, f).values)] for f in maps)
+        for sigma in all_permutations(source):
+            assert mod.right_perm(sigma) == tuple(
+                mod.index[bytes(compose(f, inverse(sigma)).values)]
+                for f in maps)
 
 
 def _functional_character(a, b):
@@ -159,7 +179,7 @@ def fi_action_on_fs(source_size, target_size, restricted_size):
             for col, f in enumerate(enumerate_hom(SURJ, b, a)):
                 g = compose(f, inj)
                 if g.is_surjective():
-                    yield base + small.index[g.values], col, 1
+                    yield base + small.index[bytes(g.values)], col, 1
 
     return RatMatrix.from_triplets(rows, big.dimension, triplets())
 
@@ -207,6 +227,27 @@ def test_restriction_matrix_matches_brute_force_composition():
                 expected = 1 if g.is_surjective() and \
                     small_index[g.values] == row_in_block else 0
                 assert mat.entry(k * len(small) + row_in_block, col) == expected
+
+
+def test_reduced_restriction_to_at_most_one_point_matches_brute_force():
+    # Increasing injections from sizes 0 and 1, composed one map at a time.
+    for b in range(6):
+        for a in range(b + 1):
+            for c in range(min(b, 1) + 1):
+                small = hom_module(SURJ, c, a)
+                triplets = []
+                for blk, image in enumerate(combinations(range(1, b + 1), c)):
+                    inj = FinMap(c, b, image)
+                    for col, f in enumerate(enumerate_hom(SURJ, b, a)):
+                        g = compose(f, inj)
+                        if g.is_surjective():
+                            triplets.append((blk * small.dimension
+                                             + small.index[bytes(g.values)],
+                                             col, 1))
+                expected = RatMatrix.from_triplets(
+                    comb(b, c) * small.dimension, hom_dimension(SURJ, b, a),
+                    triplets)
+                assert _reduced_restriction(b, a, c) == expected, (b, a, c)
 
 
 def test_reduced_restriction_kernels_equal_full_kernels():
@@ -364,7 +405,7 @@ def test_pairing_at_equal_sizes_inverts_bijections():
         surjections = enumerate_hom(SURJ, a, a)
         assert (mat.rows, mat.cols) == (factorial(a), factorial(a))
         for col, alpha in enumerate(surjections):
-            inverse_row = target.index[inverse(alpha).values]
+            inverse_row = target.index[bytes(inverse(alpha).values)]
             for row in range(mat.rows):
                 assert mat.entry(row, col) == (1 if row == inverse_row else 0)
 
@@ -388,7 +429,7 @@ def test_pairing_columns_count_right_inverses():
     target = hom_module(INJ, a, b)
     ident = FinMap(a, a, tuple(range(1, a + 1)))
     for col, f in enumerate(enumerate_hom(SURJ, b, a)):
-        expected_rows = {target.index[h.values]
+        expected_rows = {target.index[bytes(h.values)]
                          for h in enumerate_hom(INJ, a, b)
                          if compose(f, h) == ident}
         for row in range(mat.rows):
@@ -404,7 +445,8 @@ def test_pairing_section_tuples_are_the_validated_sections():
             for col, f in enumerate(surjections):
                 validated = [s.values for s in sections(f)]
                 assert list(section_values(f.values, a)) == validated
-                triplets.extend((target.index[s], col, 1) for s in validated)
+                triplets.extend((target.index[bytes(s)], col, 1)
+                                for s in validated)
             assert theta_matrix(a, b) == RatMatrix.from_triplets(
                 target.dimension, len(surjections), triplets), (a, b)
 
@@ -709,7 +751,7 @@ def _all_pairs_closure(b, x, y):
             for g_idx, cu in u.items():
                 for f_idx, cv in v.items():
                     g, f = outer[g_idx], inner[f_idx]
-                    w[result.index[compose(g, f).values]] += cu * cv
+                    w[result.index[bytes(compose(g, f).values)]] += cu * cv
             if solve_membership(goal, w) is None:
                 return False
     return True
@@ -747,9 +789,21 @@ def test_closure_detects_an_outer_factor_outside_the_primitives(monkeypatch):
         '{"closed":false,"mid_size":3,"source_size":3,"target_size":2}')
 
 
-def _fraction_generator_columns(source_size, target_size, side):
-    """Reference: the generator search by exact Fraction row reduction."""
+def _reference_generator_columns(source_size, target_size, side, prime=None):
+    """Reference: the generator search with a dense back-substitution.
+
+    Each new pivot is eliminated from every stored row, in exact Fractions,
+    or modulo ``prime`` when one is given.
+    """
     import fsprim.fsfilt as fsfilt
+    if prime is None:
+        scalar, reciprocal = (lambda v: v), (lambda v: 1 / Fraction(v))
+    else:
+        def scalar(v):
+            return v.numerator * pow(v.denominator, -1, prime) % prime
+
+        def reciprocal(v):
+            return pow(v, -1, prime)
     level = primitives(source_size, target_size)
     K = level.basis_matrix
     dim = K.cols
@@ -759,7 +813,9 @@ def _fraction_generator_columns(source_size, target_size, side):
     module = hom_module(SURJ, level.source_size, level.target_size)
     perms = (module.left_generator_perms if side == "left"
              else module.right_generator_perms)
-    actions = [fsfilt._column_vectors(K.permute_rows(p).select_rows(unit))
+    actions = [[{r: scalar(v) for r, v in col.items() if scalar(v)}
+                for col in fsfilt._column_vectors(
+                    K.permute_rows(p).select_rows(unit))]
                for p in perms]
 
     rows = {}
@@ -773,7 +829,7 @@ def _fraction_generator_columns(source_size, target_size, side):
             for j, val in rows[c].items():
                 if j == c:
                     continue
-                new = out.get(j, 0) - coeff * val
+                new = scalar(out.get(j, 0) - coeff * val)
                 if new:
                     out[j] = new
                 else:
@@ -782,8 +838,8 @@ def _fraction_generator_columns(source_size, target_size, side):
 
     def insert(rem):
         pivot = min(rem)
-        inv = 1 / rem[pivot]
-        row = {j: val * inv for j, val in rem.items()}
+        inv = reciprocal(rem[pivot])
+        row = {j: scalar(val * inv) for j, val in rem.items()}
         for other in rows.values():
             coeff = other.get(pivot)
             if coeff:
@@ -791,7 +847,7 @@ def _fraction_generator_columns(source_size, target_size, side):
                     if j == pivot:
                         other.pop(j, None)
                         continue
-                    new = other.get(j, 0) - coeff * val
+                    new = scalar(other.get(j, 0) - coeff * val)
                     if new:
                         other[j] = new
                     else:
@@ -802,7 +858,7 @@ def _fraction_generator_columns(source_size, target_size, side):
         out = {}
         for j, coeff in vec.items():
             for r, val in cols[j].items():
-                new = out.get(r, 0) + coeff * val
+                new = scalar(out.get(r, 0) + coeff * val)
                 if new:
                     out[r] = new
                 else:
@@ -814,7 +870,7 @@ def _fraction_generator_columns(source_size, target_size, side):
         candidate = next(j for j in range(dim)
                          if j not in rows or len(rows[j]) != 1)
         chosen.append(candidate)
-        queue = deque([{candidate: Fraction(1)}])
+        queue = deque([{candidate: 1}])
         while queue:
             rem = reduce_vector(queue.popleft())
             if not rem:
@@ -833,10 +889,22 @@ def test_mod_p_generators_are_the_fraction_search_generators():
         for a in range(b + 1):
             for side in ("left", "right"):
                 got = fsfilt._module_generator_columns(b, a, side)
-                assert got == _fraction_generator_columns(b, a, side), (
+                assert got == _reference_generator_columns(b, a, side), (
                     b, a, side)
                 cells += 1
     assert cells == 56
+
+
+def test_sparse_back_substitution_keeps_the_dense_search_generators():
+    # The search updates only the stored rows that hold a new pivot; the
+    # dense mod-p search updates every row.  Both must choose one set.
+    import fsprim.fsfilt as fsfilt
+    for b in range(6):
+        for a in range(b + 1):
+            for side in ("left", "right"):
+                assert fsfilt._module_generator_columns(b, a, side) == \
+                    _reference_generator_columns(b, a, side, fsfilt._PRIME), (
+                        b, a, side)
 
 
 @pytest.fixture

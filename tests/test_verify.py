@@ -199,7 +199,7 @@ def test_contracts_hold_under_optimize():
     code = """
 from fractions import Fraction
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                              hom_dimension, sections)
+                              hom_dimension, hom_values, sections)
 from fsprim.fsfilt import (_reduced_restriction, closure_check,
                            coker_action_triviality, coker_theta_decompose,
                            filtration_level, lambda_bar_rep,
@@ -245,6 +245,8 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: FinMap(2, 2, (2, 1))(0),
              lambda: FinMap(2, 2, (2, 1))(3),
              lambda: enumerate_hom(HomClass.SURJECTION, 2, -1),
+             lambda: hom_values(HomClass.INJECTION, -1, 2),
+             lambda: hom_values(HomClass.SURJECTION, 1, 256),
              lambda: hom_dimension(HomClass.INJECTION, 2, -1),
              lambda: adjacent_transposition(3, 0),
              lambda: mn_character((2, 1), (2,)),
@@ -437,7 +439,7 @@ def _level_of_dimension(dim):
 # runs at bound 3 and must fail at exactly that cell, with these payloads.
 _FAULTS = {
     "dimension_counts-surjections": (
-        "dimension_counts", "enumerate_hom", (HomClass.SURJECTION, 3, 2),
+        "dimension_counts", "hom_values", (HomClass.SURJECTION, 3, 2),
         lambda maps: maps[1:],
         '{"source_size":3,"surjections":6,"target_size":2}',
         '{"source_size":3,"surjections":5,"target_size":2}'),
@@ -447,7 +449,7 @@ _FAULTS = {
         '{"source_size":3,"surjections_hom_dimension":6,"target_size":2}',
         '{"source_size":3,"surjections_hom_dimension":7,"target_size":2}'),
     "dimension_counts-injections": (
-        "dimension_counts", "enumerate_hom", (HomClass.INJECTION, 2, 3),
+        "dimension_counts", "hom_values", (HomClass.INJECTION, 2, 3),
         lambda maps: maps[1:],
         '{"injections":6,"source_size":3,"target_size":2}',
         '{"injections":5,"source_size":3,"target_size":2}'),
