@@ -134,13 +134,13 @@ def sections(f: FinMap) -> tuple[FinMap, ...]:
                  for choice in section_values(f.values, f.target_size))
 
 
-def section_values(values: tuple[int, ...], target_size: int):
+def section_values(values: tuple[int, ...] | bytes, target_size: int):
     """Value tuples of the sections of a surjection, in lexicographic order.
 
     ``values`` is the value tuple or string of a surjection onto
-    ``target_size`` points, unchecked; :func:`sections` is the validated form.  Each section
-    picks one point from each fiber, so the tuples are the product of the
-    fibers.
+    ``target_size`` points, unchecked; :func:`sections` is the validated
+    form.  Each section picks one point from each fiber, so the tuples are
+    the product of the fibers.
     """
     fibers: list[list[int]] = [[] for _ in range(target_size)]
     for i, v in enumerate(values, start=1):

@@ -97,40 +97,34 @@ def test_hom_module_bicharacter_diagonal_entry_counts_fixed_maps():
     assert char.values[left_id][right_id] == mod.dimension
 
 
+def _assert_actions_match_composition(flavor, source, target):
+    """Oracle: both actions written with compose on validated maps."""
+    mod = hom_module(flavor, source, target)
+    maps = enumerate_hom(flavor, source, target)
+    for pi in all_permutations(target):
+        assert mod.left_perm(pi) == tuple(
+            mod.index[bytes(compose(pi, f).values)] for f in maps)
+    for sigma in all_permutations(source):
+        assert mod.right_perm(sigma) == tuple(
+            mod.index[bytes(compose(f, inverse(sigma)).values)] for f in maps)
+
+
 def test_tuple_actions_match_the_composition_reference():
-    # oracle: both actions written with compose on validated maps
     for flavor in (SURJ, INJ):
         for b in range(5):
             for a in range(b + 1):
                 source, target = (b, a) if flavor is SURJ else (a, b)
-                mod = hom_module(flavor, source, target)
-                maps = enumerate_hom(flavor, source, target)
-                for pi in all_permutations(target):
-                    assert mod.left_perm(pi) == tuple(
-                        mod.index[bytes(compose(pi, f).values)] for f in maps)
-                for sigma in all_permutations(source):
-                    assert mod.right_perm(sigma) == tuple(
-                        mod.index[bytes(compose(f, inverse(sigma)).values)]
-                        for f in maps)
+                _assert_actions_match_composition(flavor, source, target)
 
 
 def test_actions_of_the_trivial_groups_match_the_composition_reference():
     # Degrees 0 and 1, where the right action is the identity without a
     # byte reordering and the left action translates through a 0- or
     # 1-entry table, against modules of every size on the other side.
-    cells = [(SURJ, b, a) for b in range(7) for a in (0, 1)]
-    cells += [(INJ, a, b) for b in range(7) for a in (0, 1)]
-    cells += [(SURJ, a, a) for a in (0, 1)]
-    for flavor, source, target in cells:
-        mod = hom_module(flavor, source, target)
-        maps = enumerate_hom(flavor, source, target)
-        for pi in all_permutations(target):
-            assert mod.left_perm(pi) == tuple(
-                mod.index[bytes(compose(pi, f).values)] for f in maps)
-        for sigma in all_permutations(source):
-            assert mod.right_perm(sigma) == tuple(
-                mod.index[bytes(compose(f, inverse(sigma)).values)]
-                for f in maps)
+    for b in range(7):
+        for a in (0, 1):
+            _assert_actions_match_composition(SURJ, b, a)
+            _assert_actions_match_composition(INJ, a, b)
 
 
 def _functional_character(a, b):
