@@ -440,84 +440,34 @@ def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
         _restricted_bicharacter(target, _theta_image(a, b)))))
 
 
-@cache
-def _theta_quotient(target_size: int,
-                    source_size: int) -> tuple[RatMatrix, RatMatrix]:
-    """Quotient map onto the pairing's cokernel, and a section of it.
-
-    Cokernel coordinates are the non-pivot rows of the image basis.  The
-    image basis restricts to the identity on its pivot rows, so a functional
-    is congruent modulo the image to the one obtained by subtracting, for
-    each pivot row, that row's entry times its image column; the quotient
-    map is therefore ``Q = N - image[nonpivots] @ E[pivots]``, where ``N``
-    and ``E[pivots]`` select the non-pivot and pivot rows of the identity.
-    ``N``'s transpose embeds cokernel coordinates as functionals supported
-    off the pivots, so ``Q @ N.T`` is the identity.
-    """
-    image = _theta_image(target_size, source_size)
-    pivots = image.unit_rows()
-    pivot_set = set(pivots)
-    nonpivots = [j for j in range(image.rows) if j not in pivot_set]
-    identity = RatMatrix.identity(image.rows)
-    select = identity.select_rows(nonpivots)
-    quotient = select - image.select_rows(nonpivots) @ identity.select_rows(
-        pivots)
-    return quotient, select.transpose()
-
-
-def _coker_relations(target_size: int, low_size: int,
-                     source_size: int) -> RatMatrix:
-    """Relations ``u.s (x) w - u (x) s.w`` of the block and the cokernel.
-
-    Rows index the tensor of the primitive block ``target -> low`` with the
-    pairing's cokernel (block coordinate outermost); there is one column per
-    adjacent transposition ``s`` of the shared group and pair of basis
-    vectors ``(u, w)``.  For each ``s`` the columns are
-    ``kron(A_s, I) - kron(I, B_s)``, with ``A_s`` the action of ``s`` on the
-    block's coordinates (through its source) and ``B_s`` its action on
-    cokernel coordinates (through post-composition of the functionals).
-    """
-    a, c, b = target_size, low_size, source_size
-    block = primitives(a, c).basis_matrix
-    unit = block.unit_rows()
-    quotient, section = _theta_quotient(a, b)
-    p, q = block.cols, quotient.rows
-    relations = RatMatrix.zeros(p * q, 0)
-    for rperm, lperm in zip(hom_module(_SURJ, a, c).right_generator_perms,
-                            hom_module(_INJ, a, b).right_generator_perms):
-        acted = block.permute_rows(rperm).select_rows(unit)
-        # Q @ P @ N.T, with the permutation applied to N.T's rows directly.
-        moved = quotient @ section.permute_rows(lperm)
-        relations = relations.hstack(acted.kron(RatMatrix.identity(q))
-                                     - RatMatrix.identity(p).kron(moved))
-    return relations
-
-
 def coker_action_triviality(target_size: int, low_size: int,
                             source_size: int) -> bool:
     """True iff strictly size-decreasing primitive blocks kill the cokernel.
 
-    Composing a cokernel representative ``v`` of the pairing at
-    ``(target, source)`` with a primitive vector ``u`` of the strictly
-    size-decreasing block ``target -> low`` produces ``u (x) v`` in the
-    tensor of the block with the functional space, contracted over the
-    shared ``target``-side symmetric-group action (the block is acted on
-    through its source, the functionals through post-composition).
-    Triviality says every such product lies in the contraction of the block
-    with the pairing's image, i.e. the contracted tensor of the block with
-    the cokernel vanishes.  In quotient coordinates (the non-pivot rows of
-    the image basis) that vanishing holds iff the contraction relations
-    ``u.s (x) w - u (x) s.w``, over basis vectors and the adjacent
-    transpositions ``s`` of the shared group, span the full tensor of the
-    block with the cokernel -- an exact full-rank condition.
+    Composing a cokernel representative of the pairing at ``(target,
+    source)`` with a primitive vector of the strictly size-decreasing block
+    ``target -> low`` gives the tensor of the block, a right module of the
+    shared group S_target acting through its source, with the cokernel, a
+    left S_target-module acting through post-composition, taken over the
+    group algebra.  Triviality says that tensor vanishes.
+
+    It is decided exactly from the two cached classes.  In characteristic
+    zero both modules are semisimple (Maschke).  A right module becomes a
+    left one through ``g -> g^{-1}`` without changing its class, and Specht
+    modules are absolutely irreducible and self-dual, so ``S^lambda (x)
+    S^mu`` over the group algebra has dimension 1 if lambda = mu and 0
+    otherwise.  The tensor therefore has dimension ``sum m_lambda *
+    n_lambda`` over the block's multiplicities m and the cokernel's n.
+    These are nonnegative, so nothing cancels: the tensor vanishes iff no
+    irreducible is both a right partition of the block and a left partition
+    of the cokernel.  A zero cokernel, as at equal sizes, needs no block.
     """
     a, c, b = target_size, low_size, source_size
     if not 0 <= c < a <= b:
         raise ValueError("cokernel action needs low < target <= source")
-    if primitives(a, c).dimension == 0:
-        return True
-    relations = _coker_relations(a, c, b)
-    return relations.rank() == relations.rows
+    cokernel = {left for (left, _), _ in coker_theta_decompose(a, b).terms}
+    return not cokernel or cokernel.isdisjoint(
+        right for (_, right), _ in primitives_bidecompose(a, c).terms)
 
 
 # -------------------------------------------------- augmentation-kernel power
@@ -603,7 +553,7 @@ _PRIME = 2_147_483_629
 
 @cache
 def _module_generator_columns(source_size: int, target_size: int,
-                              side: str) -> tuple[dict[int, Fraction], ...]:
+                              side: str) -> tuple[dict[int, object], ...]:
     """Basis columns generating the primitive level under one side's action.
 
     Computes coordinate matrices of the adjacent-transposition generators on
@@ -614,7 +564,8 @@ def _module_generator_columns(source_size: int, target_size: int,
     is kept as a pivot-indexed dictionary of rows in reduced echelon form; a
     unit vector lies in the span exactly when its coordinate is a pivot whose
     stored row has a single entry.  Columns are returned as exact sparse
-    {row: Fraction} vectors of the level basis.
+    {row: int or Fraction} vectors of the level basis, read only for the
+    columns returned.
 
     The certificate is one-sided and sound over Q.  When no denominator of
     the action matrices is divisible by p, they are p-integral, so the
@@ -630,7 +581,6 @@ def _module_generator_columns(source_size: int, target_size: int,
     dim = K.cols
     if dim == 0:
         return ()
-    columns = _column_vectors(K)
     unit = K.unit_rows()
     module = hom_module(_SURJ, level.source_size, level.target_size)
     perms = (module.left_generator_perms if side == "left"
@@ -644,7 +594,7 @@ def _module_generator_columns(source_size: int, target_size: int,
             for j, val in row.items():
                 den = val.denominator % p
                 if not den:
-                    return tuple(columns)
+                    return _columns(K, range(dim))
                 entry = val.numerator * pow(den, -1, p) % p
                 if entry:
                     cols[j][r] = entry
@@ -716,12 +666,16 @@ def _module_generator_columns(source_size: int, target_size: int,
             insert(rem)
             for cols in actions:
                 queue.append(apply_action(cols, rem))
-    return tuple(columns[j] for j in chosen)
+    return _columns(K, chosen)
 
 
-def _column_vectors(matrix: RatMatrix) -> list[dict[int, Fraction]]:
-    cols = matrix.sparse_columns()
-    return [cols.get(j, {}) for j in range(matrix.cols)]
+def _columns(matrix: RatMatrix, wanted) -> tuple[dict[int, object], ...]:
+    """Columns ``wanted`` of ``matrix`` as {row: value}, values as stored."""
+    out = {j: {} for j in wanted}
+    for i, row in matrix._sparse_rows().items():
+        for j in out.keys() & row.keys():
+            out[j][i] = row[j]
+    return tuple(out.values())
 
 
 def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:

@@ -6,13 +6,14 @@ certificates are all exact; no floating point appears anywhere.
 
 A matrix stores its nonzero entries as {row: {col: value}}, a value being an
 ``int`` when integral and a ``fractions.Fraction`` otherwise (constructors
-and elimination normalise; a sum or product of Fractions may leave an
+and elimination normalise; a matrix product of Fractions may leave an
 integral Fraction, which compares and hashes like its int).  Floats are
 refused.  The container is a sparse sympy ``DomainMatrix`` whose ``rep`` is
 that dict and whose QQ tag is only nominal: only the sympy operations that
-work through the values' own ``+``, ``-`` and ``*`` run on it (``matmul``,
-``+``, ``-``, ``transpose``, ``hstack``), never its ``det`` or ``rref``,
-which invert a pivot as ``Aij**-1``, a float for an int.
+work through the values' own ``+`` and ``*`` or move entries unchanged run
+on it (``matmul``, ``transpose``, ``hstack``); there are no sums or
+Kronecker products, and never its ``det`` or ``rref``, which invert a pivot
+as ``Aij**-1``, a float for an int.
 
 Elimination is exact Gauss--Jordan over Python integers
 (:func:`_gauss_jordan`).  Each row is scaled by the lcm of its denominators,
@@ -169,7 +170,7 @@ class RatMatrix:
 
     ``dm`` is a ``DomainMatrix`` in sympy's sparse format, holding int and
     Fraction values under a nominal QQ tag: it is built from a dict of rows,
-    and products, sums, stacking and transposes keep that format, so
+    and products, stacking and transposes keep that format, so
     ``dm.rep`` is always the dict of nonzero rows.  Row dicts are shared
     between matrices and never modified.
     """
@@ -305,11 +306,6 @@ class RatMatrix:
 
     # -- algebra ---------------------------------------------------------
 
-    def _same_shape(self, other: "RatMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} "
-                             f"against {other.rows}x{other.cols}")
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix._make(self.dm.transpose())
 
@@ -318,31 +314,10 @@ class RatMatrix:
             raise ValueError("shape mismatch in product")
         return RatMatrix._make(self.dm.matmul(other.dm))
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix._make(self.dm + other.dm)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix._make(self.dm - other.dm)
-
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
         return RatMatrix._make(self.dm.hstack(other.dm))
-
-    def kron(self, other: "RatMatrix") -> "RatMatrix":
-        """Kronecker product, of shape (rows * p) x (cols * q).
-
-        For ``other`` of shape p x q, entry (i*p + k, j*q + l) of the result
-        is self[i, j] * other[k, l].
-        """
-        p, q = other.rows, other.cols
-        dod = {i * p + k: {j * q + l: v * w
-                           for j, v in mine.items() for l, w in theirs.items()}
-               for i, mine in self._sparse_rows().items()
-               for k, theirs in other._sparse_rows().items()}
-        return RatMatrix._make(_sparse(self.rows * p, self.cols * q, dod))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:

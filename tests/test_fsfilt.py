@@ -32,13 +32,14 @@ from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            subquotient_identity_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report)
-from fsprim.fsfilt import (_coker_relations, _in_level, _reduced_restriction,
+from fsprim.fsfilt import (_in_level, _reduced_restriction,
                            _restricted_bicharacter, _theta_image, _transpose)
 from fsprim.partitions import (class_size, irrep_dimension, partition_index,
                                partitions_of)
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
-                              SchurClass, class_representative, decompose)
+                              SchurClass, bidecompose_character,
+                              class_representative, decompose)
 
 from test_ratlinalg import sympy_rref
 
@@ -602,13 +603,18 @@ def test_size_decreasing_primitives_act_as_zero_on_cokernels():
                 assert coker_action_triviality(a, c, b), (a, c, b)
 
 
-def _hand_assembled_coker_relations(a, c, b):
+def _hand_assembled_coker_relations(a, c, b, quotient=True):
     """Reference: the contraction relations entry by entry, from Fraction
-    dicts, in quotient coordinates read off the image's non-pivot rows."""
+    dicts, in quotient coordinates read off the image's non-pivot rows, or
+    on the whole functional space, with no pivots, when not ``quotient``.
+
+    The relations span the full tensor exactly when the contraction over
+    the shared group vanishes; their corank is the contraction's dimension.
+    """
     prim = primitives(a, c)
     p = prim.dimension
     image = _theta_image(a, b)
-    pivots = image.unit_rows()
+    pivots = image.unit_rows() if quotient else ()
     pivot_col = {j: m for m, j in enumerate(pivots)}
     nonpivots = [j for j in range(image.rows) if j not in pivot_col]
     q = len(nonpivots)
@@ -651,12 +657,65 @@ def _hand_assembled_coker_relations(a, c, b):
     return RatMatrix.from_triplets(p * q, col, triplets)
 
 
-def test_coker_relations_match_the_hand_assembled_reference():
+def test_coker_action_agrees_with_the_relation_rank_reference():
     for b in range(7):
         for a in range(b + 1):
             for c in range(a):
-                assert (_coker_relations(a, c, b)
-                        == _hand_assembled_coker_relations(a, c, b)), (a, c, b)
+                R = _hand_assembled_coker_relations(a, c, b)
+                assert coker_action_triviality(a, c, b) == (
+                    R.rank() == R.rows), (a, c, b)
+
+
+def _right_multiplicities(cls):
+    """Multiplicity of each right irreducible, counting the left dimensions."""
+    out = {}
+    for (left, right), mult in cls.terms:
+        out[right] = out.get(right, 0) + mult * irrep_dimension(left)
+    return out
+
+
+def test_relation_corank_on_the_functionals_is_the_shared_multiplicity_sum():
+    # On the whole functional space the contraction need not vanish: its
+    # dimension is sum m_lambda * n_lambda over the shared group.
+    coranks = {}
+    for b in range(6):
+        for a in range(4 if b == 5 else b + 1):
+            n = _right_multiplicities(
+                bidecompose_character(hom_module(INJ, a, b).bicharacter()))
+            for c in range(a):
+                m = _right_multiplicities(primitives_bidecompose(a, c))
+                R = _hand_assembled_coker_relations(a, c, b, quotient=False)
+                coranks[a, c, b] = R.rows - R.rank()
+                assert coranks[a, c, b] == sum(
+                    mult * n.get(lam, 0) for lam, mult in m.items()), (a, c, b)
+    assert coranks[4, 3, 4] == 13 and coranks[3, 2, 5] == 10
+
+
+def test_coker_action_fails_on_a_shared_irreducible(monkeypatch):
+    import fsprim.fsfilt as fsfilt
+    a, c, b = 4, 3, 5
+    block = {right for (_, right), _ in primitives_bidecompose(a, c).terms}
+    assert block == {(4,), (3, 1), (2, 2)}
+    hook = (b - a,) + (1,) * a
+    for left, trivial in (((3, 1), False), ((2, 1, 1), True)):
+        cokernel = bischur({(left, hook): 1})
+        monkeypatch.setattr(fsfilt, "coker_theta_decompose",
+                            lambda target_size, source_size: cokernel)
+        assert coker_action_triviality(a, c, b) is trivial, left
+
+
+def test_coker_action_builds_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix built in the cokernel action check")
+
+    cells = [(a, c, b) for b in range(6) for a in range(b + 1)
+             for c in range(a)]
+    for a, c, b in cells:
+        primitives_bidecompose(a, c)
+        coker_theta_decompose(a, b)
+    monkeypatch.setattr(RatMatrix, "_make", refuse)
+    for a, c, b in cells:
+        assert coker_action_triviality(a, c, b), (a, c, b)
 
 
 def test_sign_component_of_size_decreasing_blocks_vanishes():
@@ -783,6 +842,12 @@ def test_closure_detects_an_outer_factor_outside_the_primitives(monkeypatch):
         '{"closed":false,"mid_size":3,"source_size":3,"target_size":2}')
 
 
+def _column_vectors(matrix):
+    """Every column of ``matrix`` as a sparse {row: Fraction} dict."""
+    cols = matrix.sparse_columns()
+    return [cols.get(j, {}) for j in range(matrix.cols)]
+
+
 def _reference_generator_columns(source_size, target_size, side, prime=None):
     """Reference: the generator search with a dense back-substitution.
 
@@ -808,7 +873,7 @@ def _reference_generator_columns(source_size, target_size, side, prime=None):
     perms = (module.left_generator_perms if side == "left"
              else module.right_generator_perms)
     actions = [[{r: scalar(v) for r, v in col.items() if scalar(v)}
-                for col in fsfilt._column_vectors(
+                for col in _column_vectors(
                     K.permute_rows(p).select_rows(unit))]
                for p in perms]
 
@@ -872,7 +937,7 @@ def _reference_generator_columns(source_size, target_size, side, prime=None):
             insert(rem)
             for cols in actions:
                 queue.append(apply_action(cols, rem))
-    columns = fsfilt._column_vectors(K)
+    columns = _column_vectors(K)
     return tuple(columns[j] for j in chosen)
 
 
@@ -955,7 +1020,7 @@ def test_a_denominator_divisible_by_the_prime_returns_every_column(
                .sparse_columns().values() for v in col.values())
     monkeypatch.setattr(fsfilt, "primitives",
                         lambda b, a: FiltrationLevel(b, a, 0, basis))
-    every_column = tuple(fsfilt._column_vectors(basis))
+    every_column = tuple(_column_vectors(basis))
     searched = fsfilt._module_generator_columns(4, 2, "right")
     assert len(searched) < len(every_column)
     fsfilt._module_generator_columns.cache_clear()

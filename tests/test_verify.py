@@ -223,7 +223,7 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: subquotient_formula(0),
              lambda: run_check("closure", -1), lambda: collect_reports(-1),
              lambda: RatMatrix([[1, 2], [3]]), lambda: A @ B,
-             lambda: A + B, lambda: A - B, lambda: A.hstack(B),
+             lambda: A.hstack(B),
              lambda: RatMatrix.from_columns(2, [(1, 2, 3)]),
              lambda: RatMatrix.from_triplets(2, 2, [(2, 0, 1)]),
              lambda: A.permute_rows((0, 0)), lambda: A.select_rows((2,)),
