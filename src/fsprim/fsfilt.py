@@ -26,9 +26,10 @@ interacting structures, all over exact rational arithmetic:
   character level.
 
 The character of a whole hom-space is the closed-form count of the maps each
-class pair fixes (:func:`hom_character`).  Characters of sub- and quotient
-spaces are computed by restricted traces on canonical kernel/image bases
-(each such basis restricts to an identity on its ``unit_rows``), so every
+class pair fixes (:func:`hom_character`).  Characters of subspaces are
+computed by restricted traces on canonical kernel bases (each such basis
+restricts to an identity on its ``unit_rows``), and those of quotients and
+of the pairing's cokernel as differences of such characters, so every
 decomposition reported here is an exact integer statement, never a
 numerical estimate.
 """
@@ -48,10 +49,11 @@ from .finsetcat import (FinMap, HomClass, hom_character, hom_dimension,
                         hom_values, section_values)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix
-from .repdecomp import (BiClassFunction, BiSchurClass, RepSpace, SchurClass,
-                        adjacent_transposition, bidecompose_character,
-                        boxtimes, class_representative, convolution_class,
-                        biconvolution_right, sign_class, trivial_class)
+from .repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
+                        SchurClass, adjacent_transposition,
+                        bidecompose_character, boxtimes, class_representative,
+                        convolution_class, biconvolution_right, sign_class,
+                        trivial_class)
 
 __all__ = [
     "HomModule", "hom_module",
@@ -61,7 +63,7 @@ __all__ = [
     "theta_matrix", "theta_equivariance_check", "theta_kernel_level_check",
     "theta_rank_report", "coker_theta_decompose",
     "coker_action_triviality",
-    "lambda_bar_rep",
+    "lambda_bar_character",
     "sgn_vanishing_check",
     "closure_check", "automorphism_block_check",
     "filtration_nesting_check", "fi_stability_check",
@@ -268,9 +270,14 @@ def _restricted_bicharacter(module: HomModule,
     build.  The two are equal: every element of S_a x S_b is conjugate to its
     inverse, and the character of a stable subspace is a class function.
     Exactness relies on the subspace being stable under both actions, which
-    holds for every kernel and image basis produced by the equivariant
-    operators of this module.
+    holds for every kernel basis of the equivariant operators of this
+    module.  A basis with no columns spans zero, whose character is zero
+    with no permutation read.
     """
+    if not basis.cols:
+        return BiClassFunction(module.left_degree, module.right_degree, tuple(
+            (0,) * len(partitions_of(module.right_degree))
+            for _ in partitions_of(module.left_degree)))
     unit = basis.unit_rows()
     assert unit is not None, "restricted traces need a unit-row basis"
     sparse = basis._sparse_rows()
@@ -431,18 +438,23 @@ def theta_rank_report(target_size: int, source_size: int) -> dict:
 def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
     """Exact decomposition of the pairing's cokernel bimodule.
 
-    Character of the injection-functional space minus the restricted-trace
-    character of the pairing's image, both read on the injection span and
-    then transposed; empty at equal sizes, and the full functional space
-    below a positive-size source with empty target.
+    The pairing intertwines each side of the surjections with the other
+    side of the injection functionals, so its image is the surjection span
+    modulo the kernel (rank-nullity, equivariantly).  The cokernel's
+    character, with the surjections' sides, is therefore the functional
+    space's transposed character minus the surjections' plus the kernel's,
+    the last a restricted trace on the basis from the pairing's own RREF.
+    Empty at equal sizes, and the full functional space below a
+    positive-size source with empty target.
     """
     a, b = target_size, source_size
     if not 0 <= a <= b:
         raise ValueError("pairing needs target no larger than source")
-    target = hom_module(_INJ, a, b)
-    return bidecompose_character(_transpose(_difference(
-        target.bicharacter(),
-        _restricted_bicharacter(target, theta_matrix(a, b).image_basis()))))
+    source = hom_module(_SURJ, b, a)
+    kernel = _restricted_bicharacter(source, theta_matrix(a, b).kernel_basis())
+    return bidecompose_character(_difference(
+        _transpose(hom_module(_INJ, a, b).bicharacter()),
+        _difference(source.bicharacter(), kernel)))
 
 
 def coker_action_triviality(target_size: int, low_size: int,
@@ -479,37 +491,38 @@ def coker_action_triviality(target_size: int, low_size: int,
 
 
 @cache
-def lambda_bar_rep(power: int, set_size: int) -> RepSpace:
-    """Exterior power of the coordinate-sum kernel, as a permutation-induced rep.
+def lambda_bar_character(power: int, set_size: int) -> ClassFunction:
+    """Character of the exterior power of the coordinate-sum kernel.
 
-    The kernel of the all-ones functional on a ``set_size``-dimensional
-    permutation space carries the natural symmetric-group action; this
-    returns its ``power``-th exterior power with exact minor-determinant
-    generator matrices.  Zero space when ``set_size`` is 0 or the power
-    exceeds ``set_size - 1``; power 0 is the one-dimensional trivial space.
+    The kernel V of the all-ones functional on the permutation space Q^b
+    carries the natural action of S_b, and Q^b = V + trivial.  For a
+    permutation sigma, the trace on the t-th exterior power of a space is
+    the coefficient of x^t in det(1 + x sigma) on that space.  A cycle of
+    length m has the m-th roots of unity z as eigenvalues on its coordinates,
+    and prod_z (1 + x z) = 1 - (-x)^m, so on Q^b the determinant is the
+    product of 1 - (-x)^m over the cycles of sigma, and on V it is that
+    product divided by the trivial summand's 1 + x.  Dividing the first
+    cycle's factor gives (1 - (-x)^m_1) / (1 + x) = sum_{k < m_1} (-x)^k, so
+    at cycle type mu = (m_1, m_2, ...) the character is the coefficient of
+    x^t in sum_{k < m_1} (-x)^k * prod_{i >= 2} (1 - (-x)^{m_i}).  At the
+    identity this is binomial(b - 1, t); it vanishes for t >= b.  Set size 0
+    is the zero space of S_0, and power 0 is the trivial character.
     """
     t, b = power, set_size
     if t < 0 or b < 0:
         raise ValueError("power and set size must be nonnegative")
     if b == 0:
-        return RepSpace(0, 0, ())
-    ones = RatMatrix([[1] * b])
-    base = ones.kernel_basis()
-    unit = base.unit_rows()
-    coordinate_gens = []
-    for s in range(1, b):
-        perm = adjacent_transposition(b, s)
-        dest = tuple(perm(i + 1) - 1 for i in range(b))
-        coordinate_gens.append(base.permute_rows(dest).select_rows(unit))
-    subsets = list(combinations(range(b - 1), t))
-    gens = []
-    for A in coordinate_gens:
-        entries = A.entries
-        table = [[RatMatrix([[entries[i][j] for j in T] for i in S]).det()
-                  for T in subsets]
-                 for S in subsets]
-        gens.append(RatMatrix(table) if subsets else RatMatrix.zeros(0, 0))
-    return RepSpace(b, len(subsets), tuple(gens))
+        return ClassFunction(0, (0,))
+    values = []
+    for mu in partitions_of(b):
+        poly = [(-1) ** k for k in range(mu[0])]
+        for m in mu[1:]:
+            # Multiply by 1 - (-1)^m x^m.
+            poly += [0] * m
+            for k in range(len(poly) - 1, m - 1, -1):
+                poly[k] -= (-1) ** m * poly[k - m]
+        values.append(poly[t] if t < len(poly) else 0)
+    return ClassFunction(b, tuple(values))
 
 
 # ------------------------------------------------------ primitive block checks

@@ -1,8 +1,8 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 The public type is :class:`RatMatrix`, an immutable matrix of exact
-rationals.  Row reduction, rank, kernels, images and membership
-certificates are all exact; no floating point appears anywhere.
+rationals.  Row reduction, rank, kernels and membership certificates are
+all exact; no floating point appears anywhere.
 
 A matrix stores its nonzero entries as {row: {col: value}}, a value being an
 ``int`` when integral and a ``fractions.Fraction`` otherwise (constructors
@@ -12,8 +12,8 @@ refused.  The container is a sparse sympy ``DomainMatrix`` whose ``rep`` is
 that dict and whose QQ tag is only nominal: only the sympy operations that
 work through the values' own ``+`` and ``*`` or move entries unchanged run
 on it (``matmul``, ``transpose``, ``hstack``); there are no sums or
-Kronecker products, and never its ``det`` or ``rref``, which invert a pivot
-as ``Aij**-1``, a float for an int.
+Kronecker products, and never its ``rref``, which inverts a pivot as
+``Aij**-1``, a float for an int.
 
 Elimination is exact Gauss--Jordan over Python integers
 (:func:`_gauss_jordan`).  Each row is scaled by the lcm of its denominators,
@@ -25,8 +25,8 @@ operators this package builds are integer matrices whose RREF entries are
 small integers, and Python ints skip the gcd that every rational operation
 pays.  On theta(4, 7) the RREF takes 0.58 s against 2.9 s over QQ (sympy
 1.14 with pure-Python QQ, one core of a 2-core x86-64 host).  Every derived
-object (kernel basis, image basis, solution coefficients) is canonical and
-deterministic whichever exact method computes it.
+object (kernel basis, solution coefficients) is canonical and deterministic
+whichever exact method computes it.
 
 Matrices with the same set of nonzero rows span the same row space and so
 have the same nonzero RREF rows and pivots.  Results are therefore shared by
@@ -35,9 +35,9 @@ row permutation of it, or a copy with repeated rows) reuses that result,
 padded with zero rows to its own row count.  The augmented matrix that
 :func:`solve_membership` eliminates is a one-off and is not kept.
 
-Kernel and image bases are produced in free-column echelon form: there is a
-set of rows (the "unit rows") on which the basis columns restrict to an
-identity matrix.  Downstream code uses that structure to compute traces of
+Kernel bases are produced in free-column echelon form: there is a set of
+rows (the "unit rows") on which the basis columns restrict to an identity
+matrix.  Downstream code uses that structure to compute traces of
 group actions restricted to a stable subspace in time linear in the rank.
 The checks test membership in a kernel through the operator itself (``v``
 lies in the kernel of ``A`` exactly when ``A @ v`` is zero); the general
@@ -54,7 +54,6 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _exact(x):
@@ -311,12 +310,6 @@ class RatMatrix:
             raise ValueError("row count mismatch in hstack")
         return RatMatrix._make(self.dm.hstack(other.dm))
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace requires a square matrix")
-        return Fraction(sum(row.get(i, 0)
-                            for i, row in self._sparse_rows().items()))
-
     def is_zero(self) -> bool:
         return not self._sparse_rows()
 
@@ -379,55 +372,12 @@ class RatMatrix:
         return RatMatrix._make(_sparse(self.cols, len(free), dod),
                                unit_rows=tuple(free))
 
-    def image_basis(self) -> "RatMatrix":
-        """Canonical basis of the column space, one column per pivot.
-
-        Computed as the reduced row echelon form of the transpose, read back
-        as columns; the pivot positions become unit rows of the result.
-        """
-        red_t, pivots_t = self.transpose().rref()
-        dod = red_t.transpose()._sparse_rows()
-        return RatMatrix._make(_sparse(self.rows, len(pivots_t), dod),
-                               unit_rows=tuple(pivots_t))
-
-    def det(self) -> Fraction:
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        Rows are scaled to ints by the lcm of their denominators.  Step k sets
-        a[i][j] = (a[i][j] a[k][k] - a[i][k] a[k][j]) / p for i, j > k, p the
-        previous pivot: by Sylvester's identity a minor, so p divides exactly.
-        """
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if not n:
-            return _ONE
-        scale, a = 1, []
-        for i in range(n):
-            den, row = _clear_denominators(self._sparse_rows().get(i, {}))
-            scale *= den
-            a.append([row.get(j, 0) for j in range(n)])
-        sign = previous = 1
-        for k in range(n - 1):
-            if not a[k][k]:
-                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if swap is None:
-                    return _ZERO
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // previous
-            previous = pivot
-        return Fraction(sign * a[-1][-1], scale)
-
     def unit_rows(self):
         """Row set on which the columns restrict to an identity, if one exists.
 
         Returns a tuple J with self[J[k], k] == 1 and row J[k] zero elsewhere,
-        or None when no such rows exist.  Kernel and image bases carry this
-        structure by construction.
+        or None when no such rows exist.  Kernel bases carry this structure
+        by construction.
         """
         if self._unit_rows is False:
             found: dict[int, int] = {}

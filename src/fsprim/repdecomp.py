@@ -1,11 +1,9 @@
 """Symmetric-group character theory and decomposition into irreducibles.
 
 Irreducible characters come from the Murnaghan-Nakayama recursion on
-beta-numbers.  A representation of one symmetric group is carried by
-:class:`RepSpace`, which verifies the defining generator relations at
-construction, so a value of this type is evidence that the matrices really
-do define an action; two-sided (bimodule) actions enter only through their
-joint characters, :class:`BiClassFunction`.  Decomposition into irreducibles
+beta-numbers.  Representations enter only through their characters: one
+group's as a :class:`ClassFunction`, two-sided (bimodule) actions' as joint
+characters, :class:`BiClassFunction`.  Decomposition into irreducibles
 goes through exact character inner products in one routine,
 :func:`bidecompose_character` (a one-group character is the bicharacter
 whose left group is S_0), and the multiplicities are validated (integral,
@@ -42,7 +40,6 @@ from .partitions import (
     partitions_of,
     weight,
 )
-from .ratlinalg import RatMatrix
 
 
 class InternalConsistencyError(Exception):
@@ -72,26 +69,6 @@ def class_representative(mu: CycleType) -> FinMap:
         vals.append(start)
         start += part
     return FinMap(n, n, tuple(vals))
-
-
-def transposition_word(perm: FinMap) -> tuple[int, ...]:
-    """Reduced word (t_1, ..., t_m) with perm = s_{t_1} ∘ ... ∘ s_{t_m}.
-
-    Each s_t exchanges t and t+1.  The word is built by repeatedly clearing
-    the first descent, so its length is the inversion number and the result
-    is deterministic; the identity gets the empty word.
-    """
-    if not perm.is_bijective():
-        raise ValueError("a transposition word requires a bijection")
-    v = list(perm.values)
-    swaps = []
-    while True:
-        t = next((i + 1 for i in range(len(v) - 1) if v[i] > v[i + 1]), None)
-        if t is None:
-            break
-        v[t - 1], v[t] = v[t], v[t - 1]
-        swaps.append(t)
-    return tuple(reversed(swaps))
 
 
 # ----------------------------------------------------------------- characters
@@ -332,70 +309,7 @@ def sign_class(n: int) -> SchurClass:
     return SchurClass({(1,) * n: 1})
 
 
-# ----------------------------------------------------------- representations
-
-
-class RepSpace:
-    """A representation of the symmetric group of the given degree.
-
-    generators[t-1] is the action matrix of the adjacent transposition s_t.
-    Construction verifies the defining relations (involution, braid,
-    distant commutation), so a RepSpace is evidence its matrices define a
-    genuine action.
-    """
-
-    def __init__(self, degree: int, dimension: int, generators):
-        if degree < 0 or dimension < 0:
-            raise ValueError("degree and dimension must be nonnegative")
-        self.degree = degree
-        self.dimension = dimension
-        self.generators = tuple(generators)
-        if len(self.generators) != max(degree - 1, 0):
-            raise ValueError("one generator per adjacent transposition required")
-        if not all(isinstance(A, RatMatrix) and A.rows == A.cols == dimension
-                   for A in self.generators):
-            raise ValueError("generators must be square RatMatrix values "
-                             "of the space's dimension")
-        _verify_coxeter(self.generators, dimension)
-
-    def action_matrix(self, perm: FinMap) -> RatMatrix:
-        """Matrix of the permutation, assembled from the generator word."""
-        if not perm.source_size == perm.target_size == self.degree:
-            raise ValueError("the permutation's degree must match the space")
-        M = RatMatrix.identity(self.dimension)
-        for t in transposition_word(perm):
-            M = M @ self.generators[t - 1]
-        return M
-
-
-def _verify_coxeter(gens, dimension: int) -> None:
-    """Raise InternalConsistencyError unless the matrices satisfy s_t relations."""
-    ident = RatMatrix.identity(dimension)
-    for t, A in enumerate(gens, start=1):
-        if A @ A != ident:
-            raise InternalConsistencyError(f"generator {t} is not an involution")
-    for t in range(len(gens) - 1):
-        A, B = gens[t], gens[t + 1]
-        if A @ B @ A != B @ A @ B:
-            raise InternalConsistencyError(
-                f"braid relation fails between generators {t + 1}, {t + 2}")
-    for t in range(len(gens)):
-        for u in range(t + 2, len(gens)):
-            A, B = gens[t], gens[u]
-            if A @ B != B @ A:
-                raise InternalConsistencyError(
-                    f"distant generators {t + 1}, {u + 1} do not commute")
-
-
 # -------------------------------------------------------------- decomposition
-
-
-def rep_character(V: RepSpace) -> ClassFunction:
-    """Trace of one deterministic representative per cycle type."""
-    values = tuple(
-        V.action_matrix(class_representative(mu)).trace()
-        for mu in partitions_of(V.degree))
-    return ClassFunction(V.degree, values)
 
 
 def decompose_character(chi: ClassFunction) -> SchurClass:
@@ -411,11 +325,6 @@ def decompose_character(chi: ClassFunction) -> SchurClass:
     pairs = bidecompose_character(
         BiClassFunction(0, chi.degree, (chi.values,)))
     return SchurClass((right, c) for (_, right), c in pairs.terms)
-
-
-def decompose(V: RepSpace) -> SchurClass:
-    """Isotypic multiplicities of a representation space."""
-    return decompose_character(rep_character(V))
 
 
 @cache

@@ -47,7 +47,7 @@ from .fsfilt import (
     full_fs_bidecompose,
     hom_module,
     kring_identity_check,
-    lambda_bar_rep,
+    lambda_bar_character,
     primfs_identity_check,
     primitives,
     ses_identity_check,
@@ -65,7 +65,7 @@ from .repdecomp import (
     bidecompose_character,
     boxtimes,
     character_table,
-    decompose,
+    decompose_character,
     derham_check,
     invert_identity_check,
     sign_class,
@@ -404,13 +404,15 @@ def _check_lambda_bar(bound: int) -> CheckReport:
     """Exterior powers of the reduced point functor decompose as single hooks."""
     def evaluate(cell):
         b, t = cell
-        rep = lambda_bar_rep(t, b)
+        chi = lambda_bar_character(t, b)
         where = {"set_size": b, "power": t}
         # A single hook for powers 0 <= t < b, nothing above.
         want = SchurClass({(b - t,) + (1,) * t: 1} if t < b else {})
+        # The value at the identity class is the dimension, an integer.
         return (_compare(where, "dimension",
-                         comb(b - 1, t) if b > 0 else 0, rep.dimension)
-                or _compare(where, "class", want, decompose(rep)))
+                         comb(b - 1, t) if b > 0 else 0,
+                         int(chi((1,) * b)))
+                or _compare(where, "class", want, decompose_character(chi)))
     cells = [(b, t) for b in range(bound + 1) for t in range(b + 2)]
     return _sweep("lambda_bar", {"bound": bound}, cells, evaluate)
 

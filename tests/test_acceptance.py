@@ -18,7 +18,7 @@ from fsprim.fsfilt import (
     coker_theta_decompose,
     filtration_level,
     hom_module,
-    lambda_bar_rep,
+    lambda_bar_character,
     theta_matrix,
 )
 from fsprim.partitions import partitions_of
@@ -27,7 +27,7 @@ from fsprim.repdecomp import (
     SchurClass,
     _induced_product,
     boxtimes,
-    decompose,
+    decompose_character,
     derham_check,
     invert_identity_check,
     pieri_e,
@@ -84,15 +84,16 @@ def test_criterion_03_pairing_cokernel_is_the_sign_hook_class():
 def test_criterion_04_reduced_exterior_powers_are_single_hooks():
     for b in range(8):
         for t in range(b + 2):
-            rep = lambda_bar_rep(t, b)
-            got = decompose(rep)
+            chi = lambda_bar_character(t, b)
+            got = decompose_character(chi)
+            dimension = chi((1,) * b)
             if 0 <= t < b:
                 hook = (b - t,) + (1,) * t
                 assert got == SchurClass({hook: 1})
-                assert rep.dimension == comb(b - 1, t)
+                assert dimension == comb(b - 1, t)
             else:
                 assert got.is_zero()
-                assert rep.dimension == 0
+                assert dimension == 0
 
 
 def test_criterion_05_filtration_levels_nest_exhaust_and_are_stable():

@@ -6,7 +6,11 @@ Independent oracles used here:
   * section counts re-derived by enumerating all injective right inverses,
   * binomial/factorial dimension formulas evaluated with ``math.comb``,
   * a hand-frozen kernel vector for the smallest nontrivial primitive block,
-  * rank-nullity bookkeeping tying cokernel decompositions to exact ranks.
+  * rank-nullity bookkeeping tying cokernel decompositions to exact ranks,
+  * the pairing's image basis, from the RREF of its transpose, for the
+    cokernel's character,
+  * sums of principal minors (sympy determinants) for the characters of
+    exterior powers.
 """
 from collections import deque
 from fractions import Fraction
@@ -15,6 +19,7 @@ from math import comb, factorial
 from operator import eq
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
@@ -26,7 +31,8 @@ from fsprim.fsfilt import (FiltrationLevel, HomModule,
                            coker_theta_decompose,
                            fi_stability_check, filtration_level,
                            filtration_nesting_check, full_fs_bidecompose,
-                           hom_module, kring_identity_check, lambda_bar_rep,
+                           hom_module, kring_identity_check,
+                           lambda_bar_character,
                            level_bicharacter, primfs_identity_check,
                            primitives, primitives_bidecompose,
                            ses_identity_check, sgn_vanishing_check,
@@ -34,7 +40,7 @@ from fsprim.fsfilt import (FiltrationLevel, HomModule,
                            subquotient_identity_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report)
-from fsprim.fsfilt import (_in_level, _reduced_restriction,
+from fsprim.fsfilt import (_difference, _in_level, _reduced_restriction,
                            _restricted_bicharacter, _transpose)
 from fsprim.partitions import (class_size, irrep_dimension, partition_index,
                                partitions_of)
@@ -42,9 +48,9 @@ from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                               InternalConsistencyError, SchurClass,
                               bidecompose_character, class_representative,
-                              decompose)
+                              decompose_character)
 
-from test_ratlinalg import sparse_columns, sympy_rref
+from test_ratlinalg import image_basis, sparse_columns, sympy_rref
 
 SURJ = HomClass.SURJECTION
 INJ = HomClass.INJECTION
@@ -205,6 +211,11 @@ def test_whole_space_characters_build_no_permutation(fresh_character_caches,
     for a in range(1, 7):
         for c in range(a):
             assert sgn_vanishing_check(a, c), (a, c)
+    # Level -1 and the pairing's kernel at equal sizes are zero spaces.
+    for n in range(7):
+        assert subquotient_decompose(0, n, n) == \
+            full_fs_bidecompose(n, n), n
+        assert coker_theta_decompose(n, n).is_zero(), n
 
 
 def _assert_actions_match_composition(flavor, source, target):
@@ -705,6 +716,46 @@ def test_cokernel_dimension_matches_rank_nullity():
             assert bimodule_dimension(coker_theta_decompose(a, b)) == codim
 
 
+def _image_trace_cokernel(a, b):
+    """Reference: the functional space's character minus the restricted
+    trace on a basis of the pairing's image (the RREF of its transpose),
+    both read on the injection span and then transposed."""
+    functionals = hom_module(INJ, a, b)
+    image = _restricted_bicharacter(functionals,
+                                    image_basis(theta_matrix(a, b)))
+    return bidecompose_character(_transpose(
+        _difference(functionals.bicharacter(), image)))
+
+
+def test_kernel_cokernel_matches_the_image_trace_reference():
+    for b in range(7):
+        for a in range(b + 1):
+            assert coker_theta_decompose(a, b) == \
+                _image_trace_cokernel(a, b), (a, b)
+
+
+def test_cokernel_eliminates_only_the_pairing(fresh_character_caches,
+                                              monkeypatch):
+    from fsprim import ratlinalg
+    monkeypatch.setattr(ratlinalg, "_RREF_BY_ROWS", {})
+    fresh_character_caches.theta_matrix.cache_clear()
+    eliminated = []
+    rref = RatMatrix.rref
+
+    def spy(self):
+        eliminated.append(self)
+        return rref(self)
+
+    monkeypatch.setattr(RatMatrix, "rref", spy)
+    for b in range(6):
+        for a in range(b + 1):
+            eliminated.clear()
+            coker_theta_decompose(a, b)
+            pairing = theta_matrix(a, b)
+            assert eliminated and all(m is pairing for m in eliminated), (
+                a, b)
+
+
 def test_size_decreasing_primitives_act_as_zero_on_cokernels():
     for b in range(6):
         for a in range(b + 1):
@@ -722,7 +773,7 @@ def _hand_assembled_coker_relations(a, c, b, quotient=True):
     """
     prim = primitives(a, c)
     p = prim.dimension
-    image = theta_matrix(a, b).image_basis()
+    image = image_basis(theta_matrix(a, b))
     pivots = image.unit_rows() if quotient else ()
     pivot_col = {j: m for m, j in enumerate(pivots)}
     nonpivots = [j for j in range(image.rows) if j not in pivot_col]
@@ -832,6 +883,11 @@ def test_sign_component_of_size_decreasing_blocks_vanishes():
     for a in range(1, 7):
         for c in range(a):
             assert sgn_vanishing_check(a, c), (a, c)
+    # Level -1 and the pairing's kernel at equal sizes are zero spaces.
+    for n in range(7):
+        assert subquotient_decompose(0, n, n) == \
+            full_fs_bidecompose(n, n), n
+        assert coker_theta_decompose(n, n).is_zero(), n
 
 
 def test_sign_multiplicity_matches_the_fixed_point_count():
@@ -870,24 +926,80 @@ def test_sign_vanishing_rejects_equal_sizes():
 def test_exterior_power_dimensions_follow_binomials():
     for b in range(1, 7):
         for t in range(b):
-            assert lambda_bar_rep(t, b).dimension == comb(b - 1, t), (t, b)
+            assert lambda_bar_character(t, b)((1,) * b) == comb(b - 1, t), \
+                (t, b)
 
 
 def test_exterior_power_decomposes_as_a_hook():
-    assert decompose(lambda_bar_rep(1, 3)) == SchurClass({(2, 1): 1})
-    assert decompose(lambda_bar_rep(2, 4)) == SchurClass({(2, 1, 1): 1})
+    assert decompose_character(lambda_bar_character(1, 3)) == \
+        SchurClass({(2, 1): 1})
+    assert decompose_character(lambda_bar_character(2, 4)) == \
+        SchurClass({(2, 1, 1): 1})
     for b in range(2, 6):
         for t in range(1, b):
             hook = (b - t,) + (1,) * t
-            assert decompose(lambda_bar_rep(t, b)) == SchurClass({hook: 1})
+            assert decompose_character(lambda_bar_character(t, b)) == \
+                SchurClass({hook: 1})
 
 
 def test_exterior_power_edge_conventions():
-    assert lambda_bar_rep(3, 3).dimension == 0
-    assert lambda_bar_rep(0, 4).dimension == 1
-    assert decompose(lambda_bar_rep(0, 4)) == SchurClass({(4,): 1})
-    assert lambda_bar_rep(0, 0).dimension == 0
-    assert lambda_bar_rep(5, 2).dimension == 0
+    assert lambda_bar_character(3, 3)((1, 1, 1)) == 0
+    assert lambda_bar_character(0, 4).values == (1,) * 5
+    assert decompose_character(lambda_bar_character(0, 4)) == \
+        SchurClass({(4,): 1})
+    assert lambda_bar_character(0, 0) == ClassFunction(0, (0,))
+    assert lambda_bar_character(5, 2).values == (0, 0)
+
+
+def _principal_minor_character(power, set_size):
+    """Reference: the trace of the t-th exterior power of sigma's matrix on
+    the augmentation kernel, as the sum of its principal t-minors, each a
+    sympy determinant.  The kernel's basis is e_i - e_b for i < b, and a
+    kernel vector's coordinates are its first b - 1 entries.  Set size 0
+    is the zero space."""
+    t, b = power, set_size
+    if b == 0:
+        return ClassFunction(0, (0,))
+    values = []
+    for mu in partitions_of(b):
+        sigma = class_representative(mu)
+        # Column i is sigma(e_i - e_b) = e_sigma(i) - e_sigma(b), cut to b - 1.
+        matrix = sympy.Matrix(b - 1, b - 1, lambda j, i: (
+            int(sigma(i + 1) == j + 1) - int(sigma(b) == j + 1)))
+        minors = (matrix.extract(rows, rows).det()
+                  for rows in map(list, combinations(range(b - 1), t)))
+        values.append(sum(minors))
+    return ClassFunction(b, tuple(int(v) for v in values))
+
+
+def test_exterior_power_character_matches_the_principal_minors():
+    for b in range(8):
+        for t in range(b + 2):
+            assert lambda_bar_character(t, b) == \
+                _principal_minor_character(t, b), (t, b)
+
+
+def test_an_off_by_one_exterior_power_entry_fails_the_check(monkeypatch):
+    import fsprim.verify as verify
+    real = verify.lambda_bar_character
+    # Every entry of every cell at bound 4, one unit up or down.
+    mutations = [(t, b, k, delta) for b in range(5) for t in range(b + 2)
+                 for k in range(len(partitions_of(b))) for delta in (1, -1)]
+    for t, b, k, delta in mutations:
+        def mutant(power, set_size, t=t, b=b, k=k, delta=delta):
+            chi = real(power, set_size)
+            if (power, set_size) != (t, b):
+                return chi
+            values = list(chi.values)
+            values[k] += delta
+            return ClassFunction(set_size, values)
+
+        monkeypatch.setattr(verify, "lambda_bar_character", mutant)
+        try:
+            reports = verify.run_check("lambda_bar", 4)
+        except InternalConsistencyError:
+            continue
+        assert [r.status for r in reports] == ["fail"], (t, b, k, delta)
 
 
 # ------------------------------------------------------------------- closure
@@ -1170,7 +1282,7 @@ def test_restricted_traces_match_the_fraction_reference():
                         module, filtration_level(b, a, t).basis_matrix), \
                     (b, a, t)
             functionals = hom_module(INJ, a, b)
-            image = theta_matrix(a, b).image_basis()
+            image = image_basis(theta_matrix(a, b))
             assert _restricted_bicharacter(functionals, image) == \
                 _fraction_restricted_bicharacter(functionals, image), (a, b)
 

@@ -11,7 +11,6 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fsprim.finsetcat import FinMap, compose
 from fsprim.partitions import (
@@ -28,24 +27,19 @@ from fsprim.repdecomp import (
     BiSchurClass,
     ClassFunction,
     InternalConsistencyError,
-    RepSpace,
     SchurClass,
-    adjacent_transposition,
     bidecompose_character,
     biconvolution_right,
     boxtimes,
     character_table,
     class_representative,
     convolution_class,
-    decompose,
     decompose_character,
     derham_check,
     invert_identity_check,
     mn_character,
     pieri_e,
     pieri_h,
-    rep_character,
-    transposition_word,
 )
 from fsprim.repdecomp import _induced_product
 
@@ -82,9 +76,11 @@ def inverse(perm):
                   tuple(sorted(range(1, perm.source_size + 1), key=perm)))
 
 
-def one_dimensional_rep(n, value):
-    """Every adjacent transposition acting as ``value`` (1 or -1)."""
-    return RepSpace(n, 1, (RatMatrix([[value]]),) * max(n - 1, 0))
+def one_dimensional_character(n, value):
+    """Every transposition acting as ``value`` (1 or -1): a permutation of
+    cycle type mu is a product of n - len(mu) transpositions."""
+    return ClassFunction(n, tuple(value ** (n - len(mu))
+                                  for mu in partitions_of(n)))
 
 
 # ------------------------------------------------------------- permutations
@@ -110,29 +106,6 @@ def test_class_representative_deterministic_form():
     assert class_representative((1, 1)).values == (1, 2)
 
 
-def _evaluate_word(n, word):
-    out = FinMap(n, n, tuple(range(1, n + 1)))
-    for t in word:
-        out = compose(out, adjacent_transposition(n, t))
-    return out
-
-
-def test_transposition_word_reconstructs_permutation():
-    for g in all_permutations(4):
-        word = transposition_word(g)
-        assert _evaluate_word(4, word) == g
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
-                         if g.values[i] > g.values[j])
-        assert len(word) == inversions
-    assert transposition_word(FinMap(5, 5, (1, 2, 3, 4, 5))) == ()
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(all_permutations(5)))
-def test_transposition_word_degree_five(g):
-    assert _evaluate_word(5, transposition_word(g)) == g
-
-
 # --------------------------------------------------------------- characters
 
 
@@ -152,10 +125,12 @@ def test_standard_character_from_matrix_model():
     # explicit 2-dimensional model of the standard representation of degree 3
     s1 = RatMatrix([[-1, 1], [0, 1]])
     s2 = RatMatrix([[1, 0], [1, -1]])
-    V = RepSpace(3, 2, (s1, s2))
-    chi = rep_character(V)
-    for mu in partitions_of(3):
-        assert chi(mu) == mn_character((2, 1), mu)
+    assert s1 @ s1 == s2 @ s2 == RatMatrix.identity(2)
+    assert s1 @ s2 @ s1 == s2 @ s1 @ s2
+    # one matrix per class: the identity, a transposition, a 3-cycle
+    for mu, M in (((1, 1, 1), RatMatrix.identity(2)), ((2, 1), s1),
+                  ((3,), s1 @ s2)):
+        assert M.entry(0, 0) + M.entry(1, 1) == mn_character((2, 1), mu)
     assert mn_character((2, 1), (3,)) == -1
 
 
@@ -214,24 +189,7 @@ def test_column_orthogonality():
                 assert acc == (centralizer_order(mu) if i == j else 0)
 
 
-# ---------------------------------------------------------------- rep spaces
-
-
-def test_rep_space_rejects_bad_generators():
-    with pytest.raises(InternalConsistencyError):
-        RepSpace(2, 1, (RatMatrix([[2]]),))  # not an involution
-    with pytest.raises(InternalConsistencyError):
-        # involutions failing the braid relation
-        a = RatMatrix([[0, 1], [1, 0]])
-        b = RatMatrix([[1, 0], [0, -1]])
-        RepSpace(3, 2, (a, b))
-    with pytest.raises(ValueError):
-        RepSpace(3, 2, (RatMatrix.identity(2),))  # wrong generator count
-
-
-def test_trivial_character_all_ones():
-    chi = rep_character(one_dimensional_rep(4, 1))
-    assert chi.values == (1,) * len(partitions_of(4))
+# ------------------------------------------------------------- decomposition
 
 
 def test_decompose_regular():
@@ -258,9 +216,9 @@ def test_decompose_permutation_action():
 
 def test_decompose_trivial_and_sign():
     for n in range(6):
-        assert decompose(one_dimensional_rep(n, 1)) == SchurClass(
-            {(n,) if n else (): 1})
-    assert decompose(one_dimensional_rep(4, -1)) == SchurClass(
+        assert decompose_character(one_dimensional_character(n, 1)) == \
+            SchurClass({(n,) if n else (): 1})
+    assert decompose_character(one_dimensional_character(4, -1)) == SchurClass(
         {(1, 1, 1, 1): 1})
 
 
