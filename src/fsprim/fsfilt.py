@@ -61,7 +61,7 @@ __all__ = [
     "level_bicharacter", "primitives_bidecompose", "full_fs_bidecompose",
     "subquotient_decompose",
     "theta_matrix", "theta_equivariance_check", "theta_kernel_level_check",
-    "theta_rank_report", "coker_theta_decompose",
+    "theta_rank_report", "sign_hook_class", "coker_theta_decompose",
     "coker_action_triviality",
     "lambda_bar_character",
     "sgn_vanishing_check",
@@ -108,13 +108,11 @@ class HomModule:
                          map(bytes.translate, self.basis, repeat(table))))
 
     def right_perm(self, sigma: FinMap) -> tuple[int, ...]:
-        if self.right_degree < 2:
-            return tuple(range(self.dimension))
         # Position k of f . sigma^{-1} reads f at sigma^{-1}(k).
         preimage = sorted(range(self.right_degree),
                           key=sigma.values.__getitem__)
         return tuple(map(self.index.__getitem__,
-                         map(bytes, map(itemgetter(*preimage), self.basis))))
+                         _restrict(self.basis, tuple(preimage))))
 
     @cached_property
     def left_generator_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -434,6 +432,20 @@ def theta_rank_report(target_size: int, source_size: int) -> dict:
     }
 
 
+def sign_hook_class(target_size: int, source_size: int) -> BiSchurClass:
+    """The sign-hook class sgn_a ⊠ (b - a, 1^a); zero when a = b.
+
+    The pairing's cokernel at target a and source b >= a, and the
+    correction term of the identities below.
+    """
+    a, b = target_size, source_size
+    if not 0 <= a <= b:
+        raise ValueError("sign hook needs target no larger than source")
+    if a == b:
+        return BiSchurClass()
+    return boxtimes(sign_class(a), SchurClass({(b - a,) + (1,) * a: 1}))
+
+
 @cache
 def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
     """Exact decomposition of the pairing's cokernel bimodule.
@@ -606,7 +618,9 @@ def _module_generator_columns(source_size: int, target_size: int,
     p = _PRIME
     actions: list[list[dict[int, int]]] = []
     for perm in perms:
-        acted = K.permute_rows(perm).select_rows(unit)._sparse_rows()
+        # Row u of the acted basis is row perm^{-1}(u) of K, and perm, the
+        # action of an adjacent transposition, is its own inverse.
+        acted = K.select_rows(perm[u] for u in unit)._sparse_rows()
         cols: list[dict[int, int]] = [{} for _ in range(dim)]
         for r, row in acted.items():
             for j, val in row.items():
@@ -817,8 +831,7 @@ def kring_identity_check(source_size: int, target_size: int) -> IdentityCheck:
         lhs = lhs + biconvolution_right(block, trivial_class(ell))
     rhs = full_fs_bidecompose(b, a)
     if b > a:
-        hook = SchurClass({(b - a,) + (1,) * a: 1})
-        rhs = rhs + boxtimes(sign_class(a), hook)
+        rhs = rhs + sign_hook_class(a, b)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 
@@ -847,8 +860,7 @@ def subquotient_identity_check(level: int, source_size: int,
         rhs = rhs - biconvolution_right(pair, trivial_class(ell)).scale(
             (-1) ** (b - ell - a))
     if b == a + ell:
-        hook = SchurClass({(ell,) + (1,) * a: 1})
-        rhs = rhs - boxtimes(sign_class(a), hook)
+        rhs = rhs - sign_hook_class(a, b)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 
@@ -867,8 +879,7 @@ def ses_identity_check(level: int, source_size: int,
                          "+ level")
     lhs = subquotient_decompose(ell, b, a)
     if b == a + ell:
-        hook = SchurClass({(ell,) + (1,) * a: 1})
-        lhs = lhs + boxtimes(sign_class(a), hook)
+        lhs = lhs + sign_hook_class(a, b)
     rhs = biconvolution_right(primitives_bidecompose(b - ell, a),
                               trivial_class(ell))
     return IdentityCheck(lhs == rhs, lhs, rhs)

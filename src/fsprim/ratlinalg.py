@@ -1,19 +1,21 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 The public type is :class:`RatMatrix`, an immutable matrix of exact
-rationals.  Row reduction, rank, kernels and membership certificates are
-all exact; no floating point appears anywhere.
+rationals, with only the operations the checks use: build (from triplets or
+columns, zeros, identity), multiply, select rows, read an entry, compare,
+and eliminate (RREF, rank, kernel basis); :func:`solve_membership` certifies
+membership in a column span.  All of it is exact; no floating point appears
+anywhere.
 
 A matrix stores its nonzero entries as {row: {col: value}}, a value being an
 ``int`` when integral and a ``fractions.Fraction`` otherwise (constructors
 and elimination normalise; a matrix product of Fractions may leave an
 integral Fraction, which compares and hashes like its int).  Floats are
 refused.  The container is a sparse sympy ``DomainMatrix`` whose ``rep`` is
-that dict and whose QQ tag is only nominal: only the sympy operations that
-work through the values' own ``+`` and ``*`` or move entries unchanged run
-on it (``matmul``, ``transpose``, ``hstack``); there are no sums or
-Kronecker products, and never its ``rref``, which inverts a pivot as
-``Aij**-1``, a float for an int.
+that dict and whose QQ tag is only nominal: the one sympy operation run on
+it is ``matmul``, which works through the values' own ``+`` and ``*``;
+never its ``rref``, which inverts a pivot as ``Aij**-1``, a float for an
+int.  Everything else reads and builds the row dicts directly.
 
 Elimination is exact Gauss--Jordan over Python integers
 (:func:`_gauss_jordan`).  Each row is scaled by the lcm of its denominators,
@@ -78,7 +80,7 @@ def _clear_denominators(row: dict) -> tuple[int, dict]:
                  for j, v in row.items()}
 
 
-def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
+def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:
     """Nonzero RREF rows {row: {col: int or Fraction}} and pivot columns.
 
     Sound because:
@@ -95,9 +97,11 @@ def _gauss_jordan(dm: DomainMatrix) -> tuple[dict, tuple[int, ...]]:
     The loop is sympy's sparse ``sdm_irref``: rows are taken by descending
     first nonzero column, each is cleared of the earlier pivots, its least
     nonzero column becomes its pivot, and that column is cleared from the
-    earlier rows that hold it.  ``dm`` and its row dicts are not modified.
+    earlier rows that hold it.  ``sparse_rows``, a {row: {col: value}}
+    mapping, and its row dicts are not modified.
     """
-    rows = [_clear_denominators(row)[1] for row in dm.rep.values() if row]
+    rows = [_clear_denominators(row)[1]
+            for row in sparse_rows.values() if row]
     rows.sort(key=min)
     pivot_row = {}  # pivot column -> its row
     reduced = set()  # pivots whose row holds nothing but the pivot
@@ -169,24 +173,12 @@ class RatMatrix:
 
     ``dm`` is a ``DomainMatrix`` in sympy's sparse format, holding int and
     Fraction values under a nominal QQ tag: it is built from a dict of rows,
-    and products, stacking and transposes keep that format, so
-    ``dm.rep`` is always the dict of nonzero rows.  Row dicts are shared
-    between matrices and never modified.
+    and products keep that format, so ``dm.rep`` is always the dict of
+    nonzero rows.  Row dicts are shared between matrices and never
+    modified.
     """
 
     __slots__ = ("rows", "cols", "dm", "_rref", "_unit_rows")
-
-    def __init__(self, entries):
-        table = [list(row) for row in entries]
-        cols = len(table[0]) if table else 0
-        if any(len(row) != cols for row in table):
-            raise ValueError("ragged rows")
-        dod = {}
-        for i, row in enumerate(table):
-            nonzero = {j: q for j, x in enumerate(row) if (q := _exact(x))}
-            if nonzero:
-                dod[i] = nonzero
-        self._set(_sparse(len(table), cols, dod))
 
     def _set(self, dm: DomainMatrix, unit_rows=False) -> None:
         self.rows, self.cols = dm.shape
@@ -221,7 +213,7 @@ class RatMatrix:
             if len(col) != rows:
                 raise ValueError("column length mismatch")
             for i, x in enumerate(col):
-                if x and (q := _exact(x)):
+                if q := _exact(x):
                     dod.setdefault(i, {})[j] = q
         return cls._make(_sparse(rows, len(columns), dod))
 
@@ -251,40 +243,12 @@ class RatMatrix:
         """Nonzero entries as {row: {col: int or Fraction}} (read-only)."""
         return self.dm.rep
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.row(i) for i in range(self.rows))
-
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ValueError(f"entry ({i}, {j}) outside a "
                              f"{self.rows}x{self.cols} matrix")
         v = self._sparse_rows().get(i, {}).get(j)
         return _ZERO if v is None else Fraction(v)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        if not 0 <= i < self.rows:
-            raise ValueError(f"row {i} outside {self.rows} rows")
-        row = self._sparse_rows().get(i, {})
-        return tuple(Fraction(row[j]) if j in row else _ZERO
-                     for j in range(self.cols))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        if not 0 <= j < self.cols:
-            raise ValueError(f"column {j} outside {self.cols} columns")
-        out = [_ZERO] * self.rows
-        for i, row in self._sparse_rows().items():
-            if j in row:
-                out[i] = Fraction(row[j])
-        return tuple(out)
-
-    def permute_rows(self, dest) -> "RatMatrix":
-        """Matrix whose row dest[i] is row i of self (dest a permutation)."""
-        dest = tuple(dest)
-        if sorted(dest) != list(range(self.rows)):
-            raise ValueError("dest is not a permutation of the rows")
-        return RatMatrix._make(_sparse(self.rows, self.cols, {
-            dest[i]: row for i, row in self._sparse_rows().items()}))
 
     def select_rows(self, indices) -> "RatMatrix":
         """Matrix formed by rows indices[0], indices[1], ... of self."""
@@ -297,18 +261,10 @@ class RatMatrix:
 
     # -- algebra ---------------------------------------------------------
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix._make(self.dm.transpose())
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not (isinstance(other, RatMatrix) and self.cols == other.rows):
             raise ValueError("shape mismatch in product")
         return RatMatrix._make(self.dm.matmul(other.dm))
-
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return RatMatrix._make(self.dm.hstack(other.dm))
 
     def is_zero(self) -> bool:
         return not self._sparse_rows()
@@ -333,12 +289,12 @@ class RatMatrix:
             if self.rows == 0 or self.cols == 0:
                 self._rref = (self, ())
             else:
+                sparse = self._sparse_rows()
                 key = (self.cols, frozenset(
-                    frozenset(row.items())
-                    for row in self._sparse_rows().values() if row))
+                    frozenset(row.items()) for row in sparse.values() if row))
                 shared = _RREF_BY_ROWS.get(key)
                 if shared is None:
-                    shared = _RREF_BY_ROWS[key] = _gauss_jordan(self.dm)
+                    shared = _RREF_BY_ROWS[key] = _gauss_jordan(sparse)
                 nonzero, pivots = shared
                 red = _sparse(self.rows, self.cols, nonzero)
                 self._rref = (RatMatrix._make(red), pivots)
@@ -405,18 +361,23 @@ def solve_membership(span: RatMatrix, vector):
     if len(vector) != span.rows:
         raise ValueError(f"dimension mismatch: vector of length "
                          f"{len(vector)} against {span.rows} rows")
-    column = RatMatrix.from_columns(span.rows, [vector])
+    target = {i: q for i, x in enumerate(vector) if (q := _exact(x))}
+    sparse = span._sparse_rows()
     unit = span.unit_rows()
     if unit is not None:
-        coeffs = column.select_rows(unit)
-        return coeffs.column(0) if span @ coeffs == column else None
-    # A one-off elimination: sharing it would keep one entry per vector.
-    red_rows, pivots = _gauss_jordan(span.hstack(column).dm)
+        coeffs = [target.get(i, 0) for i in unit]
+        image = {i: v for i, row in sparse.items()
+                 if (v := sum(x * coeffs[j] for j, x in row.items()))}
+        return tuple(map(Fraction, coeffs)) if image == target else None
+    # The augmented rows [span | vector].  A one-off elimination: sharing it
+    # would keep one entry per vector.
+    augmented = {i: dict(row) for i, row in sparse.items()}
+    for i, x in target.items():
+        augmented.setdefault(i, {})[span.cols] = x
+    red_rows, pivots = _gauss_jordan(augmented)
     if span.cols in pivots:
         return None
     coeffs = [_ZERO] * span.cols
     for k, p in enumerate(pivots):
-        val = red_rows.get(k, {}).get(span.cols)
-        if val is not None:
-            coeffs[p] = Fraction(val)
+        coeffs[p] = Fraction(red_rows[k].get(span.cols, 0))
     return tuple(coeffs)

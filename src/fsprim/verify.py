@@ -52,6 +52,7 @@ from .fsfilt import (
     primitives,
     ses_identity_check,
     sgn_vanishing_check,
+    sign_hook_class,
     subquotient_decompose,
     subquotient_identity_check,
     theta_equivariance_check,
@@ -60,15 +61,12 @@ from .fsfilt import (
 )
 from .partitions import centralizer_order, class_size, partitions_of
 from .repdecomp import (
-    BiSchurClass,
     SchurClass,
     bidecompose_character,
-    boxtimes,
     character_table,
     decompose_character,
     derham_check,
     invert_identity_check,
-    sign_class,
 )
 
 __all__ = [
@@ -374,19 +372,11 @@ def _check_theta_injectivity(bound: int) -> CheckReport:
     return _timed("theta_injectivity", {"bound": bound}, run)
 
 
-def _sign_hook_class(target_size: int, source_size: int) -> BiSchurClass:
-    a, b = target_size, source_size
-    if a == b:
-        return BiSchurClass()
-    hook = (b - a,) + (1,) * a
-    return boxtimes(sign_class(a), SchurClass({hook: 1}))
-
-
 def _check_coker_theta(bound: int) -> CheckReport:
     """Cokernel of the pairing is the sign-hook class on every cell."""
     return _sweep("coker_theta", {"bound": bound}, _cells(bound),
                   lambda c: _compare(_at(*c), "class",
-                                     _sign_hook_class(c[1], c[0]),
+                                     sign_hook_class(c[1], c[0]),
                                      coker_theta_decompose(c[1], c[0])))
 
 
@@ -494,25 +484,10 @@ _REGISTRY: dict[str, Callable[[int], CheckReport | list[CheckReport]]] = {
 # The formula ops refuse bound 0; the registry reports them vacuous there.
 _FORMULA_IDS = ("primfs_formula", "kring_fs_check", "subquotient_formula")
 
-# Canonical execution order for full runs; "invert" stays individually
-# addressable but is covered by the derham cancellation it reduces to.
-_RUN_ORDER = (
-    "dimension_counts",
-    "orthogonality",
-    "derham",
-    "theta_equivariance",
-    "theta_injectivity",
-    "coker_theta",
-    "coker_action",
-    "lambda_bar",
-    "filtration",
-    "closure",
-    "sgn_vanishing",
-    "ses",
-    "primfs_formula",
-    "kring_fs_check",
-    "subquotient_formula",
-)
+# Canonical execution order for full runs: the registry's, less "invert",
+# which stays individually addressable but is covered by the derham
+# cancellation it reduces to.
+_RUN_ORDER = tuple(check_id for check_id in _REGISTRY if check_id != "invert")
 
 CHECK_IDS = tuple(_REGISTRY)
 

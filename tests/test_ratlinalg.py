@@ -46,7 +46,8 @@ def oracle_rref(rows):
 
 def times(matrix, vector):
     """matrix @ vector, for a vector given as a sequence."""
-    return (matrix @ RatMatrix.from_columns(matrix.cols, [vector])).column(0)
+    product = matrix @ RatMatrix.from_columns(matrix.cols, [vector])
+    return tuple(row[0] for row in entries(product))
 
 
 small_frac = st.fractions(
@@ -62,17 +63,20 @@ matrices = st.integers(min_value=0, max_value=5).flatmap(
 
 
 def test_entries_are_fractions_and_dense():
-    M = RatMatrix([[1, Fraction(2, 4), "3/2"], [0, -1, 2]])
+    M = dense([[1, Fraction(2, 4), "3/2"], [0, -1, 2]])
     assert M.rows == 2 and M.cols == 3
-    assert M.entries[0] == (Fraction(1), Fraction(1, 2), Fraction(3, 2))
-    assert all(isinstance(x, Fraction) for row in M.entries for x in row)
+    assert entries(M)[0] == (Fraction(1), Fraction(1, 2), Fraction(3, 2))
+    assert all(isinstance(x, Fraction) for row in entries(M) for x in row)
 
 
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
-        RatMatrix([[0.5]])
-    with pytest.raises(TypeError):
         RatMatrix.from_triplets(1, 1, [(0, 0, 1.0)])
+    # A float zero is refused too, not skipped as a zero entry.
+    with pytest.raises(TypeError):
+        RatMatrix.from_columns(2, [[0.0, 1]])
+    with pytest.raises(TypeError):
+        solve_membership(RatMatrix.identity(2), [0.0, 1])
 
 
 def test_triplet_values_agree_across_exact_types():
@@ -80,40 +84,35 @@ def test_triplet_values_agree_across_exact_types():
     as_int = RatMatrix.from_triplets(2, 3, cells)
     as_fraction = RatMatrix.from_triplets(
         2, 3, [(i, j, Fraction(v)) for i, j, v in cells])
-    assert as_int == as_fraction == RatMatrix([[1, 0, -3], [0, 0, 1]])
+    assert as_int == as_fraction == dense([[1, 0, -3], [0, 0, 1]])
     units = [(i, j, v) for i, j, v in cells if v in (0, 1)]
     as_bool = RatMatrix.from_triplets(
         2, 3, [(i, j, bool(v)) for i, j, v in units])
     assert as_bool == RatMatrix.from_triplets(2, 3, units)
 
 
-def test_ragged_rows_rejected():
-    with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [3]])
-
-
 def test_from_triplets_accumulates_duplicates():
     M = RatMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 1), (1, 1, -1)])
-    assert M == RatMatrix([[3, 0], [0, 0]])
+    assert M == dense([[3, 0], [0, 0]])
 
 
 def test_triplet_and_dense_construction_agree():
-    dense = RatMatrix([[0, 1, 0], [2, 0, -3]])
+    by_columns = RatMatrix.from_columns(2, [(0, 2), (1, 0), (0, -3)])
     trips = RatMatrix.from_triplets(2, 3, [(0, 1, 1), (1, 0, 2), (1, 2, -3)])
-    assert dense == trips
-    assert dense.entries == trips.entries
+    assert by_columns == trips
+    assert entries(by_columns) == entries(trips)
 
 
 def test_from_columns():
     M = RatMatrix.from_columns(3, [(1, 0, 0), (1, 1, 0)])
-    assert M.entries == ((Fraction(1), Fraction(1)),
+    assert entries(M) == ((Fraction(1), Fraction(1)),
                          (Fraction(0), Fraction(1)),
                          (Fraction(0), Fraction(0)))
 
 
 def test_identity_and_zeros():
-    assert RatMatrix.identity(3).entries == RatMatrix(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).entries
+    assert entries(RatMatrix.identity(3)) == entries(
+        dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert RatMatrix.zeros(2, 3).is_zero()
     assert RatMatrix.identity(0).rows == 0
 
@@ -151,6 +150,39 @@ def sympy_rref(matrix, method):
              for i, row in red.rep.items() if row}, tuple(pivots))
 
 
+def dense(rows):
+    """The matrix with the given rows (equal-length sequences)."""
+    rows = [list(row) for row in rows]
+    cols = len(rows[0]) if rows else 0
+    assert all(len(row) == cols for row in rows)
+    return RatMatrix.from_triplets(len(rows), cols, (
+        (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)))
+
+
+def entries(matrix):
+    """Every entry of ``matrix`` as a Fraction, row by row."""
+    sparse = matrix._sparse_rows()
+    return tuple(tuple(Fraction(sparse.get(i, {}).get(j, 0))
+                       for j in range(matrix.cols))
+                 for i in range(matrix.rows))
+
+
+def transpose(matrix):
+    """The transpose of ``matrix``."""
+    return RatMatrix.from_triplets(matrix.cols, matrix.rows, (
+        (j, i, x) for i, row in matrix._sparse_rows().items()
+        for j, x in row.items()))
+
+
+def permute_rows(matrix, dest):
+    """The matrix whose row dest[i] is row i of ``matrix``."""
+    dest = tuple(dest)
+    assert sorted(dest) == list(range(matrix.rows))
+    return RatMatrix.from_triplets(matrix.rows, matrix.cols, (
+        (dest[i], j, x) for i, row in matrix._sparse_rows().items()
+        for j, x in row.items()))
+
+
 def sparse_columns(matrix):
     """Nonzero entries of ``matrix`` as {col: {row: Fraction}}."""
     out = {}
@@ -166,9 +198,9 @@ def image_basis(matrix):
     The RREF of the transpose, read back as columns; the pivot positions
     are unit rows of the result.
     """
-    red_t, pivots_t = matrix.transpose().rref()
-    basis = RatMatrix.from_columns(
-        matrix.rows, [red_t.row(k) for k in range(len(pivots_t))])
+    red_t, pivots_t = transpose(matrix).rref()
+    basis = RatMatrix.from_columns(matrix.rows,
+                                   entries(red_t)[:len(pivots_t)])
     assert basis.unit_rows() == pivots_t
     return basis
 
@@ -193,12 +225,12 @@ def test_rref_matches_oracle_fixed():
          [2, big, -big]],
     ]
     for rows in cases:
-        M = RatMatrix(rows)
+        M = dense(rows)
         before = copy.deepcopy(dict(M.dm.rep))
         R, piv = M.rref()
         exp_rows, exp_piv = oracle_rref(rows)
         assert piv == exp_piv
-        assert list(R.entries) == exp_rows
+        assert list(entries(R)) == exp_rows
         assert normalised_values(R)
         assert dict(M.dm.rep) == before and normalised_values(M)
 
@@ -225,11 +257,11 @@ def test_rref_matches_sympy_gauss_jordan_on_the_operators(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_rref_matches_oracle(rows):
-    M = RatMatrix(rows)
+    M = dense(rows)
     R, piv = M.rref()
     exp_rows, exp_piv = oracle_rref(rows)
     assert piv == exp_piv
-    assert list(R.entries) == exp_rows
+    assert list(entries(R)) == exp_rows
 
 
 def reference_rref(matrix):
@@ -248,29 +280,29 @@ def fast_rref(matrix):
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_rref_matches_denominator_clearing_reference(rows):
-    M = RatMatrix(rows)
+    M = dense(rows)
     assert fast_rref(M) == reference_rref(M)
 
 
 def test_rref_is_shared_by_row_content():
     rows = [[1, 2, 0, 3], [0, Fraction(1, 2), 1, 0], [2, 4, 0, 6]]
-    M = RatMatrix(rows)
+    M = dense(rows)
     red, pivots = M.rref()
     # Reordered rows, a repeat and a zero row span the same row space.
-    N = RatMatrix([rows[1], rows[0], [0, 0, 0, 0], rows[1], rows[2]])
+    N = dense([rows[1], rows[0], [0, 0, 0, 0], rows[1], rows[2]])
     red_n, pivots_n = N.rref()
     assert pivots_n == pivots
     assert red_n.rows == 5 and red.rows == 3
-    assert red_n.entries[:len(pivots)] == red.entries[:len(pivots)]
-    assert all(not any(row) for row in red_n.entries[len(pivots):])
+    assert entries(red_n)[:len(pivots)] == entries(red)[:len(pivots)]
+    assert all(not any(row) for row in entries(red_n)[len(pivots):])
     assert fast_rref(N) == reference_rref(N)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_transpose_invariant(rows):
-    M = RatMatrix(rows)
-    assert M.rank() == M.transpose().rank()
+    M = dense(rows)
+    assert M.rank() == transpose(M).rank()
     assert M.rank() <= min(M.rows, M.cols)
 
 
@@ -280,7 +312,7 @@ def test_rank_transpose_invariant(rows):
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_kernel_basis_properties(rows):
-    M = RatMatrix(rows)
+    M = dense(rows)
     K = M.kernel_basis()
     assert K.rows == M.cols
     assert K.cols == M.cols - M.rank()
@@ -291,26 +323,26 @@ def test_kernel_basis_properties(rows):
     if K.cols:
         assert unit is not None
         for k, i in enumerate(unit):
-            row = K.row(i)
+            row = entries(K)[i]
             assert row[k] == 1 and all(x == 0 for j, x in enumerate(row) if j != k)
 
 
 def test_kernel_of_zero_map_is_identity():
     K = RatMatrix.zeros(0, 4).kernel_basis()
-    assert K.entries == RatMatrix.identity(4).entries
+    assert entries(K) == entries(RatMatrix.identity(4))
     K2 = RatMatrix.zeros(3, 4).kernel_basis()
-    assert K2.entries == RatMatrix.identity(4).entries
+    assert entries(K2) == entries(RatMatrix.identity(4))
 
 
 def test_kernel_of_injective_map_is_empty():
-    K = RatMatrix([[1, 0], [0, 1], [1, 1]]).kernel_basis()
+    K = dense([[1, 0], [0, 1], [1, 1]]).kernel_basis()
     assert K.cols == 0 and K.rows == 2
 
 
 def test_kernel_canonical_free_column_form():
     # x + y + z = 0: pivots {0}, free {1, 2}
-    K = RatMatrix([[1, 1, 1]]).kernel_basis()
-    assert K.entries == ((Fraction(-1), Fraction(-1)),
+    K = dense([[1, 1, 1]]).kernel_basis()
+    assert entries(K) == ((Fraction(-1), Fraction(-1)),
                          (Fraction(1), Fraction(0)),
                          (Fraction(0), Fraction(1)))
     assert K.unit_rows() == (1, 2)
@@ -319,9 +351,9 @@ def test_kernel_canonical_free_column_form():
 def test_kernel_from_triplets_matches_dense():
     rows = [[1, 2, 0, 1], [0, 0, 1, -1]]
     trips = [(i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r) if v]
-    K1 = RatMatrix(rows).kernel_basis()
+    K1 = RatMatrix.from_columns(2, zip(*rows)).kernel_basis()
     K2 = RatMatrix.from_triplets(2, 4, trips).kernel_basis()
-    assert K1.entries == K2.entries
+    assert entries(K1) == entries(K2)
     assert K1.unit_rows() == K2.unit_rows()
 
 
@@ -331,30 +363,30 @@ def test_kernel_from_triplets_matches_dense():
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_image_basis_properties(rows):
-    M = RatMatrix(rows)
+    M = dense(rows)
     B = image_basis(M)
     assert B.rows == M.rows
     assert B.cols == M.rank()
     assert B.rank() == B.cols
     # every original column lies in the span of the basis
-    for j in range(M.cols):
-        assert solve_membership(B, M.column(j)) is not None
+    for column in entries(transpose(M)):
+        assert solve_membership(B, column) is not None
     # and every basis column lies in the span of the original columns
-    for j in range(B.cols):
-        assert solve_membership(M, B.column(j)) is not None
+    for column in entries(transpose(B)):
+        assert solve_membership(M, column) is not None
 
 
 def test_image_basis_is_canonical_under_column_operations():
-    M = RatMatrix([[1, 3], [2, 6], [0, 1]])
+    M = dense([[1, 3], [2, 6], [0, 1]])
     # same column span presented differently (scaled, reordered, mixed)
-    N = RatMatrix([[3, 2, 1], [6, 4, 2], [1, 0, 0]])
-    assert image_basis(M).entries == image_basis(N).entries
+    N = dense([[3, 2, 1], [6, 4, 2], [1, 0, 0]])
+    assert entries(image_basis(M)) == entries(image_basis(N))
 
 
 def test_image_basis_idempotent():
-    M = RatMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    M = dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     B = image_basis(M)
-    assert image_basis(B).entries == B.entries
+    assert entries(image_basis(B)) == entries(B)
 
 
 # ------------------------------------------------------------ membership
@@ -366,7 +398,7 @@ def test_membership_in_identity_span_returns_vector():
 
 
 def test_membership_repeated_column():
-    S = RatMatrix([[1], [1]])
+    S = dense([[1], [1]])
     assert solve_membership(S, (3, 3)) == (Fraction(3),)
     assert solve_membership(S, (3, 4)) is None
 
@@ -385,13 +417,13 @@ def test_membership_empty_span():
 @settings(max_examples=80, deadline=None)
 @given(matrices, st.integers(min_value=0, max_value=10 ** 6))
 def test_membership_certificates_are_exact(rows, seed):
-    M = RatMatrix(rows)
+    M = dense(rows)
     x = solve_membership(M, _pseudo_vector(M.rows, seed))
     v = _pseudo_vector(M.rows, seed)
     if x is None:
         # certify non-membership: adjoining v must raise the rank
         if M.rows:
-            aug = M.hstack(RatMatrix.from_columns(M.rows, [v]))
+            aug = dense([row + (c,) for row, c in zip(entries(M), v)])
             assert aug.rank() == M.rank() + 1
     else:
         assert len(x) == M.cols
@@ -410,7 +442,7 @@ def _pseudo_vector(n, seed):
 @settings(max_examples=40, deadline=None)
 @given(matrices)
 def test_membership_of_actual_combination(rows):
-    M = RatMatrix(rows)
+    M = dense(rows)
     if M.cols == 0 or M.rows == 0:
         return
     combo = times(M, [Fraction(j - 1, 2) for j in range(M.cols)])
@@ -420,7 +452,7 @@ def test_membership_of_actual_combination(rows):
 
 
 def test_membership_leaves_the_shared_rref_table_alone():
-    span = RatMatrix([[2, 0], [0, 2], [1, 1]])
+    span = dense([[2, 0], [0, 2], [1, 1]])
     assert span.unit_rows() is None  # the generic path
     before = len(ratlinalg._RREF_BY_ROWS)
     for i in range(1000):
@@ -432,10 +464,10 @@ def test_membership_leaves_the_shared_rref_table_alone():
 
 def test_membership_fast_path_and_generic_path_agree():
     # a kernel basis has unit rows (fast path); destroy them by row-scaling
-    M = RatMatrix([[1, 1, 1, 0], [0, 1, 1, 1]])
+    M = dense([[1, 1, 1, 0], [0, 1, 1, 1]])
     K = M.kernel_basis()
     assert K.unit_rows() is not None
-    scaled = RatMatrix([[x * 2 for x in row] for row in K.entries])
+    scaled = dense([[x * 2 for x in row] for row in entries(K)])
     assert scaled.unit_rows() is None
     v = times(K, (1, 2))
     x_fast = solve_membership(K, v)
@@ -448,47 +480,39 @@ def test_membership_fast_path_and_generic_path_agree():
 
 
 def test_matmul_and_transpose():
-    A = RatMatrix([[1, 2], [0, 1]])
-    B = RatMatrix([[1, 0, 1], [2, 1, 0]])
-    assert (A @ B).entries == ((Fraction(5), Fraction(2), Fraction(1)),
-                               (Fraction(2), Fraction(1), Fraction(0)))
-    assert A.transpose().entries == ((Fraction(1), Fraction(0)),
+    A = dense([[1, 2], [0, 1]])
+    B = dense([[1, 0, 1], [2, 1, 0]])
+    assert entries(A @ B) == ((Fraction(5), Fraction(2), Fraction(1)),
+                              (Fraction(2), Fraction(1), Fraction(0)))
+    # The transpose helper is a reference route for the fsfilt tests.
+    assert entries(transpose(A)) == ((Fraction(1), Fraction(0)),
                                      (Fraction(2), Fraction(1)))
     with pytest.raises(ValueError):
         B @ A
 
 
 def test_add_sub_scale():
-    A = RatMatrix([[1, 2], [3, 4]])
-    half = RatMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-    assert (A @ half).entries == (
+    A = dense([[1, 2], [3, 4]])
+    half = dense([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    assert entries(A @ half) == (
         (Fraction(1, 2), Fraction(1)), (Fraction(3, 2), Fraction(2)))
 
 
-def test_hstack():
-    A = RatMatrix([[1], [2]])
-    B = RatMatrix([[3, 4], [5, 6]])
-    assert A.hstack(B).entries == ((Fraction(1), Fraction(3), Fraction(4)),
-                                   (Fraction(2), Fraction(5), Fraction(6)))
-
-
 def test_unit_rows_detection():
-    assert RatMatrix([[0, 1], [1, 0], [2, 3]]).unit_rows() == (1, 0)
-    assert RatMatrix([[1, 1], [0, 1]]).unit_rows() is None
-    assert RatMatrix([[2, 0], [0, 1]]).unit_rows() is None
+    assert dense([[0, 1], [1, 0], [2, 3]]).unit_rows() == (1, 0)
+    assert dense([[1, 1], [0, 1]]).unit_rows() is None
+    assert dense([[2, 0], [0, 1]]).unit_rows() is None
     assert RatMatrix.identity(3).unit_rows() == (0, 1, 2)
 
 
 def test_every_operation_keeps_the_sparse_format():
     # RatMatrix reads dm.rep as its dict of nonzero rows.
     from sympy.polys.matrices.sdm import SDM
-    A = RatMatrix([[1, 2], [0, Fraction(1, 3)]])
+    A = dense([[1, 2], [0, Fraction(1, 3)]])
     B = RatMatrix.from_triplets(2, 2, [(0, 1, 1)])
     results = [A, B, RatMatrix.identity(2), RatMatrix.zeros(2, 3),
                RatMatrix.from_columns(2, [(1, 0)]), A @ B,
-               A.hstack(B), A.transpose(),
-               A.permute_rows((1, 0)), A.select_rows((1, 1)), A.rref()[0],
-               A.kernel_basis()]
+               A.select_rows((1, 1)), A.rref()[0], A.kernel_basis()]
     assert all(isinstance(M.dm.rep, SDM) and exact_values(M)
                for M in results)
 
@@ -497,42 +521,31 @@ def test_an_integral_fraction_from_a_product_equals_its_int():
     # A product of Fractions runs in Fraction arithmetic and may store
     # Fraction(4) where a constructor stores 4; the two compare and hash
     # alike, and the elimination returns ints.
-    P = RatMatrix([[Fraction(3, 2), 1]]) @ RatMatrix([[2], [1]])
+    P = dense([[Fraction(3, 2), 1]]) @ dense([[2], [1]])
     assert exact_values(P) and not normalised_values(P)
-    assert P == RatMatrix([[4]])
+    assert P == dense([[4]])
     red, pivots = P.rref()
     assert red == RatMatrix.identity(1) and normalised_values(red)
 
 
 def test_repeated_calls_are_deterministic():
     rows = [[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]]
-    a = RatMatrix(rows).kernel_basis()
-    b = RatMatrix(rows).kernel_basis()
-    assert a.entries == b.entries
-    assert image_basis(RatMatrix(rows)).entries == \
-        image_basis(RatMatrix(rows)).entries
-
-
-def test_permute_rows():
-    M = RatMatrix([[1, 2], [3, 4], [5, 6]])
-    # Row i of M becomes row dest[i]: dest = (2, 0, 1).
-    P = M.permute_rows((2, 0, 1))
-    assert P.entries == ((Fraction(3), Fraction(4)),
-                         (Fraction(5), Fraction(6)),
-                         (Fraction(1), Fraction(2)))
-    with pytest.raises(ValueError):
-        M.permute_rows((0, 0, 1))
+    a = dense(rows).kernel_basis()
+    b = dense(rows).kernel_basis()
+    assert entries(a) == entries(b)
+    assert entries(image_basis(dense(rows))) == \
+        entries(image_basis(dense(rows)))
 
 
 def test_select_rows():
-    M = RatMatrix([[1, 2], [3, 4], [5, 6]])
+    M = dense([[1, 2], [3, 4], [5, 6]])
     S = M.select_rows((2, 0, 0))
-    assert S.entries == ((Fraction(5), Fraction(6)),
+    assert entries(S) == ((Fraction(5), Fraction(6)),
                          (Fraction(1), Fraction(2)),
                          (Fraction(1), Fraction(2)))
     assert M.select_rows(()).rows == 0
 
 
 def test_sparse_columns():
-    M = RatMatrix([[0, Fraction(1, 2)], [0, 0], [3, 0]])
+    M = dense([[0, Fraction(1, 2)], [0, 0], [3, 0]])
     assert sparse_columns(M) == {1: {0: Fraction(1, 2)}, 0: {2: Fraction(3)}}

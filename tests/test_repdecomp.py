@@ -43,6 +43,8 @@ from fsprim.repdecomp import (
 )
 from fsprim.repdecomp import _induced_product
 
+from test_ratlinalg import dense
+
 
 def all_permutations(n):
     return [FinMap(n, n, p) for p in permutations(range(1, n + 1))]
@@ -123,8 +125,8 @@ def test_sign_character_is_parity():
 
 def test_standard_character_from_matrix_model():
     # explicit 2-dimensional model of the standard representation of degree 3
-    s1 = RatMatrix([[-1, 1], [0, 1]])
-    s2 = RatMatrix([[1, 0], [1, -1]])
+    s1 = dense([[-1, 1], [0, 1]])
+    s2 = dense([[1, 0], [1, -1]])
     assert s1 @ s1 == s2 @ s2 == RatMatrix.identity(2)
     assert s1 @ s2 @ s1 == s2 @ s1 @ s2
     # one matrix per class: the identity, a transposition, a 3-cycle

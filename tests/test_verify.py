@@ -206,8 +206,8 @@ from fsprim.fsfilt import (_reduced_restriction, closure_check,
                            coker_action_triviality, coker_theta_decompose,
                            filtration_level, lambda_bar_character,
                            ses_identity_check, sgn_vanishing_check,
-                           subquotient_decompose, subquotient_identity_check,
-                           theta_matrix)
+                           sign_hook_class, subquotient_decompose,
+                           subquotient_identity_check, theta_matrix)
 from fsprim.partitions import assert_partition, partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
@@ -216,19 +216,18 @@ from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                               pieri_e, pieri_h, sign_class, trivial_class)
 from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
                            primfs_formula, run_check, subquotient_formula)
-A, B = RatMatrix([[1, 2], [3, 4]]), RatMatrix([[1, 2, 3]])
+A = RatMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)])
+B = RatMatrix.from_triplets(1, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
 for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: CheckReport("x", {}, "fail"),
              lambda: CheckReport("x", {}, "bogus-status"),
              lambda: primfs_formula(0), lambda: kring_fs_check(0),
              lambda: subquotient_formula(0),
              lambda: run_check("closure", -1), lambda: collect_reports(-1),
-             lambda: RatMatrix([[1, 2], [3]]), lambda: A @ B,
-             lambda: A.hstack(B),
+             lambda: A @ B,
              lambda: RatMatrix.from_columns(2, [(1, 2, 3)]),
              lambda: RatMatrix.from_triplets(2, 2, [(2, 0, 1)]),
-             lambda: A.permute_rows((0, 0)), lambda: A.select_rows((2,)),
-             lambda: A.entry(2, 0), lambda: A.row(2), lambda: A.column(2),
+             lambda: A.select_rows((2,)), lambda: A.entry(2, 0),
              lambda: RatMatrix.zeros(-1, 0),
              lambda: solve_membership(A, (1, 2, 3)),
              lambda: _reduced_restriction(2, 1, 3),
@@ -240,6 +239,7 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: subquotient_decompose(-1, 2, 1),
              lambda: subquotient_identity_check(0, 2, 1),
              lambda: coker_theta_decompose(3, 2),
+             lambda: sign_hook_class(3, 2),
              lambda: lambda_bar_character(1, -1),
              lambda: compose(FinMap(3, 3, (1, 2, 3)), FinMap(1, 2, (2,))),
              lambda: sections(FinMap(2, 3, (1, 1))),
