@@ -16,12 +16,10 @@ The registry maps stable check ids to sweep functions.  ``collect_reports``
 runs the registered checks in a fixed canonical order, and ``fsprim verify
 all`` writes its reports and exits with status 0 when no check failed, 1 when
 at least one check reported ``fail``, and 2 when a report file could not be
-written (I/O trouble is never conflated with a mathematical failure).  Inside
-``collect_reports`` the two most expensive formula sweeps (``kring_fs_check``
-and ``subquotient_formula``) are capped at bound 5 to keep the full run
-within minutes; invoking either check directly honours the requested bound.
-A negative bound is refused with ``ValueError`` (exit status 2 from the
-CLI), never swept as a pass.
+written (I/O trouble is never conflated with a mathematical failure).  A
+full run is every check of that order at the one requested bound.  A
+negative bound is refused with ``ValueError`` (exit status 2 from the CLI),
+never swept as a pass.
 """
 
 from __future__ import annotations
@@ -491,9 +489,6 @@ _RUN_ORDER = tuple(check_id for check_id in _REGISTRY if check_id != "invert")
 
 CHECK_IDS = tuple(_REGISTRY)
 
-# collect_reports caps the two heaviest formula sweeps at this bound.
-_FORMULA_CAP = 5
-
 
 def run_check(check_id: str, bound: int) -> list[CheckReport]:
     """Run one registered check at the requested bound.
@@ -518,10 +513,7 @@ def collect_reports(bound: int) -> list[CheckReport]:
     """
     reports: list[CheckReport] = []
     for check_id in _RUN_ORDER:
-        effective = bound
-        if check_id in ("kring_fs_check", "subquotient_formula"):
-            effective = min(bound, _FORMULA_CAP)
-        reports.extend(run_check(check_id, effective))
+        reports.extend(run_check(check_id, bound))
     return reports
 
 
@@ -759,6 +751,10 @@ def main(argv=None) -> int:
             return 2
         if not 0 <= args.a <= args.b:
             print("error: require 0 <= a <= b", file=sys.stderr)
+            return 2
+        # A map's values are bytes, so hom_values stops at 255 points.
+        if args.b > 255:
+            print("error: require b <= 255", file=sys.stderr)
             return 2
     else:
         if args.max_size is None:

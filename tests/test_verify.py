@@ -136,21 +136,17 @@ def test_parameters_record_what_actually_ran():
             assert r.parameters == {"bound": 2}
 
 
-def test_run_order_cap_recorded_in_parameters(monkeypatch):
-    seen = {}
-    real = verify.run_check
+def test_collect_reports_runs_every_check_at_the_bound(monkeypatch):
+    calls = []
 
     def spy(check_id, bound):
-        seen[check_id] = bound
-        if check_id in ("kring_fs_check", "subquotient_formula"):
-            return [CheckReport(check_id, {"bound": bound}, "pass")]
-        return real(check_id, min(bound, 1))
+        calls.append((check_id, bound))
+        return [CheckReport(check_id, {"bound": bound}, "pass")]
 
     monkeypatch.setattr(verify, "run_check", spy)
-    verify.collect_reports(6)
-    assert seen["kring_fs_check"] == 5
-    assert seen["subquotient_formula"] == 5
-    assert seen["primfs_formula"] == 6
+    reports = verify.collect_reports(6)
+    assert calls == [(check_id, 6) for check_id in verify._RUN_ORDER]
+    assert [r.check for r in reports] == list(verify._RUN_ORDER)
 
 
 # ------------------------------------------------------------- determinism
@@ -652,6 +648,18 @@ def test_cli_one_cell_commands_reject_bad_sizes(command, capsys):
     assert main([*command, "--a", "3", "--b", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: require 0 <= a <= b\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["theta"], ["decompose", "--flavor", "fs"],
+                                     ["decompose", "--flavor", "fi"],
+                                     ["filtration"]],
+                         ids=["theta", "decompose-fs", "decompose-fi",
+                              "filtration"])
+def test_cli_one_cell_commands_refuse_sizes_above_255(command, capsys):
+    assert main([*command, "--a", "1", "--b", "256"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: require b <= 255\n"
     assert captured.out == ""
 
 
