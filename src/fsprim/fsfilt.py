@@ -281,13 +281,13 @@ def _restricted_bicharacter(module: HomModule,
     sparse = basis._sparse_rows()
     left_reps, right_reps = module.class_perms
 
-    def trace(pl: tuple[int, ...], pr: tuple[int, ...]) -> Fraction:
+    def trace(pl: tuple[int, ...], pr: tuple[int, ...]) -> int | Fraction:
         acc = 0
         for k, j in enumerate(unit):
             row = sparse.get(pl[pr[j]])
             if row:
                 acc += row.get(k, 0)
-        return Fraction(acc)
+        return acc
 
     values = tuple(tuple(trace(pl, pr) for pr in right_reps)
                    for pl in left_reps)

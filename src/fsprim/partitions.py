@@ -62,10 +62,15 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 @cache
+def _positions(n: int) -> dict[Partition, int]:
+    """Position of each partition of n inside partitions_of(n)."""
+    return {parts: i for i, parts in enumerate(partitions_of(n))}
+
+
 def partition_index(parts: Partition) -> int:
     """Position of a partition inside partitions_of(weight(parts))."""
     assert_partition(parts)
-    return partitions_of(weight(parts)).index(parts)
+    return _positions(weight(parts))[parts]
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -102,7 +107,6 @@ def irrep_dimension(parts: Partition) -> int:
     return dim
 
 
-@cache
 def centralizer_order(mu: CycleType) -> int:
     """Order of the centralizer of a permutation with the given cycle type.
 

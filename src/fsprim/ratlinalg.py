@@ -63,7 +63,7 @@ def _exact(x):
     if type(x) is int:
         return x
     if isinstance(x, float):
-        raise TypeError("floating point is not allowed in RatMatrix")
+        raise TypeError(f"floating point is not allowed: {x!r}")
     f = x if isinstance(x, Fraction) else Fraction(x)
     return f.numerator if f.denominator == 1 else f
 

@@ -1,10 +1,10 @@
 """Symmetric-group character theory and decomposition into irreducibles.
 
 Irreducible characters come from the Murnaghan-Nakayama recursion on
-beta-numbers.  Representations enter only through their characters: one
-group's as a :class:`ClassFunction`, two-sided (bimodule) actions' as joint
-characters, :class:`BiClassFunction`.  Decomposition into irreducibles
-goes through exact character inner products in one routine,
+beta-numbers.  Representations enter only through their characters (ints
+where integral, else Fractions; never floats): one group's as a
+:class:`ClassFunction`, two-sided actions' as :class:`BiClassFunction`.
+Decomposition goes through exact character inner products in one routine,
 :func:`bidecompose_character` (a one-group character is the bicharacter
 whose left group is S_0), and the multiplicities are validated (integral,
 nonnegative, dimensions adding up) before anything is returned -- a
@@ -13,17 +13,18 @@ wrong answer.
 
 Formal integer combinations of irreducibles live in :class:`SchurClass`
 (one group) and :class:`BiSchurClass` (ordered pairs, left/covariant factor
-first).  The product of classes induced by juxtaposition of disjoint sets
-is :func:`convolution_class`; single-row and single-column factors take the
-Pieri fast paths, everything else goes through the exact induced-character
-oracle.  All caches are module-level functools caches; external behavior is
-that of pure functions.
+first); their constructors validate every key and coefficient, and sums,
+products and decompositions are built from keys already valid.  The
+juxtaposition product is :func:`convolution_class`: Pieri rules for a row
+or column factor, else the exact induced-character oracle, once per pair
+of irreducibles.  All caches are module-level functools caches; external
+behavior is that of pure functions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
 from operator import mul
@@ -34,12 +35,14 @@ from .partitions import (
     Partition,
     assert_partition,
     class_size,
+    _positions,
     conjugate,
     irrep_dimension,
     partition_index,
     partitions_of,
     weight,
 )
+from .ratlinalg import _exact
 
 
 class InternalConsistencyError(Exception):
@@ -74,7 +77,6 @@ def class_representative(mu: CycleType) -> FinMap:
 # ----------------------------------------------------------------- characters
 
 
-@cache
 def mn_character(lam: Partition, mu: CycleType) -> int:
     """Irreducible character value chi_lam(mu) for lam, mu of equal weight.
 
@@ -86,6 +88,12 @@ def mn_character(lam: Partition, mu: CycleType) -> int:
     assert_partition(mu)
     if weight(lam) != weight(mu):
         raise ValueError("character arguments must have equal weight")
+    return _mn_character(lam, mu)
+
+
+@cache
+def _mn_character(lam: Partition, mu: CycleType) -> int:
+    """:func:`mn_character` of two partitions of equal weight, unvalidated."""
     if not mu:
         return 1
     strip, rest = mu[0], mu[1:]
@@ -102,7 +110,7 @@ def mn_character(lam: Partition, mu: CycleType) -> int:
         newlam = tuple(p for i, p in
                        ((i, new_betas[i] - (k - 1 - i)) for i in range(k))
                        if p > 0)
-        total += (-1) ** height * mn_character(newlam, rest)
+        total += (-1) ** height * _mn_character(newlam, rest)
     return total
 
 
@@ -118,19 +126,18 @@ class ClassFunction:
     """Rational class function on the symmetric group of the given degree.
 
     values[i] is the value on the class whose cycle type is
-    partitions_of(degree)[i].
+    partitions_of(degree)[i], an int when integral and else a Fraction.
     """
 
     degree: int
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_exact, self.values)))
         if len(self.values) != len(partitions_of(self.degree)):
             raise ValueError("one value per cycle type required")
 
-    def __call__(self, mu: CycleType) -> Fraction:
+    def __call__(self, mu: CycleType) -> int | Fraction:
         return self.values[partition_index(mu)]
 
 
@@ -139,16 +146,16 @@ class BiClassFunction:
     """Rational function of a pair of classes, one from each of two groups.
 
     values[i][j] is the value at (left class i, right class j) in canonical
-    partition order for the respective degrees.
+    partition order for the respective degrees, stored as by ClassFunction.
     """
 
     left_degree: int
     right_degree: int
-    values: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(
-            tuple(Fraction(v) for v in row) for row in self.values))
+            tuple(map(_exact, row)) for row in self.values))
         if len(self.values) != len(partitions_of(self.left_degree)) or any(
                 len(row) != len(partitions_of(self.right_degree))
                 for row in self.values):
@@ -156,6 +163,15 @@ class BiClassFunction:
 
 
 # ---------------------------------------------------------------- formal sums
+
+
+def _coefficient(c) -> int:
+    """An int coefficient: ValueError if not integral, TypeError if float."""
+    if int(c) != c:
+        raise ValueError(f"coefficients must be integers: {c!r}")
+    if isinstance(c, float):
+        raise TypeError(f"floating point is not allowed: {c!r}")
+    return int(c)
 
 
 class _FormalSum:
@@ -174,13 +190,16 @@ class _FormalSum:
         items = terms.items() if isinstance(terms, dict) else terms
         for key, c in items:
             key = self._key(key)
-            n = int(c)
-            if n != c:
-                raise ValueError(f"coefficients must be integers: {c!r}")
-            acc[key] = acc.get(key, 0) + n
-        self._terms = tuple(sorted(
-            ((key, c) for key, c in acc.items() if c),
-            key=lambda kc: self._sort_key(kc[0])))
+            acc[key] = acc.get(key, 0) + _coefficient(c)
+        self._terms = self._trusted(acc)._terms
+
+    @classmethod
+    def _trusted(cls, acc: dict):
+        """The sum of ``{key: int}`` whose keys this module knows are valid."""
+        out = cls.__new__(cls)
+        out._terms = tuple(sorted(((key, c) for key, c in acc.items() if c),
+                                  key=lambda kc: cls._sort_key(kc[0])))
+        return out
 
     @property
     def terms(self) -> tuple:
@@ -200,10 +219,16 @@ class _FormalSum:
         return sum(c * self._dimension(key) for key, c in self._terms)
 
     def scale(self, c: int):
-        return type(self)((key, k * c) for key, k in self._terms)
+        c = _coefficient(c)
+        return self._trusted({key: k * c for key, k in self._terms})
 
     def __add__(self, other):
-        return type(self)(self._terms + other._terms)
+        if type(other) is not type(self):
+            raise ValueError("cannot add formal sums of different kinds")
+        acc = dict(self._terms)
+        for key, c in other._terms:
+            acc[key] = acc.get(key, 0) + c
+        return self._trusted(acc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -244,7 +269,8 @@ class SchurClass(_FormalSum):
 
     @staticmethod
     def _sort_key(lam: Partition):
-        return weight(lam), partition_index(lam)
+        w = weight(lam)
+        return w, _positions(w)[lam]
 
     _dimension = staticmethod(irrep_dimension)
 
@@ -273,9 +299,7 @@ class BiSchurClass(_FormalSum):
 
     @staticmethod
     def _sort_key(pair):
-        lam, mu = pair
-        return (weight(lam), partition_index(lam),
-                weight(mu), partition_index(mu))
+        return SchurClass._sort_key(pair[0]) + SchurClass._sort_key(pair[1])
 
     @staticmethod
     def _dimension(pair) -> int:
@@ -291,10 +315,13 @@ class BiSchurClass(_FormalSum):
 
 def boxtimes(x: SchurClass, y: SchurClass) -> BiSchurClass:
     """External product: bilinear pairing of terms into ordered pairs."""
-    return BiSchurClass((((lam, mu), cx * cy)
-                         for lam, cx in x.terms for mu, cy in y.terms))
+    if type(x) is not SchurClass or type(y) is not SchurClass:
+        raise ValueError("boxtimes pairs two SchurClass values")
+    return BiSchurClass._trusted({(lam, mu): cx * cy for lam, cx in x.terms
+                                  for mu, cy in y.terms})
 
 
+@lru_cache(maxsize=None, typed=True)  # a float degree misses, and is refused
 def trivial_class(n: int) -> SchurClass:
     """Class of the trivial representation: the single-row partition (n)."""
     if n < 0:
@@ -302,6 +329,7 @@ def trivial_class(n: int) -> SchurClass:
     return SchurClass({(n,) if n else (): 1})
 
 
+@lru_cache(maxsize=None, typed=True)
 def sign_class(n: int) -> SchurClass:
     """Class of the sign representation: the single-column partition (1^n)."""
     if n < 0:
@@ -324,7 +352,7 @@ def decompose_character(chi: ClassFunction) -> SchurClass:
     """
     pairs = bidecompose_character(
         BiClassFunction(0, chi.degree, (chi.values,)))
-    return SchurClass((right, c) for (_, right), c in pairs.terms)
+    return SchurClass._trusted({right: c for (_, right), c in pairs.terms})
 
 
 @cache
@@ -333,6 +361,12 @@ def _weighted_character_table(n: int) -> tuple[tuple[int, ...], ...]:
     sizes = [class_size(mu) for mu in partitions_of(n)]
     return tuple(tuple(s * v for s, v in zip(sizes, row))
                  for row in character_table(n))
+
+
+@cache
+def _dimensions(n: int) -> tuple[int, ...]:
+    """Irreducible dimensions of degree n, in partitions_of order."""
+    return tuple(map(irrep_dimension, partitions_of(n)))
 
 
 def bidecompose_character(chi: BiClassFunction) -> BiSchurClass:
@@ -354,8 +388,11 @@ def bidecompose_character(chi: BiClassFunction) -> BiSchurClass:
              for weights in _weighted_character_table(b)]
             for row in rows]
     order = factorial(a) * factorial(b) * scale
+    dims_a, dims_b = _dimensions(a), _dimensions(b)
     mults: dict[tuple[Partition, Partition], int] = {}
-    for lam, weights in zip(parts_a, _weighted_character_table(a)):
+    total = 0
+    for li, (lam, weights) in enumerate(
+            zip(parts_a, _weighted_character_table(a))):
         for ri, nu in enumerate(parts_b):
             acc = sum(w * h[ri] for w, h in zip(weights, half))
             mult, rem = divmod(acc, order)
@@ -365,13 +402,11 @@ def bidecompose_character(chi: BiClassFunction) -> BiSchurClass:
                     "not a nonnegative integer")
             if mult:
                 mults[(lam, nu)] = mult
-    dim_at_identity = chi.values[partition_index((1,) * a)][
-        partition_index((1,) * b)]
-    total = sum(c * irrep_dimension(l) * irrep_dimension(r)
-                for (l, r), c in mults.items())
-    if total != dim_at_identity:
+                total += mult * dims_a[li] * dims_b[ri]
+    # The identity class (1^n) is the last in partitions_of(n).
+    if total != chi.values[-1][-1]:
         raise InternalConsistencyError("dimension bookkeeping failed")
-    return BiSchurClass(mults)
+    return BiSchurClass._trusted(mults)
 
 
 # ------------------------------------------------------- products of classes
@@ -416,7 +451,6 @@ def pieri_e(lam: Partition, t: int) -> SchurClass:
                       for mu, c in pieri_h(conjugate(lam), t).terms)
 
 
-@cache
 def _induced_product(lam: Partition, mu: Partition) -> SchurClass:
     """Product of two irreducibles via the exact induced character.
 
@@ -440,8 +474,8 @@ def _induced_product(lam: Partition, mu: Partition) -> SchurClass:
             nu1 = tuple(s for s, k in zip(sizes, ks) for _ in range(k))
             nu2 = tuple(s for s, k, c in zip(sizes, ks, counts)
                         for _ in range(c - k))
-            total += ways * mn_character(lam, nu1) * mn_character(mu, nu2)
-        values.append(Fraction(total))
+            total += ways * _mn_character(lam, nu1) * _mn_character(mu, nu2)
+        values.append(total)
     out = decompose_character(ClassFunction(n, tuple(values)))
     if out.total_dimension() != comb(n, p) * irrep_dimension(lam) * \
             irrep_dimension(mu):
@@ -449,10 +483,10 @@ def _induced_product(lam: Partition, mu: Partition) -> SchurClass:
     return out
 
 
+@cache
 def _irreducible_product(lam: Partition, mu: Partition) -> SchurClass:
-    key_l = (weight(lam), partition_index(lam))
-    key_m = (weight(mu), partition_index(mu))
-    if key_m < key_l:
+    """Product of two irreducibles: a Pieri rule or the induced character."""
+    if SchurClass._sort_key(mu) < SchurClass._sort_key(lam):
         lam, mu = mu, lam
     if len(lam) <= 1:
         return pieri_h(mu, weight(lam))
@@ -477,7 +511,7 @@ def convolution_class(x: SchurClass, y: SchurClass) -> SchurClass:
         for mu, cy in y.terms:
             for nu, c in _irreducible_product(lam, mu).terms:
                 acc[nu] = acc.get(nu, 0) + cx * cy * c
-    return SchurClass(acc)
+    return SchurClass._trusted(acc)
 
 
 def biconvolution_right(x: BiSchurClass, y: SchurClass) -> BiSchurClass:
@@ -488,7 +522,7 @@ def biconvolution_right(x: BiSchurClass, y: SchurClass) -> BiSchurClass:
             for out, c in _irreducible_product(right, nu).terms:
                 key = (left, out)
                 acc[key] = acc.get(key, 0) + cx * cy * c
-    return BiSchurClass(acc)
+    return BiSchurClass._trusted(acc)
 
 
 def derham_check(n: int) -> bool:

@@ -57,9 +57,10 @@ from .fsfilt import (
     theta_matrix,
     theta_rank_report,
 )
-from .partitions import centralizer_order, class_size, partitions_of
+from .partitions import centralizer_order, partitions_of
 from .repdecomp import (
     SchurClass,
+    _weighted_character_table,
     bidecompose_character,
     character_table,
     decompose_character,
@@ -295,8 +296,8 @@ def _check_orthogonality(bound: int) -> CheckReport:
         n, parts, table, i, j = cell
         k = len(parts)
         where = {"degree": n, "pair": [list(parts[i]), list(parts[j])]}
-        row = sum(class_size(parts[m]) * table[i][m] * table[j][m]
-                  for m in range(k))
+        row = sum(w * v for w, v in
+                  zip(_weighted_character_table(n)[i], table[j]))
         col = sum(table[m][i] * table[m][j] for m in range(k))
         return (_compare(dict(where, relation="rows"), "value",
                          factorial(n) if i == j else 0, row)

@@ -201,3 +201,13 @@ def test_assert_partition_rejects_bad_input():
         assert_partition((2, 0))
     with pytest.raises(ValueError):
         assert_partition([2, 1])
+
+
+def test_cached_lookups_validate_in_either_call_order():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            partition_index((2.0, 1.0))
+        assert partition_index((2, 1)) == 1
+        with pytest.raises(ValueError):
+            centralizer_order((2.0, 1.0))
+        assert centralizer_order((2, 1)) == 2

@@ -40,8 +40,10 @@ from fsprim.repdecomp import (
     mn_character,
     pieri_e,
     pieri_h,
+    sign_class,
+    trivial_class,
 )
-from fsprim.repdecomp import _induced_product
+from fsprim.repdecomp import _induced_product, _irreducible_product
 
 from test_ratlinalg import dense
 
@@ -158,6 +160,19 @@ def test_character_table_degree_four_spot_values():
     assert row[idx[(4,)]] == -1
 
 
+def test_cached_characters_validate_in_either_call_order():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            mn_character((2.0, 1.0), (1, 1, 1))
+        assert mn_character((2, 1), (1, 1, 1)) == 2
+        with pytest.raises(ValueError):
+            trivial_class(2.0)
+        assert trivial_class(2) == SchurClass({(2,): 1})
+        with pytest.raises(TypeError):
+            sign_class(2.0)
+        assert sign_class(2) == SchurClass({(1, 1): 1})
+
+
 def test_character_weight_mismatch_rejected():
     with pytest.raises(ValueError):
         mn_character((2, 1), (2, 2))
@@ -262,6 +277,9 @@ def test_decompose_character_matches_the_inner_product_loop():
         for values in character_table(n) + (regular,):
             chi = ClassFunction(n, values)
             assert decompose_character(chi) == _loop_decompose_character(chi)
+            # The same values given as Fractions decompose alike.
+            assert decompose_character(ClassFunction(
+                n, tuple(map(Fraction, values)))) == decompose_character(chi)
             checked += 1
         negative = ClassFunction(n, tuple(-v for v in character_table(n)[0]))
         for decomposer in (decompose_character, _loop_decompose_character):
@@ -358,6 +376,15 @@ def test_integer_bidecompose_matches_the_reference_on_levels():
                 chi = level_bicharacter(b, a, t)
                 assert bidecompose_character(chi) == \
                     _fraction_bidecompose_character(chi), (b, a, t)
+                # Restricted traces are ints, and the same values given
+                # as Fractions decompose alike.
+                assert all(type(v) is int for row in chi.values for v in row)
+                halves = BiClassFunction(
+                    chi.left_degree, chi.right_degree,
+                    tuple(tuple(Fraction(2 * v, 2) for v in row)
+                          for row in chi.values))
+                assert bidecompose_character(halves) == \
+                    bidecompose_character(chi)
 
 
 def test_non_characters_fail_alike_on_both_paths():
@@ -638,3 +665,108 @@ def test_class_function_validation():
     # a short row would be truncated by a positional contraction
     with pytest.raises(ValueError):
         BiClassFunction(2, 2, ((1, 1), (1,)))
+    # values are exact: ints where integral, Fractions otherwise, no floats
+    for make in (lambda: BiClassFunction(1, 1, ((0.25,),)),
+                 lambda: ClassFunction(2, (1.0, 0.5)),
+                 lambda: ClassFunction(2, (1.0, 1))):
+        with pytest.raises(TypeError):
+            make()
+    chi = ClassFunction(3, (Fraction(4, 2), 0, Fraction(1, 3)))
+    assert chi.values == (2, 0, Fraction(1, 3))
+    assert [type(v) for v in chi.values] == [int, int, Fraction]
+    bi = BiClassFunction(1, 2, ((Fraction(6, 3), True),))
+    assert [type(v) for v in bi.values[0]] == [int, int]
+
+
+# ------------------------------------------- fast paths against slow paths
+
+
+def _slow_convolution(x, y):
+    """Reference: the uncached products, summed by the validating
+    constructor."""
+    acc = {}
+    for lam, cx in x.terms:
+        for mu, cy in y.terms:
+            for nu, c in _irreducible_product.__wrapped__(lam, mu).terms:
+                acc[nu] = acc.get(nu, 0) + cx * cy * c
+    return SchurClass(acc)
+
+
+def _slow_biconvolution_right(x, y):
+    """Reference: biconvolution_right through uncached products and the
+    validating constructor."""
+    acc = {}
+    for (left, right), cx in x.terms:
+        for nu, cy in y.terms:
+            for out, c in _irreducible_product.__wrapped__(right, nu).terms:
+                acc[(left, out)] = acc.get((left, out), 0) + cx * cy * c
+    return BiSchurClass(acc)
+
+
+def _identity_sides(bound):
+    """lhs and rhs of every class identity the formula checks evaluate."""
+    from fsprim.fsfilt import (kring_identity_check, primfs_identity_check,
+                               ses_identity_check, subquotient_identity_check)
+    for b in range(bound + 1):
+        for a in range(b + 1):
+            checks = [primfs_identity_check(b, a), kring_identity_check(b, a)]
+            for level in range(1, bound + 1):
+                checks.append(subquotient_identity_check(level, b, a))
+                if b >= a + level:
+                    checks.append(ses_identity_check(level, b, a))
+            for chk in checks:
+                yield chk.lhs
+                yield chk.rhs
+
+
+def test_trusted_arithmetic_matches_the_validating_constructor():
+    sides = list(dict.fromkeys(_identity_sides(6)))
+    assert len(sides) == 85
+    row, column = trivial_class(1), sign_class(1)
+    hook = SchurClass({(2, 1): 1})
+    for x, y in zip(sides, sides[1:] + sides[:1]):
+        assert x + y == BiSchurClass(x.terms + y.terms)
+        assert x - y == BiSchurClass(
+            x.terms + tuple((key, -c) for key, c in y.terms))
+        for k in (-1, 0, 3):
+            assert x.scale(k) == BiSchurClass(
+                (key, k * c) for key, c in x.terms)
+        for z in (row, column):
+            assert biconvolution_right(x, z) == _slow_biconvolution_right(x, z)
+        left = SchurClass((lam, c) for (lam, _), c in x.terms)
+        right = SchurClass((mu, c) for (_, mu), c in x.terms)
+        assert boxtimes(left, right) == BiSchurClass(
+            ((lam, mu), cl * cr) for lam, cl in left.terms
+            for mu, cr in right.terms)
+        assert convolution_class(left, column) == \
+            _slow_convolution(left, column)
+        assert convolution_class(row, right) == _slow_convolution(row, right)
+        if all(weight(mu) <= 4 for mu, _ in right.terms):
+            assert convolution_class(hook, right) == \
+                _slow_convolution(hook, right)
+
+
+def test_cached_products_match_the_induced_oracle():
+    pairs = 0
+    for p in range(8):
+        for q in range(8 - p):
+            for lam in partitions_of(p):
+                for mu in partitions_of(q):
+                    assert _irreducible_product(lam, mu) == \
+                        _induced_product(lam, mu), (lam, mu)
+                    pairs += 1
+    assert pairs == 249
+
+
+def test_formal_sums_refuse_mixed_kinds_non_integers_and_floats():
+    one, pair = SchurClass({(1,): 1}), BiSchurClass({((1,), (1,)): 1})
+    for bad in (lambda: one + pair, lambda: pair + one, lambda: one - pair,
+                lambda: one.scale(2.5), lambda: pair.scale(Fraction(1, 2)),
+                lambda: boxtimes(pair, one)):
+        with pytest.raises(ValueError):
+            bad()
+    for bad in (lambda: SchurClass({(1,): 2.0}),
+                lambda: BiSchurClass({((1,), (1,)): 2.0}),
+                lambda: one.scale(2.0)):
+        with pytest.raises(TypeError):
+            bad()

@@ -392,6 +392,19 @@ def test_fail_report_pinpoints_first_differing_coefficient(monkeypatch):
                         "left": [1], "right": [2], "coefficient": 4}
 
 
+def test_subquotient_formula_fails_at_a_corrupted_cached_pieri_product(
+        monkeypatch):
+    from fsprim.repdecomp import SchurClass, _irreducible_product
+    product = _irreducible_product((1,), (1,))
+    assert product == SchurClass({(2,): 1, (1, 1): 1})
+    (report,) = run_check("subquotient_formula", 4)
+    assert report.status == "pass"
+    monkeypatch.setattr(product, "_terms", (((2,), 1), ((1, 1), 2)))
+    assert _irreducible_product((1,), (1,)) is product
+    (report,) = run_check("subquotient_formula", 4)
+    assert report.status == "fail"
+
+
 def test_orthogonality_detects_a_corrupted_table(monkeypatch):
     import fsprim.repdecomp as repdecomp
     real = repdecomp.character_table
