@@ -24,10 +24,10 @@ CycleType = tuple[int, ...]
 
 def assert_partition(parts) -> None:
     """Raise ValueError unless parts is a weakly decreasing tuple of positive
-    integers."""
+    integers (``int`` itself: a bool is refused)."""
     if not isinstance(parts, tuple):
         raise ValueError(f"partition must be a tuple: {parts!r}")
-    if not all(isinstance(p, int) and p > 0 for p in parts):
+    if not all(type(p) is int and p > 0 for p in parts):
         raise ValueError(f"parts must be positive integers: {parts!r}")
     if not all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError(f"parts must be weakly decreasing: {parts!r}")

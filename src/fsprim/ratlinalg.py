@@ -11,11 +11,8 @@ A matrix stores its nonzero entries as {row: {col: value}}, a value being an
 ``int`` when integral and a ``fractions.Fraction`` otherwise (constructors
 and elimination normalise; a matrix product of Fractions may leave an
 integral Fraction, which compares and hashes like its int).  Floats are
-refused.  The container is a sparse sympy ``DomainMatrix`` whose ``rep`` is
-that dict and whose QQ tag is only nominal: the one sympy operation run on
-it is ``matmul``, which works through the values' own ``+`` and ``*``;
-never its ``rref``, which inverts a pivot as ``Aij**-1``, a float for an
-int.  Everything else reads and builds the row dicts directly.
+refused.  Every operation, the product included, reads and builds these
+row dicts directly.
 
 Elimination is exact Gauss--Jordan over Python integers
 (:func:`_gauss_jordan`).  Each row is scaled by the lcm of its denominators,
@@ -52,9 +49,6 @@ from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
-from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
-
 _ZERO = Fraction(0)
 
 
@@ -66,11 +60,6 @@ def _exact(x):
         raise TypeError(f"floating point is not allowed: {x!r}")
     f = x if isinstance(x, Fraction) else Fraction(x)
     return f.numerator if f.denominator == 1 else f
-
-
-def _sparse(rows: int, cols: int, dod) -> DomainMatrix:
-    """The container for nonzero rows {row: {col: int or Fraction}}."""
-    return DomainMatrix(dict(dod), (rows, cols), QQ)
 
 
 def _clear_denominators(row: dict) -> tuple[int, dict]:
@@ -171,36 +160,32 @@ _RREF_BY_ROWS: dict[tuple, tuple[dict[int, dict[int, object]],
 class RatMatrix:
     """Immutable matrix of exact rationals, stored sparsely.
 
-    ``dm`` is a ``DomainMatrix`` in sympy's sparse format, holding int and
-    Fraction values under a nominal QQ tag: it is built from a dict of rows,
-    and products keep that format, so ``dm.rep`` is always the dict of
-    nonzero rows.  Row dicts are shared between matrices and never
-    modified.
+    The nonzero rows are a plain dict {row: {col: int or Fraction}}, read
+    through :meth:`_sparse_rows`.  Row dicts are shared between matrices and
+    never modified.
     """
 
-    __slots__ = ("rows", "cols", "dm", "_rref", "_unit_rows")
-
-    def _set(self, dm: DomainMatrix, unit_rows=False) -> None:
-        self.rows, self.cols = dm.shape
-        self.dm = dm
-        self._rref = None
-        self._unit_rows = unit_rows  # False = not yet detected; None = absent
+    __slots__ = ("rows", "cols", "_dod", "_rref", "_unit_rows")
 
     @classmethod
-    def _make(cls, dm: DomainMatrix, unit_rows=False) -> "RatMatrix":
+    def _make(cls, rows: int, cols: int, dod: dict,
+              unit_rows=False) -> "RatMatrix":
+        """The rows x cols matrix whose nonzero rows are dod (not copied)."""
         self = object.__new__(cls)
-        self._set(dm, unit_rows)
+        self.rows, self.cols, self._dod = rows, cols, dod
+        self._rref = None
+        self._unit_rows = unit_rows  # False = not yet detected; None = absent
         return self
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
-        return cls._make(_sparse(rows, cols, {}))
+        return cls._make(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls._make(_sparse(n, n, {i: {i: 1} for i in range(n)}),
+        return cls._make(n, n, {i: {i: 1} for i in range(n)},
                          unit_rows=tuple(range(n)))
 
     @classmethod
@@ -215,7 +200,7 @@ class RatMatrix:
             for i, x in enumerate(col):
                 if q := _exact(x):
                     dod.setdefault(i, {})[j] = q
-        return cls._make(_sparse(rows, len(columns), dod))
+        return cls._make(rows, len(columns), dod)
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets) -> "RatMatrix":
@@ -235,13 +220,21 @@ class RatMatrix:
                 del row[j]
             if not row:
                 del dod[i]
-        return cls._make(_sparse(rows, cols, dod))
+        return cls._make(rows, cols, dod)
 
     # -- reading entries ------------------------------------------------
 
     def _sparse_rows(self) -> dict[int, dict[int, object]]:
         """Nonzero entries as {row: {col: int or Fraction}} (read-only)."""
-        return self.dm.rep
+        return self._dod
+
+    @property
+    def dm(self):
+        """The rows as a sympy ``DomainMatrix`` under a nominal QQ tag."""
+        # Only perfbench/tracing.py reads this view (``dm.rep.to_sdm()``).
+        from sympy.polys.domains import QQ
+        from sympy.polys.matrices import DomainMatrix
+        return DomainMatrix(dict(self._dod), (self.rows, self.cols), QQ)
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -256,15 +249,34 @@ class RatMatrix:
         if not all(0 <= i < self.rows for i in indices):
             raise ValueError("row index out of range")
         sparse = self._sparse_rows()
-        return RatMatrix._make(_sparse(len(indices), self.cols, {
-            k: sparse[i] for k, i in enumerate(indices) if i in sparse}))
+        return RatMatrix._make(len(indices), self.cols, {
+            k: sparse[i] for k, i in enumerate(indices) if i in sparse})
 
     # -- algebra ---------------------------------------------------------
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not (isinstance(other, RatMatrix) and self.cols == other.rows):
             raise ValueError("shape mismatch in product")
-        return RatMatrix._make(self.dm.matmul(other.dm))
+        # Row i of the product is the sum of A[i, k] * (row k of B) over the
+        # k that are nonzero in both; a sum that reaches zero is dropped.
+        # The loop is sympy's sparse ``sdm_matmul``.
+        B = other._dod
+        B_knz = set(B)
+        C = {}
+        for i, Ai in self._dod.items():
+            Ci = {}
+            for k in set(Ai) & B_knz:
+                Aik = Ai[k]
+                for j, Bkj in B[k].items():
+                    if j not in Ci:
+                        Ci[j] = Aik * Bkj
+                    elif Cij := Ci[j] + Aik * Bkj:
+                        Ci[j] = Cij
+                    else:
+                        del Ci[j]
+            if Ci:
+                C[i] = Ci
+        return RatMatrix._make(self.rows, other.cols, C)
 
     def is_zero(self) -> bool:
         return not self._sparse_rows()
@@ -296,8 +308,8 @@ class RatMatrix:
                 if shared is None:
                     shared = _RREF_BY_ROWS[key] = _gauss_jordan(sparse)
                 nonzero, pivots = shared
-                red = _sparse(self.rows, self.cols, nonzero)
-                self._rref = (RatMatrix._make(red), pivots)
+                self._rref = (RatMatrix._make(self.rows, self.cols, nonzero),
+                              pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -325,7 +337,7 @@ class RatMatrix:
                     out[k] = -val
             if out:
                 dod[p] = out
-        return RatMatrix._make(_sparse(self.cols, len(free), dod),
+        return RatMatrix._make(self.cols, len(free), dod,
                                unit_rows=tuple(free))
 
     def unit_rows(self):

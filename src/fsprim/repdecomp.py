@@ -321,20 +321,28 @@ def boxtimes(x: SchurClass, y: SchurClass) -> BiSchurClass:
                                   for mu, cy in y.terms})
 
 
-@lru_cache(maxsize=None, typed=True)  # a float degree misses, and is refused
-def trivial_class(n: int) -> SchurClass:
-    """Class of the trivial representation: the single-row partition (n)."""
+def _degree(n) -> int:
+    """n, if it is a nonnegative int: TypeError for any other type (a float
+    or a bool), ValueError if negative."""
+    if type(n) is not int:
+        raise TypeError(f"degree must be an int: {n!r}")
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    return n
+
+
+# typed: a float or bool degree misses the cache, and is refused.
+@lru_cache(maxsize=None, typed=True)
+def trivial_class(n: int) -> SchurClass:
+    """Class of the trivial representation: the single-row partition (n)."""
+    n = _degree(n)
     return SchurClass({(n,) if n else (): 1})
 
 
 @lru_cache(maxsize=None, typed=True)
 def sign_class(n: int) -> SchurClass:
     """Class of the sign representation: the single-column partition (1^n)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return SchurClass({(1,) * n: 1})
+    return SchurClass({(1,) * _degree(n): 1})
 
 
 # -------------------------------------------------------------- decomposition

@@ -641,7 +641,7 @@ def test_rank_report_on_injective_cells():
 
 
 def _rref_rows(red):
-    return dict(red.dm.rep.to_sdm())
+    return red._sparse_rows()
 
 
 def test_operator_rref_matches_denominator_clearing_reference():
@@ -663,7 +663,8 @@ def test_operator_rref_matches_denominator_clearing_reference():
 def test_pairing_rows_are_the_equal_size_stage_rows():
     # Why the pairing and level b - a - 1 share one elimination.
     def row_set(mat):
-        return {frozenset(row.items()) for row in mat.dm.rep.values()}
+        return {frozenset(row.items())
+                for row in mat._sparse_rows().values()}
 
     for b in range(6):
         for a in range(1, b + 1):

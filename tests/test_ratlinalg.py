@@ -13,7 +13,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from fsprim import ratlinalg
-from fsprim.fsfilt import _reduced_restriction, theta_matrix
+from fsprim.fsfilt import _reduced_restriction, filtration_level, theta_matrix
 from fsprim.ratlinalg import RatMatrix, solve_membership
 
 # ---------------------------------------------------------------- oracle
@@ -123,13 +123,32 @@ def test_identity_and_zeros():
 def exact_values(matrix):
     """Every stored value is an int or a Fraction: no float, bool or QQ."""
     return all(type(v) in (int, Fraction)
-               for row in matrix.dm.rep.values() for v in row.values())
+               for row in matrix._sparse_rows().values()
+               for v in row.values())
 
 
 def normalised_values(matrix):
     """Every stored value is an int, or a Fraction that is not integral."""
     return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
-               for row in matrix.dm.rep.values() for v in row.values())
+               for row in matrix._sparse_rows().values()
+               for v in row.values())
+
+
+def to_qq(matrix):
+    """``matrix`` as a sympy sparse DomainMatrix over real QQ elements."""
+    return DomainMatrix({i: {j: QQ(v.numerator, v.denominator)
+                             for j, v in row.items()}
+                         for i, row in matrix._sparse_rows().items()},
+                        (matrix.rows, matrix.cols), QQ)
+
+
+def from_qq(dm):
+    """The nonzero rows of a DomainMatrix over QQ, as {row: {col: Fraction}}."""
+    rows = dm.rep.to_sdm()
+    assert all(QQ.of_type(v) for row in rows.values() for v in row.values())
+    return {i: {j: Fraction(int(v.numerator), int(v.denominator))
+                for j, v in row.items()}
+            for i, row in rows.items() if row}
 
 
 def sympy_rref(matrix, method):
@@ -139,15 +158,14 @@ def sympy_rref(matrix, method):
     the int values a RatMatrix stores, sympy would invert a pivot as
     ``Aij**-1``, a float, and a float RREF compares equal to the exact one.
     """
-    qq = DomainMatrix({i: {j: QQ(v.numerator, v.denominator)
-                           for j, v in row.items()}
-                       for i, row in matrix.dm.rep.items()},
-                      matrix.dm.shape, QQ)
-    red, pivots = qq.rref(method=method)
-    assert all(QQ.of_type(v) for row in red.rep.values() for v in row.values())
-    return ({i: {j: Fraction(int(v.numerator), int(v.denominator))
-                 for j, v in row.items()}
-             for i, row in red.rep.items() if row}, tuple(pivots))
+    red, pivots = to_qq(matrix).rref(method=method)
+    return from_qq(red), tuple(pivots)
+
+
+def sympy_matmul(left, right):
+    """sympy's product over QQ, as {row: {col: Fraction}}: the reference
+    for ``@``."""
+    return from_qq(to_qq(left).matmul(to_qq(right)))
 
 
 def dense(rows):
@@ -226,13 +244,13 @@ def test_rref_matches_oracle_fixed():
     ]
     for rows in cases:
         M = dense(rows)
-        before = copy.deepcopy(dict(M.dm.rep))
+        before = copy.deepcopy(M._sparse_rows())
         R, piv = M.rref()
         exp_rows, exp_piv = oracle_rref(rows)
         assert piv == exp_piv
         assert list(entries(R)) == exp_rows
         assert normalised_values(R)
-        assert dict(M.dm.rep) == before and normalised_values(M)
+        assert M._sparse_rows() == before and normalised_values(M)
 
 
 def test_rref_matches_sympy_gauss_jordan_on_the_operators(monkeypatch):
@@ -244,14 +262,15 @@ def test_rref_matches_sympy_gauss_jordan_on_the_operators(monkeypatch):
     for op in operators:
         if not (op.rows and op.cols):
             continue
-        M = RatMatrix._make(op.dm)  # a new instance, so rref() eliminates
-        before = copy.deepcopy(dict(M.dm.rep))
+        # A new instance, so rref() eliminates.
+        M = RatMatrix._make(op.rows, op.cols, op._sparse_rows())
+        before = copy.deepcopy(M._sparse_rows())
         red, pivots = M.rref()
         ref, ref_pivots = sympy_rref(M, "GJ")
         assert pivots == ref_pivots
-        assert dict(red.dm.rep) == ref
+        assert red._sparse_rows() == ref
         assert normalised_values(red)
-        assert dict(M.dm.rep) == before and normalised_values(M)
+        assert M._sparse_rows() == before and normalised_values(M)
 
 
 @settings(max_examples=80, deadline=None)
@@ -274,7 +293,7 @@ def reference_rref(matrix):
 def fast_rref(matrix):
     red, pivots = matrix.rref()
     assert (red.rows, red.cols) == (matrix.rows, matrix.cols)
-    return dict(red.dm.rep.to_sdm()), pivots
+    return red._sparse_rows(), pivots
 
 
 @settings(max_examples=80, deadline=None)
@@ -506,15 +525,63 @@ def test_unit_rows_detection():
 
 
 def test_every_operation_keeps_the_sparse_format():
-    # RatMatrix reads dm.rep as its dict of nonzero rows.
-    from sympy.polys.matrices.sdm import SDM
+    # A RatMatrix's nonzero rows are a plain dict of plain row dicts.
     A = dense([[1, 2], [0, Fraction(1, 3)]])
     B = RatMatrix.from_triplets(2, 2, [(0, 1, 1)])
     results = [A, B, RatMatrix.identity(2), RatMatrix.zeros(2, 3),
                RatMatrix.from_columns(2, [(1, 0)]), A @ B,
                A.select_rows((1, 1)), A.rref()[0], A.kernel_basis()]
-    assert all(isinstance(M.dm.rep, SDM) and exact_values(M)
-               for M in results)
+    for M in results:
+        rows = M._sparse_rows()
+        assert type(rows) is dict and exact_values(M)
+        assert all(type(row) is dict and row for row in rows.values())
+
+
+def assert_product_matches_sympy(left, right):
+    product = left @ right
+    assert (product.rows, product.cols) == (left.rows, right.cols)
+    assert exact_values(product)
+    # The reference holds no zero value and no empty row.
+    assert product._sparse_rows() == sympy_matmul(left, right)
+
+
+def test_product_matches_sympy_on_the_level_products():
+    # Every product that _in_level forms on a filtration level, b <= 5.
+    for b in range(6):
+        for a in range(b + 1):
+            for t in range(-1, b - a + 1):
+                basis = filtration_level(b, a, t).basis_matrix
+                for c in range(b + 1):
+                    assert_product_matches_sympy(
+                        _reduced_restriction(b, a, c), basis)
+
+
+def shaped_rows(m, n):
+    """Strategy: m rows of n Fractions, a whole zero row often.
+
+    Entries are drawn from a few values half the time, so that products
+    often cancel to zero.
+    """
+    entry = small_frac | st.sampled_from(
+        (1, -1, Fraction(1, 2), Fraction(-1, 2)))
+    row = st.lists(entry, min_size=n, max_size=n)
+    return st.lists(st.just([0] * n) | row, min_size=m, max_size=m)
+
+
+def shaped(rows, cols):
+    """The matrix with the given rows, of ``cols`` columns even with none."""
+    return RatMatrix.from_triplets(len(rows), cols, (
+        (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(min_value=0, max_value=4)] * 3).flatmap(
+    lambda shape: st.tuples(st.just(shape),
+                            shaped_rows(shape[0], shape[1]),
+                            shaped_rows(shape[1], shape[2]))))
+def test_product_matches_sympy(case):
+    (m, k, n), left, right = case
+    assert_product_matches_sympy(shaped(left, k), shaped(right, n))
 
 
 def test_an_integral_fraction_from_a_product_equals_its_int():

@@ -165,12 +165,26 @@ def test_cached_characters_validate_in_either_call_order():
         with pytest.raises(ValueError):
             mn_character((2.0, 1.0), (1, 1, 1))
         assert mn_character((2, 1), (1, 1, 1)) == 2
-        with pytest.raises(ValueError):
-            trivial_class(2.0)
+        # A degree that is not an int is refused alike by both, as a type
+        # error, before any work.
+        for degree_class in (trivial_class, sign_class):
+            with pytest.raises(TypeError, match="degree must be an int"):
+                degree_class(2.0)
         assert trivial_class(2) == SchurClass({(2,): 1})
-        with pytest.raises(TypeError):
-            sign_class(2.0)
         assert sign_class(2) == SchurClass({(1, 1): 1})
+
+
+def test_bool_parts_and_degrees_are_refused():
+    # isinstance(True, int) holds, so a bool once passed as the part 1.
+    with pytest.raises(ValueError):
+        partition_index((True, True))
+    with pytest.raises(ValueError):
+        SchurClass({(True,): 1})
+    for degree_class in (trivial_class, sign_class):
+        with pytest.raises(TypeError):
+            degree_class(True)
+    assert partition_index((1, 1)) == 1
+    assert trivial_class(1) == SchurClass({(1,): 1})
 
 
 def test_character_weight_mismatch_rejected():

@@ -176,17 +176,39 @@ BOUND5_REPORT_SHA256 = (
     "66ff2e93813bb3efbc430b1902460774cb86ff68068fc7cbee8842264b6df347")
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports fsprim from these sources."""
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_bound5_report_bytes_are_pinned(tmp_path, flags):
     path = tmp_path / "reports.json"
-    src = os.path.dirname(os.path.dirname(verify.__file__))
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, *flags, "-m", "fsprim.verify", "--max-size", "5",
          "verify", "all", "--json", str(path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        BOUND5_REPORT_SHA256
+
+
+def test_runs_without_sympy(tmp_path):
+    # sympy is a test dependency only; with it unimportable, the bound-5
+    # reports keep their pinned bytes.
+    path = tmp_path / "reports.json"
+    code = f"""
+import sys
+sys.modules["sympy"] = None
+from fsprim.verify import main
+raise SystemExit(main(["--max-size", "5", "verify", "all",
+                       "--json", {str(path)!r}]))
+"""
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         BOUND5_REPORT_SHA256
