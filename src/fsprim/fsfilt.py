@@ -50,10 +50,10 @@ from .finsetcat import (FinMap, HomClass, hom_character, hom_dimension,
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix
 from .repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
-                        SchurClass, adjacent_transposition,
-                        bidecompose_character, boxtimes, class_representative,
-                        convolution_class, biconvolution_right, sign_class,
-                        trivial_class)
+                        SchurClass, bidecompose_character, boxtimes,
+                        class_representative, convolution_class,
+                        biconvolution_right, sign_class,
+                        symmetric_generators, trivial_class)
 
 __all__ = [
     "HomModule", "hom_module",
@@ -87,7 +87,10 @@ class HomModule:
     ``pi`` acts on the left by ``[f] -> [pi . f]``, which translates each
     byte of ``f``, and a source permutation ``sigma`` on the right by
     ``[f] -> [f . sigma^{-1}]``, which reorders its bytes.  Both run over the
-    whole basis at once.  Matrices act on column vectors.  The character of
+    whole basis at once.  Matrices act on column vectors.  Each side's
+    generator permutations are those of (1 2) and the n-cycle
+    (:func:`symmetric_generators`), two elements that generate S_n, so a
+    statement checked on them holds for the whole group.  The character of
     the whole space is the closed-form fixed-map count of
     :func:`hom_character`, so it builds no permutation.
     """
@@ -116,14 +119,15 @@ class HomModule:
 
     @cached_property
     def left_generator_perms(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.left_perm(adjacent_transposition(self.left_degree, t))
-                     for t in range(1, self.left_degree))
+        """Left basis permutations of (1 2) and the target cycle."""
+        return tuple(map(self.left_perm,
+                         symmetric_generators(self.left_degree)))
 
     @cached_property
     def right_generator_perms(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            self.right_perm(adjacent_transposition(self.right_degree, t))
-            for t in range(1, self.right_degree))
+        """Right basis permutations of (1 2) and the source cycle."""
+        return tuple(map(self.right_perm,
+                         symmetric_generators(self.right_degree)))
 
     @cached_property
     def class_perms(self) -> tuple[tuple[tuple[int, ...], ...],
@@ -382,12 +386,15 @@ def theta_matrix(target_size: int, source_size: int) -> RatMatrix:
 
 
 def theta_equivariance_check(target_size: int, source_size: int) -> bool:
-    """True iff the pairing intertwines both generator actions exactly.
+    """True iff the pairing intertwines both group actions exactly.
 
     Each side of the surjections pairs with the other side of the injections.
-    For a generator with basis permutations ``ps`` and ``pt`` the pairing
-    must satisfy ``P_t @ th @ P_s^T == th``: moving entry (i, j) to
-    (pt[i], ps[j]) must give back the same entries, values included.
+    Both modules act by the same two generators of that side's group, (1 2)
+    and the n-cycle, and the elements commuting with the pairing form a
+    subgroup, so checking the generators checks the whole group.  For a
+    generator with basis permutations ``ps`` and ``pt`` the pairing must
+    satisfy ``P_t @ th @ P_s^T == th``: moving entry (i, j) to (pt[i], ps[j])
+    must give back the same entries, values included.
     """
     a, b = target_size, source_size
     rows = theta_matrix(a, b)._sparse_rows()
@@ -586,16 +593,25 @@ def _module_generator_columns(source_size: int, target_size: int,
                               side: str) -> tuple[dict[int, object], ...]:
     """Basis columns generating the primitive level under one side's action.
 
-    Computes coordinate matrices of the adjacent-transposition generators on
-    the level (valid because the level is action-stable), then grows a column
-    set greedily until the orbit of the chosen columns under repeated
-    generator application is certified, by incremental row reduction over
-    the integers mod ``_PRIME``, to span the whole level.  The reduced basis
-    is kept as a pivot-indexed dictionary of rows in reduced echelon form; a
-    unit vector lies in the span exactly when its coordinate is a pivot whose
-    stored row has a single entry.  Columns are returned as exact sparse
-    {row: int or Fraction} vectors of the level basis, read only for the
-    columns returned.
+    Computes coordinate matrices of the module's two generators of S_n,
+    (1 2) and the n-cycle, on the level (valid because the level is
+    action-stable), then grows a column set greedily until the orbit of the
+    chosen columns under repeated generator application is certified, by
+    incremental row reduction over the integers mod ``_PRIME``, to span the
+    whole level.  The reduced basis is kept as a pivot-indexed dictionary of
+    rows in reduced echelon form; a unit vector lies in the span exactly
+    when its coordinate is a pivot whose stored row has a single entry.  The
+    search stops as soon as the span is the whole level.  Columns are
+    returned as exact sparse {row: int or Fraction} vectors of the level
+    basis, read only for the columns returned.
+
+    The columns do not depend on the generating set.  Each vector inserted
+    has its generator images queued, so once a candidate's queue is empty
+    the span is closed under every generator matrix.  The group is finite,
+    and so is its image mod p, so each inverse is a positive power and the
+    span is closed under the whole group: it is the submodule generated by
+    the candidates so far, whatever generators produced it.  Its reduced
+    echelon form is unique, and the next candidate is read from it alone.
 
     The certificate is one-sided and sound over Q.  When no denominator of
     the action matrices is divisible by p, they are p-integral, so the
@@ -618,8 +634,9 @@ def _module_generator_columns(source_size: int, target_size: int,
     p = _PRIME
     actions: list[list[dict[int, int]]] = []
     for perm in perms:
-        # Row u of the acted basis is row perm^{-1}(u) of K, and perm, the
-        # action of an adjacent transposition, is its own inverse.
+        # Row u of the acted basis is row perm^{-1}(u) of K, so reading
+        # perm[u] gives the matrix of the generator's inverse: (1 2) itself
+        # and the inverse cycle, which generate S_n as well.
         acted = K.select_rows(perm[u] for u in unit)._sparse_rows()
         cols: list[dict[int, int]] = [{} for _ in range(dim)]
         for r, row in acted.items():
@@ -696,6 +713,9 @@ def _module_generator_columns(source_size: int, target_size: int,
             if not rem:
                 continue
             insert(rem)
+            if len(rows) == dim:
+                # Every vector still queued would reduce to zero.
+                break
             for cols in actions:
                 queue.append(apply_action(cols, rem))
     return _columns(K, chosen)

@@ -74,6 +74,19 @@ def class_representative(mu: CycleType) -> FinMap:
     return FinMap(n, n, tuple(vals))
 
 
+def symmetric_generators(n: int) -> tuple[FinMap, ...]:
+    """Two permutations generating S_n: (1 2) and the n-cycle (1 2 ... n).
+
+    Conjugating (1 2) by powers of the cycle gives every adjacent
+    transposition (k k+1), and those generate S_n.  At n = 2 the cycle is
+    (1 2) itself, so there is one generator, and below 2 none.
+    """
+    if n < 2:
+        return ()
+    swap = adjacent_transposition(n, 1)
+    return (swap,) if n == 2 else (swap, class_representative((n,)))
+
+
 # ----------------------------------------------------------------- characters
 
 

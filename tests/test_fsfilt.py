@@ -47,8 +47,8 @@ from fsprim.partitions import (class_size, irrep_dimension, partition_index,
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                               InternalConsistencyError, SchurClass,
-                              bidecompose_character, class_representative,
-                              decompose_character)
+                              adjacent_transposition, bidecompose_character,
+                              class_representative, decompose_character)
 
 from test_ratlinalg import (dense, entries, image_basis, permute_rows,
                             sparse_columns, sympy_rref, transpose)
@@ -59,6 +59,18 @@ INJ = HomClass.INJECTION
 
 def all_permutations(n):
     return [FinMap(n, n, p) for p in permutations(range(1, n + 1))]
+
+
+def coxeter_perms(module, side):
+    """Reference: basis permutations of the n - 1 adjacent transpositions
+    (k k+1) on one side, the Coxeter generators of S_n.  Each is its own
+    inverse, so no reference built on them depends on the direction in which
+    a permutation is read."""
+    if side == "left":
+        n, act = module.left_degree, module.left_perm
+    else:
+        n, act = module.right_degree, module.right_perm
+    return tuple(act(adjacent_transposition(n, t)) for t in range(1, n))
 
 
 def inverse(perm):
@@ -89,6 +101,8 @@ def test_hom_module_basis_and_index_roundtrip():
 
 
 def test_hom_module_actions_are_commuting_permutations():
+    # Two permutations commute iff their inverses do, so the direction in
+    # which a generator's permutation is read does not matter here.
     mod = hom_module(SURJ, 3, 2)
     n = mod.dimension
     for perm in mod.left_generator_perms + mod.right_generator_perms:
@@ -461,6 +475,9 @@ def test_primitive_spans_are_stable_under_both_group_actions():
         mod = hom_module(SURJ, b, a)
         basis = primitives(b, a).basis_matrix
         unit = basis.unit_rows()
+        # permute_rows applies each generator, not its inverse; a span
+        # stable under a permutation of finite order is stable under its
+        # inverse, a positive power, so either direction decides stability.
         for perm in mod.left_generator_perms + mod.right_generator_perms:
             acted = permute_rows(basis, perm)
             coords = acted.select_rows(unit)
@@ -568,22 +585,53 @@ def test_pairing_section_tuples_are_the_validated_sections():
 
 
 def _matrix_equivariance(th, a, b):
-    """Reference: ``P_t @ th @ P_s^T == th`` with permuted matrices."""
+    """Reference: ``P_t @ th @ P_s^T == th`` with permuted matrices, for
+    every adjacent transposition on each side."""
     source = hom_module(SURJ, b, a)
     target = hom_module(INJ, a, b)
     pairs = chain(
-        zip(source.left_generator_perms, target.right_generator_perms),
-        zip(source.right_generator_perms, target.left_generator_perms))
+        zip(coxeter_perms(source, "left"), coxeter_perms(target, "right")),
+        zip(coxeter_perms(source, "right"), coxeter_perms(target, "left")))
     return all(
         transpose(permute_rows(transpose(permute_rows(th, pt)), ps)) == th
         for ps, pt in pairs)
 
 
 def test_pairing_commutes_with_both_group_actions():
-    for b in range(6):
+    # The two-generator check agrees with the adjacent-transposition
+    # reference on every cell with b <= 6.
+    for b in range(7):
         for a in range(b + 1):
             assert theta_equivariance_check(a, b), (a, b)
             assert _matrix_equivariance(theta_matrix(a, b), a, b), (a, b)
+
+
+def test_equivariance_fails_for_a_pairing_that_commutes_only_with_a_swap(
+        monkeypatch):
+    # theta . S_(12), with S the surjections' source action, still commutes
+    # with (1 2) on both sides and with every target permutation, but not
+    # with the source cycle: conjugating (1 2) by it gives (2 3).
+    import fsprim.fsfilt as fsfilt
+    cells = [(a, b) for b in range(3, 6) for a in range(2, b + 1)]
+    for a, b in cells:
+        th = theta_matrix(a, b)
+        source = hom_module(SURJ, b, a)
+        target = hom_module(INJ, a, b)
+        swap = source.right_generator_perms[0]
+        assert swap == coxeter_perms(source, "right")[0]
+        bad = RatMatrix.from_triplets(th.rows, th.cols, (
+            (i, swap[j], v) for i, row in th._sparse_rows().items()
+            for j, v in row.items()))
+        rows = bad._sparse_rows()
+        for ps, pt in ((source.left_generator_perms[0],
+                        target.right_generator_perms[0]),
+                       (swap, target.left_generator_perms[0])):
+            assert {pt[i]: {ps[j]: v for j, v in row.items()}
+                    for i, row in rows.items()} == rows, (a, b)
+        assert not _matrix_equivariance(bad, a, b), (a, b)
+        monkeypatch.setattr(fsfilt, "theta_matrix", lambda a, b: bad)
+        assert not theta_equivariance_check(a, b), (a, b)
+        monkeypatch.undo()
 
 
 def test_equivariance_compares_values_not_only_the_support(monkeypatch):
@@ -799,8 +847,10 @@ def _hand_assembled_coker_relations(a, c, b, quotient=True):
     target = hom_module(INJ, a, b)
     triplets = []
     col = 0
-    for rperm, lperm in zip(fs_mod.right_generator_perms,
-                            target.right_generator_perms):
+    # Involutions, so applying the block's permutation and reading the
+    # quotient's give the same group element.
+    for rperm, lperm in zip(coxeter_perms(fs_mod, "right"),
+                            coxeter_perms(target, "right")):
         acted = sparse_columns(
             permute_rows(block, rperm).select_rows(unit))
         quotient_cols = [project(lperm[j]) for j in nonpivots]
@@ -1075,8 +1125,9 @@ def _column_vectors(matrix):
 def _reference_generator_columns(source_size, target_size, side, prime=None):
     """Reference: the generator search with a dense back-substitution.
 
-    Each new pivot is eliminated from every stored row, in exact Fractions,
-    or modulo ``prime`` when one is given.
+    It acts by all n - 1 adjacent transpositions and runs every queue to
+    its end.  Each new pivot is eliminated from every stored row, in exact
+    Fractions, or modulo ``prime`` when one is given.
     """
     import fsprim.fsfilt as fsfilt
     if prime is None:
@@ -1094,8 +1145,7 @@ def _reference_generator_columns(source_size, target_size, side, prime=None):
         return ()
     unit = K.unit_rows()
     module = hom_module(SURJ, level.source_size, level.target_size)
-    perms = (module.left_generator_perms if side == "left"
-             else module.right_generator_perms)
+    perms = coxeter_perms(module, side)
     actions = [[{r: scalar(v) for r, v in col.items() if scalar(v)}
                 for col in _column_vectors(
                     permute_rows(K, p).select_rows(unit))]
@@ -1235,7 +1285,9 @@ def test_a_denominator_divisible_by_the_prime_returns_every_column(
         fresh_generator_cache, monkeypatch):
     # The same stable subspace as the canonical level 1 of Surj(4, 2), whose
     # action matrices have denominator 2 in this basis.  Every canonical
-    # basis through bound 6 has integral actions.
+    # basis through bound 6 has integral actions.  permute_rows applies each
+    # generator and the search its inverse, a positive power of it, so the
+    # two are p-integral together.
     fsfilt = fresh_generator_cache
     basis, unit = _level_basis_on_other_unit_rows()
     assert any(v.denominator == 2

@@ -41,6 +41,7 @@ from fsprim.repdecomp import (
     pieri_e,
     pieri_h,
     sign_class,
+    symmetric_generators,
     trivial_class,
 )
 from fsprim.repdecomp import _induced_product, _irreducible_product
@@ -108,6 +109,36 @@ def test_class_representative_types():
 def test_class_representative_deterministic_form():
     assert class_representative((3, 2)).values == (2, 3, 1, 5, 4)
     assert class_representative((1, 1)).values == (1, 2)
+
+
+def _generated_group(n, generators):
+    """Reference: every product of the generators, by breadth-first search."""
+    identity = tuple(range(1, n + 1))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        step = []
+        for g in frontier:
+            for s in generators:
+                h = tuple(s.values[v - 1] for v in g)
+                if h not in seen:
+                    seen.add(h)
+                    step.append(h)
+        frontier = step
+    return seen
+
+
+def test_symmetric_generators_generate_the_whole_group():
+    assert symmetric_generators(0) == symmetric_generators(1) == ()
+    assert [g.values for g in symmetric_generators(2)] == [(2, 1)]
+    for n in range(3, 7):
+        swap, cycle = symmetric_generators(n)
+        assert swap.values == (2, 1) + tuple(range(3, n + 1))
+        assert cycle == class_representative((n,))
+    for n in range(7):
+        group = _generated_group(n, symmetric_generators(n))
+        assert len(group) == factorial(n), n
+        assert group == set(permutations(range(1, n + 1)))
 
 
 # --------------------------------------------------------------- characters
