@@ -36,7 +36,7 @@ numerical estimate.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -48,7 +48,7 @@ from typing import NamedTuple
 from .finsetcat import (FinMap, HomClass, hom_character, hom_dimension,
                         hom_values, section_values)
 from .partitions import partitions_of
-from .ratlinalg import RatMatrix
+from .ratlinalg import RatMatrix, _Echelon
 from .repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                         SchurClass, bidecompose_character, boxtimes,
                         class_representative, convolution_class,
@@ -584,10 +584,6 @@ def automorphism_block_check(set_size: int) -> bool:
 # ------------------------------------------------------------------ closure
 
 
-# The prime of the generator search, 2**31 - 19.
-_PRIME = 2_147_483_629
-
-
 @cache
 def _module_generator_columns(source_size: int, target_size: int,
                               side: str) -> tuple[dict[int, object], ...]:
@@ -595,32 +591,23 @@ def _module_generator_columns(source_size: int, target_size: int,
 
     Computes coordinate matrices of the module's two generators of S_n,
     (1 2) and the n-cycle, on the level (valid because the level is
-    action-stable), then grows a column set greedily until the orbit of the
-    chosen columns under repeated generator application is certified, by
-    incremental row reduction over the integers mod ``_PRIME``, to span the
-    whole level.  The reduced basis is kept as a pivot-indexed dictionary of
-    rows in reduced echelon form; a unit vector lies in the span exactly
-    when its coordinate is a pivot whose stored row has a single entry.  The
-    search stops as soon as the span is the whole level.  Columns are
-    returned as exact sparse {row: int or Fraction} vectors of the level
-    basis, read only for the columns returned.
+    action-stable), then grows a column set greedily: the orbit of each
+    chosen column under repeated generator application is fed, vector by
+    vector, to one exact reduced echelon form (``ratlinalg._Echelon``).  A
+    unit vector lies in the span exactly when its coordinate is a pivot
+    whose stored row has a single entry, so the next column is the first
+    that is not such a pivot.  The search stops as soon as the span is the
+    whole level.  Columns are returned as exact sparse {row: int or
+    Fraction} vectors of the level basis, read only for the columns
+    returned.
 
-    The columns do not depend on the generating set.  Each vector inserted
+    The columns do not depend on the generating set.  Each vector stored
     has its generator images queued, so once a candidate's queue is empty
     the span is closed under every generator matrix.  The group is finite,
-    and so is its image mod p, so each inverse is a positive power and the
-    span is closed under the whole group: it is the submodule generated by
-    the candidates so far, whatever generators produced it.  Its reduced
-    echelon form is unique, and the next candidate is read from it alone.
-
-    The certificate is one-sided and sound over Q.  When no denominator of
-    the action matrices is divisible by p, they are p-integral, so the
-    chosen unit vectors generate a Z_(p)-lattice under the action whose
-    reduction mod p is the span the search found.  That span is F_p^dim, so
-    by Nakayama the lattice has rank dim and the orbit vectors span Q^dim.
-    An unlucky prime only shrinks the spans found, so it can add generators
-    but never drop a needed one.  If some denominator is divisible by p,
-    every basis column is returned: that set generates trivially.
+    so each inverse is a positive power and the span is closed under the
+    whole group: it is the Q-submodule generated by the candidates so far,
+    whatever generators produced it.  Its reduced echelon form is unique,
+    and the next candidate is read from it alone.
     """
     level = primitives(source_size, target_size)
     K = level.basis_matrix
@@ -631,93 +618,49 @@ def _module_generator_columns(source_size: int, target_size: int,
     module = hom_module(_SURJ, level.source_size, level.target_size)
     perms = (module.left_generator_perms if side == "left"
              else module.right_generator_perms)
-    p = _PRIME
-    actions: list[list[dict[int, int]]] = []
+    actions: list[list[dict[int, object]]] = []
     for perm in perms:
         # Row u of the acted basis is row perm^{-1}(u) of K, so reading
         # perm[u] gives the matrix of the generator's inverse: (1 2) itself
         # and the inverse cycle, which generate S_n as well.
         acted = K.select_rows(perm[u] for u in unit)._sparse_rows()
-        cols: list[dict[int, int]] = [{} for _ in range(dim)]
+        cols: list[dict[int, object]] = [{} for _ in range(dim)]
         for r, row in acted.items():
             for j, val in row.items():
-                den = val.denominator % p
-                if not den:
-                    return _columns(K, range(dim))
-                entry = val.numerator * pow(den, -1, p) % p
-                if entry:
-                    cols[j][r] = entry
+                cols[j][r] = val
         actions.append(cols)
 
-    rows: dict[int, dict[int, int]] = {}
-    # Column -> pivots of the stored rows that hold it off their pivot.
-    holders: defaultdict[int, set[int]] = defaultdict(set)
-
-    def reduce_vector(vec: dict[int, int]) -> dict[int, int]:
-        out = dict(vec)
-        for c in sorted(set(out) & rows.keys()):
-            coeff = out.pop(c, None)
-            if not coeff:
-                continue
-            for j, val in rows[c].items():
-                if j == c:
-                    continue
-                new = (out.get(j, 0) - coeff * val) % p
-                if new:
-                    out[j] = new
-                else:
-                    out.pop(j, None)
-        return out
-
-    def insert(rem: dict[int, int]) -> None:
-        pivot = min(rem)
-        inv = pow(rem[pivot], -1, p)
-        row = {j: val * inv % p for j, val in rem.items()}
-        tail = [(j, val) for j, val in row.items() if j != pivot]
-        # Only the rows holding the new pivot change.
-        for q in holders.pop(pivot, ()):
-            other = rows[q]
-            coeff = other.pop(pivot)
-            for j, val in tail:
-                new = (other.get(j, 0) - coeff * val) % p
-                if not new:
-                    del other[j]
-                    holders[j].discard(q)
-                else:
-                    if j not in other:
-                        holders[j].add(q)
-                    other[j] = new
-        for j, _ in tail:
-            holders[j].add(pivot)
-        rows[pivot] = row
-
-    def apply_action(cols, vec):
-        out: dict[int, int] = {}
+    def image(cols, vec):
+        out: dict[int, object] = {}
         for j, coeff in vec.items():
             for r, val in cols[j].items():
-                new = (out.get(r, 0) + coeff * val) % p
-                if new:
+                if r not in out:
+                    out[r] = coeff * val
+                elif new := out[r] + coeff * val:
                     out[r] = new
                 else:
-                    out.pop(r, None)
+                    del out[r]
         return out
 
+    echelon = _Echelon()
     chosen: list[int] = []
-    while len(rows) < dim:
-        candidate = next(j for j in range(dim)
-                         if j not in rows or len(rows[j]) != 1)
+    while len(echelon.rows) < dim:
+        candidate = next(j for j in range(dim) if j not in echelon.reduced)
         chosen.append(candidate)
         queue = deque([{candidate: 1}])
         while queue:
-            rem = reduce_vector(queue.popleft())
-            if not rem:
+            remainder = echelon.reduce(queue.popleft())
+            if not remainder:
                 continue
-            insert(rem)
-            if len(rows) == dim:
+            # A compact copy: the reduction cancels most entries, a dict
+            # keeps the slack of its deletions, and the stored row is read
+            # at every later reduction and pivot that meets it.
+            row = echelon.store(dict(remainder))
+            if len(echelon.rows) == dim:
                 # Every vector still queued would reduce to zero.
                 break
             for cols in actions:
-                queue.append(apply_action(cols, rem))
+                queue.append(image(cols, row))
     return _columns(K, chosen)
 
 

@@ -16,16 +16,20 @@ row dicts directly.
 
 Elimination is exact Gauss--Jordan over Python integers
 (:func:`_gauss_jordan`).  Each row is scaled by the lcm of its denominators,
-which keeps the row space; the elimination then runs on ints and divides
-only at a pivot other than 1 or -1, whose row becomes Fractions.  Nothing
-is rounded, and reduced row echelon form is unique, so the result is the
-matrix sympy's Gauss--Jordan over QQ gives, at a fraction of the cost: the
-operators this package builds are integer matrices whose RREF entries are
-small integers, and Python ints skip the gcd that every rational operation
-pays.  On theta(4, 7) the RREF takes 0.58 s against 2.9 s over QQ (sympy
-1.14 with pure-Python QQ, one core of a 2-core x86-64 host).  Every derived
-object (kernel basis, solution coefficients) is canonical and deterministic
-whichever exact method computes it.
+which keeps the row space, and the rows are fed one at a time to an
+incremental reduced echelon form (:class:`_Echelon`), the one elimination
+loop of the package: it runs on ints and divides only at a pivot other than
+1 or -1, whose row becomes Fractions, and it stores an integral value as an
+int.  The closure generator search in ``fsfilt`` feeds its orbit vectors to
+the same class.  Nothing is rounded, and reduced row echelon form is unique,
+so the result is the matrix sympy's Gauss--Jordan over QQ gives, in any row
+order, at a fraction of the cost: the operators this package builds are
+integer matrices whose RREF entries are small integers, and Python ints skip
+the gcd that every rational operation pays.  On theta(4, 7) the RREF takes
+0.58 s against 2.9 s over QQ (sympy 1.14 with pure-Python QQ, one core of a
+2-core x86-64 host).  Every derived object (kernel basis, solution
+coefficients) is canonical and deterministic whichever exact method computes
+it.
 
 Matrices with the same set of nonzero rows span the same row space and so
 have the same nonzero RREF rows and pivots.  Results are therefore shared by
@@ -62,44 +66,52 @@ def _exact(x):
     return f.numerator if f.denominator == 1 else f
 
 
-def _clear_denominators(row: dict) -> tuple[int, dict]:
-    """(d, d * row) for the lcm d of the row's denominators; d * row is ints."""
+def _clear_denominators(row: dict) -> dict:
+    """d * row, all ints, for the lcm d of the row's denominators."""
     den = lcm(*(v.denominator for v in row.values()))
-    return den, {j: v.numerator * (den // v.denominator)
-                 for j, v in row.items()}
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
 
 
-def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:
-    """Nonzero RREF rows {row: {col: int or Fraction}} and pivot columns.
+class _Echelon:
+    """The reduced row echelon form of the rows stored so far, kept sparse.
+
+    ``rows`` maps each pivot column to its row {col: int or Fraction}, whose
+    pivot entry is 1 and which is zero on every other pivot.  A row is added
+    in two steps: :meth:`reduce` clears the stored pivots from it, and
+    :meth:`store` makes a nonzero remainder's least column a new pivot and
+    clears that column from the stored rows that hold it.
 
     Sound because:
 
-    * each nonzero row is first multiplied by the lcm of its denominators,
-      a nonzero scalar, so the row space (and hence its RREF) is unchanged;
-    * the elimination then adds multiples of rows to rows and scales a
-      pivot row by the inverse of its pivot, in Python ints until a pivot
-      other than 1 or -1 makes that row's entries Fractions, which mix
-      exactly with ints; nothing is ever rounded;
-    * the RREF of a row space is unique, so the rows and pivots returned
-      are those of sympy's Gauss--Jordan over QQ.
+    * reducing adds multiples of stored rows to the new row, and storing
+      scales it by the inverse of its pivot and adds multiples of it to
+      stored rows, so the span is the span of the rows fed in, and the
+      stored rows stay in reduced echelon form;
+    * every operation is exact: ints and Fractions mix without rounding,
+      and a stored value is an int whenever it is integral;
+    * the RREF of a row space is unique, so whatever order the rows come
+      in, the stored rows and pivots are those of sympy's Gauss--Jordan
+      over QQ on the same rows.
 
-    The loop is sympy's sparse ``sdm_irref``: rows are taken by descending
-    first nonzero column, each is cleared of the earlier pivots, its least
-    nonzero column becomes its pivot, and that column is cleared from the
-    earlier rows that hold it.  ``sparse_rows``, a {row: {col: value}}
-    mapping, and its row dicts are not modified.
+    The steps are the loop of sympy's sparse ``sdm_irref``.
     """
-    rows = [_clear_denominators(row)[1]
-            for row in sparse_rows.values() if row]
-    rows.sort(key=min)
-    pivot_row = {}  # pivot column -> its row
-    reduced = set()  # pivots whose row holds nothing but the pivot
-    nonreduced = set()
-    nonzero_columns = defaultdict(set)  # column -> nonreduced pivots with it
-    while rows:
-        Ai = {j: v for j, v in rows.pop().items() if j not in reduced}
-        for j in nonreduced & Ai.keys():
-            Aj = pivot_row[j]
+
+    __slots__ = ("rows", "reduced", "nonreduced", "holders")
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, object]] = {}
+        self.reduced = set()  # pivots whose row holds nothing but the pivot
+        self.nonreduced = set()
+        # Column -> the nonreduced pivots whose rows hold it.
+        self.holders: defaultdict[int, set[int]] = defaultdict(set)
+
+    def reduce(self, row: dict) -> dict:
+        """A new dict: row minus the combination of stored rows that clears
+        every pivot from it.  It is empty when row lies in the span."""
+        reduced, rows = self.reduced, self.rows
+        Ai = {j: v for j, v in row.items() if j not in reduced}
+        for j in self.nonreduced & Ai.keys():
+            Aj = rows[j]
             Aij = Ai.pop(j)
             both = Aj.keys() & Ai.keys()
             for k in Aj.keys() - both - {j}:
@@ -109,8 +121,12 @@ def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:
                     Ai[k] = Aik
                 else:
                     del Ai[k]
-        if not Ai:
-            continue
+        return Ai
+
+    def store(self, Ai: dict) -> dict:
+        """Store a nonzero remainder of :meth:`reduce` under its least
+        column, scaled to pivot 1, and return it; Ai itself becomes the row."""
+        rows, holders = self.rows, self.holders
         j = min(Ai)
         Aij = Ai[j]
         if Aij == -1:
@@ -120,34 +136,60 @@ def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:
             inverse = Fraction(1, Aij)
             for l in Ai:
                 Ai[l] *= inverse
-        pivot_row[j] = Ai
+        for l, v in Ai.items():
+            if type(v) is not int and v.denominator == 1:
+                Ai[l] = v.numerator
+        rows[j] = Ai
         others = Ai.keys() - {j}
-        for k in nonzero_columns.pop(j, ()):
-            Ak = pivot_row[k]
+        for k in holders.pop(j, ()):
+            Ak = rows[k]
             Akj = Ak.pop(j)
             both = others & Ak.keys()
+            # An integral Fraction is stored as its int, as above.
             for l in others - both:
-                Ak[l] = -Akj * Ai[l]
-                nonzero_columns[l].add(k)
+                Akl = -Akj * Ai[l]
+                Ak[l] = (Akl if type(Akl) is int or Akl.denominator != 1
+                         else Akl.numerator)
+                holders[l].add(k)
             for l in both:
                 if Akl := Ak[l] - Akj * Ai[l]:
-                    Ak[l] = Akl
+                    Ak[l] = (Akl if type(Akl) is int or Akl.denominator != 1
+                             else Akl.numerator)
                 else:
                     del Ak[l]
-                    nonzero_columns[l].remove(k)
+                    holders[l].remove(k)
             if len(Ak) == 1:
-                reduced.add(k)
-                nonreduced.remove(k)
+                self.reduced.add(k)
+                self.nonreduced.remove(k)
         if others:
-            nonreduced.add(j)
+            self.nonreduced.add(j)
             for l in others:
-                nonzero_columns[l].add(j)
+                holders[l].add(j)
         else:
-            reduced.add(j)
-    pivots = tuple(sorted(pivot_row))
-    return ({i: {l: v if type(v) is int or v.denominator != 1
-                 else v.numerator for l, v in pivot_row[p].items()}
-             for i, p in enumerate(pivots)}, pivots)
+            self.reduced.add(j)
+        return Ai
+
+
+def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:
+    """Nonzero RREF rows {row: {col: int or Fraction}} and pivot columns.
+
+    Each nonzero row is first multiplied by the lcm of its denominators, a
+    nonzero scalar that keeps the row space, so the elimination runs in
+    Python ints until a pivot other than 1 or -1 makes its row Fractions.
+    The rows are then fed to an :class:`_Echelon` by descending first
+    nonzero column, the order of sympy's ``sdm_irref``.  ``sparse_rows``, a
+    {row: {col: value}} mapping, and its row dicts are not modified.
+    """
+    rows = [_clear_denominators(row) for row in sparse_rows.values() if row]
+    rows.sort(key=min)
+    echelon = _Echelon()
+    while rows:
+        if remainder := echelon.reduce(rows.pop()):
+            echelon.store(remainder)
+    pivots = tuple(sorted(echelon.rows))
+    # Fresh dicts without the slack that store() leaves in updated rows:
+    # the result is kept for the life of the process (_RREF_BY_ROWS).
+    return {i: dict(echelon.rows[p]) for i, p in enumerate(pivots)}, pivots
 
 
 # Nonzero RREF rows and pivots, keyed by (cols, frozenset of nonzero rows):

@@ -1127,18 +1127,21 @@ def _reference_generator_columns(source_size, target_size, side, prime=None):
 
     It acts by all n - 1 adjacent transpositions and runs every queue to
     its end.  Each new pivot is eliminated from every stored row, in exact
-    Fractions, or modulo ``prime`` when one is given.
+    Fractions, or modulo ``prime`` when one is given.  The level comes from
+    ``fsfilt.primitives``, so a test that patches it changes the
+    reference's level too.
     """
     import fsprim.fsfilt as fsfilt
     if prime is None:
         scalar, reciprocal = (lambda v: v), (lambda v: 1 / Fraction(v))
     else:
         def scalar(v):
+            v = Fraction(v)
             return v.numerator * pow(v.denominator, -1, prime) % prime
 
         def reciprocal(v):
             return pow(v, -1, prime)
-    level = primitives(source_size, target_size)
+    level = fsfilt.primitives(source_size, target_size)
     K = level.basis_matrix
     dim = K.cols
     if dim == 0:
@@ -1215,7 +1218,11 @@ def _reference_generator_columns(source_size, target_size, side, prime=None):
     return tuple(columns[j] for j in chosen)
 
 
-def test_mod_p_generators_are_the_fraction_search_generators():
+def test_sparse_back_substitution_keeps_the_dense_search_generators():
+    # The search acts by (1 2) and the n-cycle, stops once the span is
+    # full and updates only the stored rows that hold a new pivot; the
+    # reference acts by every adjacent transposition, runs each queue to
+    # its end and updates every row.  Both must choose one column set.
     import fsprim.fsfilt as fsfilt
     cells = 0
     for b in range(7):
@@ -1228,44 +1235,19 @@ def test_mod_p_generators_are_the_fraction_search_generators():
     assert cells == 56
 
 
-def test_sparse_back_substitution_keeps_the_dense_search_generators():
-    # The search updates only the stored rows that hold a new pivot; the
-    # dense mod-p search updates every row.  Both must choose one set.
+# A large prime.  Modulo it the dense reference chooses the columns the
+# exact search chooses, so a modular search would be no shortcut here.
+_LARGE_PRIME = 2_147_483_629
+
+
+def test_mod_p_generators_are_the_fraction_search_generators():
     import fsprim.fsfilt as fsfilt
     for b in range(6):
         for a in range(b + 1):
             for side in ("left", "right"):
                 assert fsfilt._module_generator_columns(b, a, side) == \
-                    _reference_generator_columns(b, a, side, fsfilt._PRIME), (
+                    _reference_generator_columns(b, a, side, _LARGE_PRIME), (
                         b, a, side)
-
-
-@pytest.fixture
-def fresh_generator_cache():
-    """Empty the generator cache around a test that patches the search."""
-    import fsprim.fsfilt as fsfilt
-    fsfilt._module_generator_columns.cache_clear()
-    yield fsfilt
-    fsfilt._module_generator_columns.cache_clear()
-
-
-@pytest.mark.parametrize("prime", [2, 3])
-def test_a_tiny_prime_only_adds_generators(fresh_generator_cache, monkeypatch,
-                                           prime):
-    fsfilt = fresh_generator_cache
-    cells = [(b, a, side) for b in range(6) for a in range(b + 1)
-             for side in ("left", "right")]
-    counts = {cell: len(fsfilt._module_generator_columns(*cell))
-              for cell in cells}
-    verdicts = {(b, x, y): closure_check(b, x, y) for b in range(6)
-                for x in range(b + 1) for y in range(x + 1)}
-    fsfilt._module_generator_columns.cache_clear()
-    monkeypatch.setattr(fsfilt, "_PRIME", prime)
-    for cell in cells:
-        assert len(fsfilt._module_generator_columns(*cell)) >= counts[cell]
-    for cell, verdict in verdicts.items():
-        assert closure_check(*cell) == verdict, cell
-    assert all(verdicts.values())
 
 
 def _level_basis_on_other_unit_rows():
@@ -1281,14 +1263,14 @@ def _level_basis_on_other_unit_rows():
     return basis, unit
 
 
-def test_a_denominator_divisible_by_the_prime_returns_every_column(
-        fresh_generator_cache, monkeypatch):
+def test_the_search_is_exact_on_a_basis_with_fraction_actions(monkeypatch):
     # The same stable subspace as the canonical level 1 of Surj(4, 2), whose
     # action matrices have denominator 2 in this basis.  Every canonical
-    # basis through bound 6 has integral actions.  permute_rows applies each
-    # generator and the search its inverse, a positive power of it, so the
-    # two are p-integral together.
-    fsfilt = fresh_generator_cache
+    # basis through bound 7 has integral actions, so only this basis runs
+    # the search in Fractions.  permute_rows applies each generator and the
+    # search its inverse; each is a power of the other, so one is integral
+    # exactly when the other is.
+    import fsprim.fsfilt as fsfilt
     basis, unit = _level_basis_on_other_unit_rows()
     assert any(v.denominator == 2
                for perm in hom_module(SURJ, 4, 2).right_generator_perms
@@ -1297,12 +1279,10 @@ def test_a_denominator_divisible_by_the_prime_returns_every_column(
                for v in col.values())
     monkeypatch.setattr(fsfilt, "primitives",
                         lambda b, a: FiltrationLevel(b, a, 0, basis))
-    every_column = tuple(_column_vectors(basis))
-    searched = fsfilt._module_generator_columns(4, 2, "right")
-    assert len(searched) < len(every_column)
-    fsfilt._module_generator_columns.cache_clear()
-    monkeypatch.setattr(fsfilt, "_PRIME", 2)
-    assert fsfilt._module_generator_columns(4, 2, "right") == every_column
+    # The wrapped search is uncached, so the patched level is read.
+    searched = fsfilt._module_generator_columns.__wrapped__(4, 2, "right")
+    assert searched == _reference_generator_columns(4, 2, "right")
+    assert len(searched) < basis.cols
 
 
 def _fraction_restricted_bicharacter(module, basis):

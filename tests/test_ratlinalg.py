@@ -584,6 +584,39 @@ def test_product_matches_sympy(case):
     assert_product_matches_sympy(shaped(left, k), shaped(right, n))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(min_value=0, max_value=5)] * 2).flatmap(
+    lambda shape: st.tuples(st.just(shape[1]),
+                            shaped_rows(shape[0], shape[1]))),
+       st.randoms(use_true_random=False))
+def test_the_echelon_gives_the_rref_in_any_row_order(case, rng):
+    # _gauss_jordan feeds rows by descending first column and the generator
+    # search in breadth-first order; the rows here come shuffled, with
+    # their Fraction values as drawn, integral ones included.
+    cols, rows = case
+    fed = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    rng.shuffle(fed)
+    before = copy.deepcopy(fed)
+    echelon = ratlinalg._Echelon()
+    for row in fed:
+        if remainder := echelon.reduce(row):
+            echelon.store(remainder)
+    assert fed == before
+    pivots = tuple(sorted(echelon.rows))
+    red = {i: echelon.rows[p] for i, p in enumerate(pivots)}
+    assert (red, pivots) == reference_rref(shaped(rows, cols))
+    assert normalised_values(RatMatrix._make(len(red), cols, red))
+
+
+def test_the_echelon_stores_an_integral_fraction_as_an_int():
+    # Clearing the second pivot from the first row leaves 1/2 + 1/2 there.
+    echelon = ratlinalg._Echelon()
+    for row in ({0: 1, 1: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(-1, 2)}):
+        echelon.store(echelon.reduce(row))
+    assert echelon.rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: Fraction(-1, 2)}}
+    assert type(echelon.rows[0][2]) is int
+
+
 def test_an_integral_fraction_from_a_product_equals_its_int():
     # A product of Fractions runs in Fraction arithmetic and may store
     # Fraction(4) where a constructor stores 4; the two compare and hash
