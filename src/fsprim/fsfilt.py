@@ -589,88 +589,63 @@ def _module_generator_columns(source_size: int, target_size: int,
                               side: str) -> tuple[dict[int, object], ...]:
     """Basis columns generating the primitive level under one side's action.
 
-    Computes coordinate matrices of the module's two generators of S_n,
-    (1 2) and the n-cycle, on the level (valid because the level is
-    action-stable), then grows a column set greedily: the orbit of each
-    chosen column under repeated generator application is fed, vector by
-    vector, to one exact reduced echelon form (``ratlinalg._Echelon``).  A
-    unit vector lies in the span exactly when its coordinate is a pivot
-    whose stored row has a single entry, so the next column is the first
-    that is not such a pivot.  The search stops as soon as the span is the
-    whole level.  Columns are returned as exact sparse {row: int or
-    Fraction} vectors of the level basis, read only for the columns
-    returned.
+    The search runs over vectors of maps, {basis index: int or Fraction},
+    seeded with a column of the level basis K.  A generator of S_n, (1 2)
+    or the n-cycle, moves a vector by its basis permutation, which
+    relabels the vector's keys; the level is action-stable, so the image
+    is in the level again.  K restricts to an identity on its unit rows, so
+    a level vector's coordinates are its entries there, and those are what
+    one exact reduced echelon form (``ratlinalg._Echelon``) receives.  The
+    column set grows greedily: each chosen column's orbit is fed to the
+    echelon vector by vector.  A unit coordinate vector lies in the span
+    exactly when its coordinate is a pivot whose stored row has a single
+    entry, so the next column is the first that is not such a pivot.  The
+    search stops as soon as the span is the whole level.  Columns are
+    returned as exact sparse {row: int or Fraction} vectors of K.
 
-    The columns do not depend on the generating set.  Each vector stored
-    has its generator images queued, so once a candidate's queue is empty
-    the span is closed under every generator matrix.  The group is finite,
-    so each inverse is a positive power and the span is closed under the
-    whole group: it is the Q-submodule generated by the candidates so far,
-    whatever generators produced it.  Its reduced echelon form is unique,
-    and the next candidate is read from it alone.
+    The columns do not depend on the generating set or on the order the
+    vectors arrive in.  Every vector that enlarges the span has its
+    generator images queued, so once a candidate's queue is empty the span
+    is closed under both generators.  The group is finite, so each inverse
+    is a positive power and the span is closed under the whole group: it
+    is the Q-submodule generated by the candidates so far.  Its reduced
+    echelon form is unique, and the next candidate is read from it alone.
     """
-    level = primitives(source_size, target_size)
-    K = level.basis_matrix
+    K = primitives(source_size, target_size).basis_matrix
     dim = K.cols
     if dim == 0:
         return ()
-    unit = K.unit_rows()
-    module = hom_module(_SURJ, level.source_size, level.target_size)
+    module = hom_module(_SURJ, source_size, target_size)
     perms = (module.left_generator_perms if side == "left"
              else module.right_generator_perms)
-    actions: list[list[dict[int, object]]] = []
-    for perm in perms:
-        # Row u of the acted basis is row perm^{-1}(u) of K, so reading
-        # perm[u] gives the matrix of the generator's inverse: (1 2) itself
-        # and the inverse cycle, which generate S_n as well.
-        acted = K.select_rows(perm[u] for u in unit)._sparse_rows()
-        cols: list[dict[int, object]] = [{} for _ in range(dim)]
-        for r, row in acted.items():
-            for j, val in row.items():
-                cols[j][r] = val
-        actions.append(cols)
-
-    def image(cols, vec):
-        out: dict[int, object] = {}
-        for j, coeff in vec.items():
-            for r, val in cols[j].items():
-                if r not in out:
-                    out[r] = coeff * val
-                elif new := out[r] + coeff * val:
-                    out[r] = new
-                else:
-                    del out[r]
-        return out
-
+    position = {u: k for k, u in enumerate(K.unit_rows())}
+    columns: list[dict[int, object]] = [{} for _ in range(dim)]
+    for i, row in K._sparse_rows().items():
+        for j, v in row.items():
+            columns[j][i] = v
     echelon = _Echelon()
     chosen: list[int] = []
     while len(echelon.rows) < dim:
         candidate = next(j for j in range(dim) if j not in echelon.reduced)
         chosen.append(candidate)
-        queue = deque([{candidate: 1}])
+        queue = deque([columns[candidate]])
         while queue:
-            remainder = echelon.reduce(queue.popleft())
+            vector = queue.popleft()
+            remainder = echelon.reduce({position[i]: v
+                                        for i, v in vector.items()
+                                        if i in position})
             if not remainder:
                 continue
             # A compact copy: the reduction cancels most entries, a dict
             # keeps the slack of its deletions, and the stored row is read
             # at every later reduction and pivot that meets it.
-            row = echelon.store(dict(remainder))
+            echelon.store(dict(remainder))
             if len(echelon.rows) == dim:
                 # Every vector still queued would reduce to zero.
                 break
-            for cols in actions:
-                queue.append(image(cols, row))
-    return _columns(K, chosen)
-
-
-def _columns(matrix: RatMatrix, wanted) -> tuple[dict[int, object], ...]:
-    """Columns ``wanted`` of ``matrix`` as {row: value}, values as stored."""
-    out = {j: {} for j in wanted}
-    for i, row in matrix._sparse_rows().items():
-        for j in out.keys() & row.keys():
-            out[j][i] = row[j]
-    return tuple(out.values())
+            for perm in perms:
+                queue.append({perm[i]: v for i, v in vector.items()})
+    return tuple(columns[j] for j in chosen)
 
 
 def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:

@@ -20,8 +20,8 @@ which keeps the row space, and the rows are fed one at a time to an
 incremental reduced echelon form (:class:`_Echelon`), the one elimination
 loop of the package: it runs on ints and divides only at a pivot other than
 1 or -1, whose row becomes Fractions, and it stores an integral value as an
-int.  The closure generator search in ``fsfilt`` feeds its orbit vectors to
-the same class.  Nothing is rounded, and reduced row echelon form is unique,
+int.  The closure generator search in ``fsfilt`` feeds the coordinates of
+its orbit vectors to the same class.  Nothing is rounded, and reduced row echelon form is unique,
 so the result is the matrix sympy's Gauss--Jordan over QQ gives, in any row
 order, at a fraction of the cost: the operators this package builds are
 integer matrices whose RREF entries are small integers, and Python ints skip
@@ -123,9 +123,9 @@ class _Echelon:
                     del Ai[k]
         return Ai
 
-    def store(self, Ai: dict) -> dict:
+    def store(self, Ai: dict) -> None:
         """Store a nonzero remainder of :meth:`reduce` under its least
-        column, scaled to pivot 1, and return it; Ai itself becomes the row."""
+        column, scaled to pivot 1; Ai itself becomes the row."""
         rows, holders = self.rows, self.holders
         j = min(Ai)
         Aij = Ai[j]
@@ -167,7 +167,6 @@ class _Echelon:
                 holders[l].add(j)
         else:
             self.reduced.add(j)
-        return Ai
 
 
 def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:

@@ -151,7 +151,13 @@ class ClassFunction:
             raise ValueError("one value per cycle type required")
 
     def __call__(self, mu: CycleType) -> int | Fraction:
-        return self.values[partition_index(mu)]
+        """The value on cycle type mu: ValueError unless mu is a partition
+        of the degree."""
+        index = partition_index(mu)
+        if weight(mu) != self.degree:
+            raise ValueError(f"cycle type {mu!r} is not of degree "
+                             f"{self.degree}")
+        return self.values[index]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ at least one check reported ``fail``, and 2 when a report file could not be
 written (I/O trouble is never conflated with a mathematical failure).  A
 full run is every check of that order at the one requested bound.  A
 negative bound is refused with ``ValueError`` (exit status 2 from the CLI),
-never swept as a pass.
+and a bound that is not an int (a bool or a float) with ``TypeError``;
+neither is swept as a pass.
 """
 
 from __future__ import annotations
@@ -196,7 +197,15 @@ def _at(b: int, a: int) -> dict:
 # ---------------------------------------------------- named formula ops
 
 
+def _require_int(bound) -> None:
+    # A bool is an int and a float compares like one; refuse both, as
+    # repdecomp._degree does for degrees.
+    if type(bound) is not int:
+        raise TypeError(f"bound must be an int: {bound!r}")
+
+
 def _require_positive(bound: int) -> None:
+    _require_int(bound)
     if bound < 1:
         raise ValueError(f"formula sweeps need a bound >= 1, got {bound}")
 
@@ -494,11 +503,12 @@ CHECK_IDS = tuple(_REGISTRY)
 def run_check(check_id: str, bound: int) -> list[CheckReport]:
     """Run one registered check at the requested bound.
 
-    Raises ``KeyError`` for an unknown id and ``ValueError`` for a negative
-    bound.
+    Raises ``KeyError`` for an unknown id, ``TypeError`` for a bound that
+    is not an int and ``ValueError`` for a negative bound.
     """
     if check_id not in _REGISTRY:
         raise KeyError(f"unknown check id: {check_id!r}")
+    _require_int(bound)
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if bound == 0 and check_id in _FORMULA_IDS:
@@ -510,7 +520,8 @@ def run_check(check_id: str, bound: int) -> list[CheckReport]:
 def collect_reports(bound: int) -> list[CheckReport]:
     """All canonical-order reports for a full run at the given bound.
 
-    Raises ``ValueError`` for a negative bound, like ``run_check``.
+    Raises ``TypeError`` for a bound that is not an int and ``ValueError``
+    for a negative bound, like ``run_check``.
     """
     reports: list[CheckReport] = []
     for check_id in _RUN_ORDER:

@@ -1264,14 +1264,16 @@ def _level_basis_on_other_unit_rows():
 
 
 def test_the_search_is_exact_on_a_basis_with_fraction_actions(monkeypatch):
-    # The same stable subspace as the canonical level 1 of Surj(4, 2), whose
-    # action matrices have denominator 2 in this basis.  Every canonical
-    # basis through bound 7 has integral actions, so only this basis runs
-    # the search in Fractions.  permute_rows applies each generator and the
-    # search its inverse; each is a power of the other, so one is integral
-    # exactly when the other is.
+    # The same stable subspace as the canonical level 1 of Surj(4, 2), in a
+    # basis with Fraction values.  The search's orbit vectors start at basis
+    # columns and move by basis permutations, so they carry these values,
+    # and their coordinates, the entries on the unit rows, have denominator
+    # 2 for some generator image.  Every canonical level basis through
+    # bound 7 is integral, so only this basis feeds the search Fractions.
     import fsprim.fsfilt as fsfilt
     basis, unit = _level_basis_on_other_unit_rows()
+    assert any(v.denominator > 1
+               for col in sparse_columns(basis).values() for v in col.values())
     assert any(v.denominator == 2
                for perm in hom_module(SURJ, 4, 2).right_generator_perms
                for col in sparse_columns(

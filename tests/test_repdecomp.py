@@ -284,6 +284,17 @@ def test_decompose_trivial_and_sign():
         {(1, 1, 1, 1): 1})
 
 
+def test_class_function_refuses_a_cycle_type_of_another_degree():
+    from fsprim.fsfilt import lambda_bar_character
+    chi = lambda_bar_character(1, 3)
+    assert chi((3,)) == -1  # fixed points of a 3-cycle, less one
+    # (2,) has the index of (3,) among the partitions of its own weight,
+    # and (1, 1, 1, 1) an index past the end of a degree-3 table.
+    for mu in ((2,), (1, 1, 1, 1)):
+        with pytest.raises(ValueError):
+            chi(mu)
+
+
 def test_decompose_rejects_corrupted_space():
     # the character a one-dimensional "space" with s_1 acting as 2 would have
     fake = ClassFunction(2, (2, 1))

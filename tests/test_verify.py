@@ -129,6 +129,19 @@ def test_sweeps_refuse_negative_bounds():
         collect_reports(-1)
 
 
+def test_sweeps_refuse_bounds_that_are_not_ints():
+    # True and 2.5 compare like ints, so a sweep would report them a pass.
+    for bound in (True, 2.5):
+        for check_id in ("dimension_counts", "orthogonality", "closure"):
+            with pytest.raises(TypeError):
+                run_check(check_id, bound)
+        with pytest.raises(TypeError):
+            collect_reports(bound)
+        for op in (primfs_formula, kring_fs_check, subquotient_formula):
+            with pytest.raises(TypeError):
+                op(bound)
+
+
 def test_parameters_record_what_actually_ran():
     reports = collect_reports(2)
     for r in reports:
@@ -259,6 +272,8 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: coker_theta_decompose(3, 2),
              lambda: sign_hook_class(3, 2),
              lambda: lambda_bar_character(1, -1),
+             lambda: lambda_bar_character(1, 3)((2,)),
+             lambda: lambda_bar_character(1, 3)((1, 1, 1, 1)),
              lambda: compose(FinMap(3, 3, (1, 2, 3)), FinMap(1, 2, (2,))),
              lambda: sections(FinMap(2, 3, (1, 1))),
              lambda: FinMap(2, 2, (2, 1))(0),
@@ -287,12 +302,17 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
     except ValueError:
         continue
     raise SystemExit("accepted")
-try:
-    RatMatrix.from_triplets(1, 1, [(0, 0, 0.5)])
-except TypeError:
-    pass
-else:
-    raise SystemExit("accepted a float")
+for call in (lambda: RatMatrix.from_triplets(1, 1, [(0, 0, 0.5)]),
+             lambda: run_check("dimension_counts", True),
+             lambda: run_check("orthogonality", 2.5),
+             lambda: collect_reports(True),
+             lambda: primfs_formula(True), lambda: kring_fs_check(2.5),
+             lambda: subquotient_formula(True)):
+    try:
+        call()
+    except TypeError:
+        continue
+    raise SystemExit("accepted a bool or a float")
 """
     result = subprocess.run([sys.executable, "-O", "-c", code],
                             capture_output=True, text=True,
