@@ -37,7 +37,6 @@ numerical estimate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, repeat
@@ -57,7 +56,7 @@ from .repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
 
 __all__ = [
     "HomModule", "hom_module",
-    "FiltrationLevel", "filtration_level", "primitives",
+    "filtration_level", "primitives",
     "level_bicharacter", "primitives_bidecompose", "full_fs_bidecompose",
     "subquotient_decompose",
     "theta_matrix", "theta_equivariance_check", "theta_kernel_level_check",
@@ -87,8 +86,9 @@ class HomModule:
     ``pi`` acts on the left by ``[f] -> [pi . f]``, which translates each
     byte of ``f``, and a source permutation ``sigma`` on the right by
     ``[f] -> [f . sigma^{-1}]``, which reorders its bytes.  Both run over the
-    whole basis at once.  Matrices act on column vectors.  Each side's
-    generator permutations are those of (1 2) and the n-cycle
+    whole basis at once and refuse, with ``ValueError``, a map that is not
+    a permutation of its side's degree.  Matrices act on column vectors.
+    Each side's generator permutations are those of (1 2) and the n-cycle
     (:func:`symmetric_generators`), two elements that generate S_n, so a
     statement checked on them holds for the whole group.  The character of
     the whole space is the closed-form fixed-map count of
@@ -105,12 +105,14 @@ class HomModule:
 
     def left_perm(self, pi: FinMap) -> tuple[int, ...]:
         """Basis permutation of the left action: i -> index of pi acting on i."""
+        _require_permutation(pi, self.left_degree)
         table = bytes.maketrans(bytes(range(1, self.left_degree + 1)),
                                 bytes(pi.values))
         return tuple(map(self.index.__getitem__,
                          map(bytes.translate, self.basis, repeat(table))))
 
     def right_perm(self, sigma: FinMap) -> tuple[int, ...]:
+        _require_permutation(sigma, self.right_degree)
         # Position k of f . sigma^{-1} reads f at sigma^{-1}(k).
         preimage = sorted(range(self.right_degree),
                           key=sigma.values.__getitem__)
@@ -151,6 +153,11 @@ class HomModule:
     def __repr__(self) -> str:
         return (f"HomModule({self.flavor.value}, left=S_{self.left_degree}, "
                 f"right=S_{self.right_degree}, dim={self.dimension})")
+
+
+def _require_permutation(g: FinMap, degree: int) -> None:
+    if g.source_size != degree or not g.is_bijective():
+        raise ValueError(f"need a permutation of degree {degree}: {g!r}")
 
 
 @cache
@@ -216,44 +223,28 @@ def _in_level(source_size: int, target_size: int, level: int,
     return (_reduced_restriction(b, a, b - t - 1) @ matrix).is_zero()
 
 
-@dataclass(frozen=True)
-class FiltrationLevel:
-    """One level of the restriction filtration, with its canonical basis.
-
-    ``basis_matrix`` columns span the subspace of the surjection span killed
-    by every restriction along injections from a set of size
-    ``source_size - level - 1``; level -1 is zero and levels >= source_size
-    - target_size are the full space.
-    """
-
-    source_size: int
-    target_size: int
-    level: int
-    basis_matrix: RatMatrix
-
-    @property
-    def dimension(self) -> int:
-        return self.basis_matrix.cols
-
-
 @cache
 def filtration_level(source_size: int, target_size: int,
-                     level: int) -> FiltrationLevel:
-    """Canonical basis of filtration level ``t`` inside surjections b -> a."""
+                     level: int) -> RatMatrix:
+    """Canonical basis of filtration level ``t`` inside surjections b -> a.
+
+    The columns span the subspace of the surjection span killed by every
+    restriction along injections from a set of size b - t - 1; the basis
+    restricts to the identity on its ``unit_rows``.  Level -1 is zero and
+    levels >= b - a are the whole span.
+    """
     b, a, t = source_size, target_size, level
     if b < 0 or a < 0 or t < -1:
         raise ValueError("sizes must be nonnegative and the level at least -1")
     dim = hom_dimension(_SURJ, b, a)
     if t <= -1:
-        basis = RatMatrix.zeros(dim, 0)
-    elif t >= b - a:
-        basis = RatMatrix.identity(dim)
-    else:
-        basis = _reduced_restriction(b, a, b - t - 1).kernel_basis()
-    return FiltrationLevel(b, a, t, basis)
+        return RatMatrix.zeros(dim, 0)
+    if t >= b - a:
+        return RatMatrix.identity(dim)
+    return _reduced_restriction(b, a, b - t - 1).kernel_basis()
 
 
-def primitives(source_size: int, target_size: int) -> FiltrationLevel:
+def primitives(source_size: int, target_size: int) -> RatMatrix:
     """Level 0: vectors annihilated by every proper injection restriction."""
     return filtration_level(source_size, target_size, 0)
 
@@ -310,8 +301,7 @@ def level_bicharacter(source_size: int, target_size: int,
     module = hom_module(_SURJ, b, a)
     if t >= b - a:
         return module.bicharacter()
-    return _restricted_bicharacter(module,
-                                   filtration_level(b, a, t).basis_matrix)
+    return _restricted_bicharacter(module, filtration_level(b, a, t))
 
 
 @cache
@@ -419,7 +409,7 @@ def theta_kernel_level_check(target_size: int, source_size: int) -> bool:
     """
     a, b = target_size, source_size
     kernel = theta_matrix(a, b).kernel_basis()
-    expected = filtration_level(b, a, b - a - 1).basis_matrix
+    expected = filtration_level(b, a, b - a - 1)
     return kernel == expected
 
 
@@ -574,9 +564,8 @@ def automorphism_block_check(set_size: int) -> bool:
     span too).
     """
     n = set_size
-    level = primitives(n, n)
     full = RatMatrix.identity(hom_dimension(_SURJ, n, n))
-    return (level.basis_matrix == full
+    return (primitives(n, n) == full
             and (n == 0
                  or _reduced_restriction(n, n, n - 1).kernel_basis() == full))
 
@@ -611,7 +600,7 @@ def _module_generator_columns(source_size: int, target_size: int,
     is the Q-submodule generated by the candidates so far.  Its reduced
     echelon form is unique, and the next candidate is read from it alone.
     """
-    K = primitives(source_size, target_size).basis_matrix
+    K = primitives(source_size, target_size)
     dim = K.cols
     if dim == 0:
         return ()
@@ -696,7 +685,7 @@ def closure_check(source_size: int, mid_size: int, target_size: int) -> bool:
 def filtration_nesting_check(source_size: int, target_size: int) -> bool:
     """True iff each level's basis lies inside the next level's span."""
     b, a = source_size, target_size
-    return all(_in_level(b, a, t + 1, filtration_level(b, a, t).basis_matrix)
+    return all(_in_level(b, a, t + 1, filtration_level(b, a, t))
                for t in range(-1, b))
 
 
@@ -712,7 +701,7 @@ def fi_stability_check(source_size: int, target_size: int) -> bool:
     """
     b, a = source_size, target_size
     for t in range(0, b - a):
-        K = filtration_level(b, a, t).basis_matrix
+        K = filtration_level(b, a, t)
         for c in range(a + t + 1, b):
             small_dim = hom_dimension(_SURJ, c, a)
             image = _reduced_restriction(b, a, c) @ K

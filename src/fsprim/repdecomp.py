@@ -146,6 +146,7 @@ class ClassFunction:
     values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
+        _degree(self.degree)
         object.__setattr__(self, "values", tuple(map(_exact, self.values)))
         if len(self.values) != len(partitions_of(self.degree)):
             raise ValueError("one value per cycle type required")
@@ -173,6 +174,8 @@ class BiClassFunction:
     values: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
+        _degree(self.left_degree)
+        _degree(self.right_degree)
         object.__setattr__(self, "values", tuple(
             tuple(map(_exact, row)) for row in self.values))
         if len(self.values) != len(partitions_of(self.left_degree)) or any(

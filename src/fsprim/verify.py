@@ -204,6 +204,12 @@ def _require_int(bound) -> None:
         raise TypeError(f"bound must be an int: {bound!r}")
 
 
+def _require_nonnegative(bound) -> None:
+    _require_int(bound)
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+
+
 def _require_positive(bound: int) -> None:
     _require_int(bound)
     if bound < 1:
@@ -362,7 +368,7 @@ def _check_theta_injectivity(bound: int) -> CheckReport:
         expected_cells = []
         computed_cells = []
         for b, a in _cells(bound):
-            level_dim = filtration_level(b, a, b - a - 1).dimension
+            level_dim = filtration_level(b, a, b - a - 1).cols
             if level_dim:
                 expected_cells.append({"target_size": a, "source_size": b,
                                        "kernel_dimension": level_dim,
@@ -421,9 +427,9 @@ def _check_filtration(bound: int) -> CheckReport:
         b, a = cell
         full = hom_dimension(HomClass.SURJECTION, b, a)
         properties = (
-            ("empty_at_depth_-1", filtration_level(b, a, -1).dimension == 0),
-            ("exhaustion", filtration_level(b, a, b).dimension == full
-             and filtration_level(b, a, b + 1).dimension == full),
+            ("empty_at_depth_-1", filtration_level(b, a, -1).cols == 0),
+            ("exhaustion", filtration_level(b, a, b).cols == full
+             and filtration_level(b, a, b + 1).cols == full),
             ("nesting", filtration_nesting_check(b, a)),
             ("injection_stability", fi_stability_check(b, a)),
         )
@@ -508,9 +514,7 @@ def run_check(check_id: str, bound: int) -> list[CheckReport]:
     """
     if check_id not in _REGISTRY:
         raise KeyError(f"unknown check id: {check_id!r}")
-    _require_int(bound)
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+    _require_nonnegative(bound)
     if bound == 0 and check_id in _FORMULA_IDS:
         return [CheckReport(check_id, {"bound": bound}, "vacuous")]
     reports = _REGISTRY[check_id](bound)
@@ -543,8 +547,11 @@ def dimension_table(bound: int) -> tuple[list[str], list[list[int]]]:
 
     One row per cell (source b, target a), a <= b <= bound, with the full
     surjection-span dimension, the primitive-block dimension, and the
-    dimension of every filtration level up to depth ``bound``.
+    dimension of every filtration level up to depth ``bound``.  Raises
+    ``TypeError`` for a bound that is not an int and ``ValueError`` for a
+    negative bound, like ``run_check``.
     """
+    _require_nonnegative(bound)
     header = ["source_size", "target_size", "dim_full", "dim_primitive"]
     header += [f"dim_level_{t}" for t in range(1, bound + 1)]
     rows = []
@@ -552,8 +559,8 @@ def dimension_table(bound: int) -> tuple[list[str], list[list[int]]]:
         for a in range(b + 1):
             row = [b, a,
                    hom_dimension(HomClass.SURJECTION, b, a),
-                   primitives(b, a).dimension]
-            row += [filtration_level(b, a, t).dimension
+                   primitives(b, a).cols]
+            row += [filtration_level(b, a, t).cols
                     for t in range(1, bound + 1)]
             rows.append(row)
     return header, rows
@@ -656,7 +663,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_filtration(args) -> int:
     a, b = args.a, args.b
-    dims = {t: filtration_level(b, a, t).dimension for t in range(-1, b + 1)}
+    dims = {t: filtration_level(b, a, t).cols for t in range(-1, b + 1)}
     for t in range(-1, b + 1):
         print(f"level {t} dimension {dims[t]}")
     layers = {}

@@ -100,8 +100,8 @@ def test_criterion_05_filtration_levels_nest_exhaust_and_are_stable():
     (report,) = run_check("filtration", 6)
     assert report.status == "pass", (report.expected, report.computed)
     # Spot-check the exhaustion and trivial ends directly.
-    assert filtration_level(5, 2, -1).dimension == 0
-    assert filtration_level(5, 2, 5).dimension == hom_dimension(
+    assert filtration_level(5, 2, -1).cols == 0
+    assert filtration_level(5, 2, 5).cols == hom_dimension(
         HomClass.SURJECTION, 5, 2)
 
 

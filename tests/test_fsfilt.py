@@ -25,8 +25,7 @@ from hypothesis import given, settings, strategies as st
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                               hom_character, hom_dimension, section_values,
                               sections)
-from fsprim.fsfilt import (FiltrationLevel, HomModule,
-                           automorphism_block_check,
+from fsprim.fsfilt import (HomModule, automorphism_block_check,
                            closure_check, coker_action_triviality,
                            coker_theta_decompose,
                            fi_stability_check, filtration_level,
@@ -233,6 +232,17 @@ def test_whole_space_characters_build_no_permutation(fresh_character_caches,
         assert coker_theta_decompose(n, n).is_zero(), n
 
 
+def test_actions_refuse_maps_that_are_not_permutations_of_their_side():
+    mod = hom_module(SURJ, 3, 2)  # left S_2, right S_3
+    for act, g in ((mod.right_perm, FinMap(4, 4, (2, 1, 3, 4))),
+                   (mod.right_perm, FinMap(3, 3, (1, 1, 2))),
+                   (mod.left_perm, FinMap(2, 2, (1, 1))),
+                   (mod.left_perm, FinMap(3, 3, (2, 1, 3)))):
+        with pytest.raises(ValueError, match="permutation of degree"):
+            act(g)
+    assert mod.left_perm(FinMap(2, 2, (2, 1))) == mod.left_generator_perms[0]
+
+
 def _assert_actions_match_composition(flavor, source, target):
     """Oracle: both actions written with compose on validated maps."""
     mod = hom_module(flavor, source, target)
@@ -394,26 +404,26 @@ def test_reduced_restriction_kernels_equal_full_kernels():
 
 def test_level_below_zero_is_the_zero_space():
     lvl = filtration_level(3, 2, -1)
-    assert lvl.dimension == 0
-    assert lvl.basis_matrix.rows == 6
+    assert lvl.cols == 0
+    assert lvl.rows == 6
 
 
 def test_level_at_or_above_source_size_is_the_full_space():
     for b in range(5):
         for a in range(b + 1):
             full = hom_dimension(SURJ, b, a)
-            assert filtration_level(b, a, b).dimension == full
-            assert filtration_level(b, a, b + 3).dimension == full
+            assert filtration_level(b, a, b).cols == full
+            assert filtration_level(b, a, b + 3).cols == full
 
 
 def test_first_level_of_the_single_surjection_space_is_zero():
-    assert filtration_level(2, 1, 0).dimension == 0
+    assert filtration_level(2, 1, 0).cols == 0
 
 
 def test_equal_size_blocks_are_fully_primitive():
     for n in range(5):
         assert automorphism_block_check(n)
-        assert primitives(n, n).dimension == factorial(n)
+        assert primitives(n, n).cols == factorial(n)
 
 
 def test_automorphism_block_check_reads_the_defining_stage(monkeypatch):
@@ -440,15 +450,15 @@ def test_primitive_dimension_table():
                 (3, 2): 1, (4, 2): 1, (5, 2): 1, (4, 3): 13, (5, 3): 29,
                 (5, 4): 121}
     for (b, a), dim in expected.items():
-        assert primitives(b, a).dimension == dim, (b, a)
+        assert primitives(b, a).cols == dim, (b, a)
     for b in range(1, 5):
-        assert primitives(b, 0).dimension == 0
+        assert primitives(b, 0).cols == 0
 
 
 def test_smallest_nontrivial_primitive_vector_is_frozen():
     block = primitives(3, 2)
-    assert block.dimension == 1
-    column = [block.basis_matrix.entry(i, 0) for i in range(6)]
+    assert block.cols == 1
+    column = [block.entry(i, 0) for i in range(6)]
     # basis order (1,1,2),(1,2,1),(1,2,2),(2,1,1),(2,1,2),(2,2,1)
     assert column == [-1, -1, 1, -1, 1, 1]
     # oracle: each single-point restriction cancels exactly
@@ -473,7 +483,7 @@ def test_levels_nest_and_are_stable_under_restrictions():
 def test_primitive_spans_are_stable_under_both_group_actions():
     for b, a in [(3, 2), (4, 2), (4, 3)]:
         mod = hom_module(SURJ, b, a)
-        basis = primitives(b, a).basis_matrix
+        basis = primitives(b, a)
         unit = basis.unit_rows()
         # permute_rows applies each generator, not its inverse; a span
         # stable under a permutation of finite order is stable under its
@@ -489,8 +499,8 @@ def test_primitive_spans_are_stable_under_both_group_actions():
 def test_level_dimensions_grow_weakly_with_depth(b, a, t):
     if a > b:
         a = b
-    lower = filtration_level(b, a, t).dimension
-    upper = filtration_level(b, a, t + 1).dimension
+    lower = filtration_level(b, a, t).cols
+    upper = filtration_level(b, a, t + 1).cols
     assert lower <= upper <= hom_dimension(SURJ, b, a)
 
 
@@ -822,7 +832,7 @@ def _hand_assembled_coker_relations(a, c, b, quotient=True):
     the shared group vanishes; their corank is the contraction's dimension.
     """
     prim = primitives(a, c)
-    p = prim.dimension
+    p = prim.cols
     image = image_basis(theta_matrix(a, b))
     pivots = image.unit_rows() if quotient else ()
     pivot_col = {j: m for m, j in enumerate(pivots)}
@@ -841,7 +851,7 @@ def _hand_assembled_coker_relations(a, c, b, quotient=True):
                 out[k] = -val
         return out
 
-    block = prim.basis_matrix
+    block = prim
     unit = block.unit_rows()
     fs_mod = hom_module(SURJ, a, c)
     target = hom_module(INJ, a, b)
@@ -1069,9 +1079,9 @@ def _all_pairs_closure(b, x, y):
     blocks, each certified by ``solve_membership`` against the goal basis."""
     inner, outer = enumerate_hom(SURJ, b, x), enumerate_hom(SURJ, x, y)
     result = hom_module(SURJ, b, y)
-    goal = primitives(b, y).basis_matrix
-    inner_cols = sparse_columns(primitives(b, x).basis_matrix).values()
-    outer_cols = sparse_columns(primitives(x, y).basis_matrix).values()
+    goal = primitives(b, y)
+    inner_cols = sparse_columns(primitives(b, x)).values()
+    outer_cols = sparse_columns(primitives(x, y)).values()
     for u in outer_cols:
         for v in inner_cols:
             w = [Fraction(0)] * result.dimension
@@ -1141,13 +1151,12 @@ def _reference_generator_columns(source_size, target_size, side, prime=None):
 
         def reciprocal(v):
             return pow(v, -1, prime)
-    level = fsfilt.primitives(source_size, target_size)
-    K = level.basis_matrix
+    K = fsfilt.primitives(source_size, target_size)
     dim = K.cols
     if dim == 0:
         return ()
     unit = K.unit_rows()
-    module = hom_module(SURJ, level.source_size, level.target_size)
+    module = hom_module(SURJ, source_size, target_size)
     perms = coxeter_perms(module, side)
     actions = [[{r: scalar(v) for r, v in col.items() if scalar(v)}
                 for col in _column_vectors(
@@ -1253,7 +1262,7 @@ def test_mod_p_generators_are_the_fraction_search_generators():
 def _level_basis_on_other_unit_rows():
     """Level 1 of Surj(4, 2) in the unit-row basis on rows (0, 1, 3, 6, 8)."""
     from sympy import Matrix
-    rows = entries(filtration_level(4, 2, 1).basis_matrix)
+    rows = entries(filtration_level(4, 2, 1))
     unit = (0, 1, 3, 6, 8)
     change = Matrix([list(rows[i]) for i in unit]).inv()
     basis = dense([[Fraction(int(x.p), int(x.q))
@@ -1279,8 +1288,7 @@ def test_the_search_is_exact_on_a_basis_with_fraction_actions(monkeypatch):
                for col in sparse_columns(
                    permute_rows(basis, perm).select_rows(unit)).values()
                for v in col.values())
-    monkeypatch.setattr(fsfilt, "primitives",
-                        lambda b, a: FiltrationLevel(b, a, 0, basis))
+    monkeypatch.setattr(fsfilt, "primitives", lambda b, a: basis)
     # The wrapped search is uncached, so the patched level is read.
     searched = fsfilt._module_generator_columns.__wrapped__(4, 2, "right")
     assert searched == _reference_generator_columns(4, 2, "right")
@@ -1315,7 +1323,7 @@ def test_restricted_traces_match_the_fraction_reference():
             for t in range(-1, b - a + 1):
                 assert level_bicharacter(b, a, t) == \
                     _fraction_restricted_bicharacter(
-                        module, filtration_level(b, a, t).basis_matrix), \
+                        module, filtration_level(b, a, t)), \
                     (b, a, t)
             functionals = hom_module(INJ, a, b)
             image = image_basis(theta_matrix(a, b))
@@ -1329,7 +1337,7 @@ def test_level_test_agrees_with_membership_in_the_level_basis():
             ambient = hom_dimension(SURJ, b, a)
             units = sparse_columns(RatMatrix.identity(ambient))
             for t in range(-1, b + 1):
-                basis = filtration_level(b, a, t).basis_matrix
+                basis = filtration_level(b, a, t)
                 assert _in_level(b, a, t, basis), (b, a, t)
                 outside = 0
                 candidates = (list(sparse_columns(basis).values())

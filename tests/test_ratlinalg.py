@@ -550,7 +550,7 @@ def test_product_matches_sympy_on_the_level_products():
     for b in range(6):
         for a in range(b + 1):
             for t in range(-1, b - a + 1):
-                basis = filtration_level(b, a, t).basis_matrix
+                basis = filtration_level(b, a, t)
                 for c in range(b + 1):
                     assert_product_matches_sympy(
                         _reduced_restriction(b, a, c), basis)

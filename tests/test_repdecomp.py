@@ -214,6 +214,17 @@ def test_bool_parts_and_degrees_are_refused():
     for degree_class in (trivial_class, sign_class):
         with pytest.raises(TypeError):
             degree_class(True)
+    # A float degree once failed inside range, a bool one built a function.
+    for degree in (True, 2.0):
+        row = (1,) * len(partitions_of(int(degree)))
+        with pytest.raises(TypeError, match="degree must be an int"):
+            ClassFunction(degree, row)
+        with pytest.raises(TypeError, match="degree must be an int"):
+            BiClassFunction(degree, 1, tuple((v,) for v in row))
+        with pytest.raises(TypeError, match="degree must be an int"):
+            BiClassFunction(1, degree, (row,))
+    with pytest.raises(ValueError):
+        BiClassFunction(1, -1, ((),))
     assert partition_index((1, 1)) == 1
     assert trivial_class(1) == SchurClass({(1,): 1})
 

@@ -127,6 +127,9 @@ def test_sweeps_refuse_negative_bounds():
             run_check(check_id, -1)
     with pytest.raises(ValueError):
         collect_reports(-1)
+    for table in (dimension_table, render_dimension_csv):
+        with pytest.raises(ValueError):
+            table(-1)
 
 
 def test_sweeps_refuse_bounds_that_are_not_ints():
@@ -137,7 +140,8 @@ def test_sweeps_refuse_bounds_that_are_not_ints():
                 run_check(check_id, bound)
         with pytest.raises(TypeError):
             collect_reports(bound)
-        for op in (primfs_formula, kring_fs_check, subquotient_formula):
+        for op in (primfs_formula, kring_fs_check, subquotient_formula,
+                   dimension_table, render_dimension_csv):
             with pytest.raises(TypeError):
                 op(bound)
 
@@ -235,18 +239,22 @@ from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                               hom_dimension, hom_values, sections)
 from fsprim.fsfilt import (_reduced_restriction, closure_check,
                            coker_action_triviality, coker_theta_decompose,
-                           filtration_level, lambda_bar_character,
-                           ses_identity_check, sgn_vanishing_check,
-                           sign_hook_class, subquotient_decompose,
-                           subquotient_identity_check, theta_matrix)
+                           filtration_level, hom_module,
+                           lambda_bar_character, ses_identity_check,
+                           sgn_vanishing_check, sign_hook_class,
+                           subquotient_decompose, subquotient_identity_check,
+                           theta_matrix)
 from fsprim.partitions import assert_partition, partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                               SchurClass, adjacent_transposition,
                               derham_check, mn_character,
                               pieri_e, pieri_h, sign_class, trivial_class)
-from fsprim.verify import (CheckReport, collect_reports, kring_fs_check,
-                           primfs_formula, run_check, subquotient_formula)
+from fsprim.verify import (CheckReport, collect_reports, dimension_table,
+                           kring_fs_check, primfs_formula,
+                           render_dimension_csv, run_check,
+                           subquotient_formula)
+M = hom_module(HomClass.SURJECTION, 3, 2)
 A = RatMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)])
 B = RatMatrix.from_triplets(1, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
 for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
@@ -255,6 +263,7 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: primfs_formula(0), lambda: kring_fs_check(0),
              lambda: subquotient_formula(0),
              lambda: run_check("closure", -1), lambda: collect_reports(-1),
+             lambda: dimension_table(-1), lambda: render_dimension_csv(-1),
              lambda: A @ B,
              lambda: RatMatrix.from_columns(2, [(1, 2, 3)]),
              lambda: RatMatrix.from_triplets(2, 2, [(2, 0, 1)]),
@@ -267,6 +276,10 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: coker_action_triviality(2, 3, 4),
              lambda: sgn_vanishing_check(2, 3),
              lambda: filtration_level(2, 1, -2),
+             lambda: M.right_perm(FinMap(4, 4, (2, 1, 3, 4))),
+             lambda: M.right_perm(FinMap(3, 3, (1, 1, 2))),
+             lambda: M.left_perm(FinMap(2, 2, (1, 1))),
+             lambda: M.left_perm(FinMap(3, 3, (2, 1, 3))),
              lambda: subquotient_decompose(-1, 2, 1),
              lambda: subquotient_identity_check(0, 2, 1),
              lambda: coker_theta_decompose(3, 2),
@@ -307,7 +320,12 @@ for call in (lambda: RatMatrix.from_triplets(1, 1, [(0, 0, 0.5)]),
              lambda: run_check("orthogonality", 2.5),
              lambda: collect_reports(True),
              lambda: primfs_formula(True), lambda: kring_fs_check(2.5),
-             lambda: subquotient_formula(True)):
+             lambda: subquotient_formula(True),
+             lambda: dimension_table(True), lambda: render_dimension_csv(2.5),
+             lambda: ClassFunction(True, (1,)),
+             lambda: ClassFunction(2.0, (1, 1)),
+             lambda: BiClassFunction(True, 1, ((1,),)),
+             lambda: BiClassFunction(1, 2.0, ((1, 1),))):
     try:
         call()
     except TypeError:
@@ -477,7 +495,7 @@ def _false(_):
 
 
 def _level_of_dimension(dim):
-    return lambda _: types.SimpleNamespace(dimension=dim)
+    return lambda _: types.SimpleNamespace(cols=dim)
 
 
 # (check, name patched in fsprim.verify, its arguments at the faulty cell,
@@ -661,8 +679,8 @@ def test_dimension_table_matches_independent_dimensions():
     for row in rows:
         b, a, full, prim, *levels = row
         assert full == hom_dimension(HomClass.SURJECTION, b, a)
-        assert prim == primitives(b, a).dimension
-        assert levels == [filtration_level(b, a, t).dimension
+        assert prim == primitives(b, a).cols
+        assert levels == [filtration_level(b, a, t).cols
                           for t in (1, 2, 3)]
     csv_text = render_dimension_csv(3)
     assert csv_text.splitlines()[0] == ",".join(header)
