@@ -39,13 +39,13 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, product, repeat
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
 from .finsetcat import (FinMap, HomClass, hom_character, hom_dimension,
-                        hom_values, section_values)
+                        hom_values)
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix, _Echelon
 from .repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
@@ -178,24 +178,41 @@ def _reduced_restriction(source_size: int, target_size: int,
     permutation of the restricted set, and pre-composing by that permutation
     permutes the rows within a block; dropping the non-increasing blocks
     therefore preserves the row space and hence the kernel.
+
+    Row ``blk * |Surj(c, a)| + index(g)`` holds the maps f with f|_S = g for
+    the blk-th subset S; as g is onto, every such f is a surjection.
     """
     b, a, c = source_size, target_size, restricted_size
     if not 0 <= c <= b:
         raise ValueError("restricted size must lie between 0 and the source")
     big = hom_module(_SURJ, b, a)
     small = hom_module(_SURJ, c, a)
-    subsets = list(combinations(range(b), c))
-    rows = len(subsets) * small.dimension
+    return RatMatrix._make(comb(b, c) * small.dimension, big.dimension,
+                           _agreeing_rows(big, product(
+                               combinations(range(1, b + 1), c), small.basis)))
 
-    def triplets():
-        for blk, subset in enumerate(subsets):
-            base = blk * small.dimension
-            restricted = map(small.index.get, _restrict(big.basis, subset))
-            for col, row in enumerate(restricted):
-                if row is not None:
-                    yield base + row, col, 1
 
-    return RatMatrix.from_triplets(rows, big.dimension, triplets())
+def _agreeing_rows(module: HomModule, partial_maps) -> dict[int, dict]:
+    """Row i: {index of f: 1} over the maps f of ``module`` that agree with
+    the i-th partial map, a pair (points, values) asking f(p) = v, with the
+    source points counted from 1.
+
+    The values of each partial map must hit every target, so that each map
+    agreeing with it is a surjection; it is then one word of ``product``
+    over the allowed letters, which lists the words in basis order.  Empty
+    rows are left out.
+    """
+    index = module.index.__getitem__
+    free = [bytes(range(1, module.left_degree + 1))] * module.right_degree
+    fixed = [(v,) for v in range(module.left_degree + 1)]
+    dod = {}
+    for i, (points, values) in enumerate(partial_maps):
+        alphabet = free.copy()
+        for p, v in zip(points, values):
+            alphabet[p - 1] = fixed[v]
+        if row := dict.fromkeys(map(index, map(bytes, product(*alphabet))), 1):
+            dod[i] = row
+    return dod
 
 
 def _restrict(words: tuple[bytes, ...], positions: tuple[int, ...]):
@@ -356,23 +373,21 @@ def theta_matrix(target_size: int, source_size: int) -> RatMatrix:
     """Section-sum pairing matrix from surjections into injection functionals.
 
     Column of a surjection ``f: source -> target`` carries 1 in the row of
-    every section of ``f`` (injections ``target -> source`` composing with
-    ``f`` to the identity).  At equal sizes this is the permutation matrix of
-    bijection inversion.
+    every section of ``f`` (injections ``h: target -> source`` with
+    ``f . h = id``).  This is the section-sum pairing read by rows:
+    ``f . h = id`` says that f agrees with h^{-1} on h's image and is free at
+    the other points, and every such f hits all of the target, so row h holds
+    every map with f(h(v)) = v.  At equal sizes this is the permutation
+    matrix of bijection inversion.
     """
     a, b = target_size, source_size
     if not 0 <= a <= b:
         raise ValueError("pairing needs target no larger than source")
-    surjections = hom_values(_SURJ, b, a)
-    index = hom_module(_INJ, a, b).index
-
-    def triplets():
-        for col, f in enumerate(surjections):
-            for row in map(index.__getitem__,
-                           map(bytes, section_values(f, a))):
-                yield row, col, 1
-
-    return RatMatrix.from_triplets(len(index), len(surjections), triplets())
+    injections = hom_module(_INJ, a, b).basis
+    surjections = hom_module(_SURJ, b, a)
+    return RatMatrix._make(len(injections), surjections.dimension,
+                           _agreeing_rows(surjections, zip(
+                               injections, repeat(range(1, a + 1)))))
 
 
 def theta_equivariance_check(target_size: int, source_size: int) -> bool:

@@ -1,10 +1,12 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 The public type is :class:`RatMatrix`, an immutable matrix of exact
-rationals, with only the operations the checks use: build (from triplets or
-columns, zeros, identity), multiply, select rows, read an entry, compare,
-and eliminate (RREF, rank, kernel basis); :func:`solve_membership` certifies
-membership in a column span.  All of it is exact; no floating point appears
+rationals, with only the operations the checks use: build (from triplets,
+zeros, identity; ``from_columns`` serves the tests), multiply, select rows,
+read an entry, compare, and eliminate (RREF, rank, kernel basis);
+:func:`solve_membership` certifies membership in a column span.  The 0/1
+operators of ``fsfilt`` (the pairing and the restriction stages) build their
+row dicts themselves and pass them to ``RatMatrix._make``.  All of it is exact; no floating point appears
 anywhere.
 
 A matrix stores its nonzero entries as {row: {col: value}}, a value being an

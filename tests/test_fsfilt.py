@@ -4,6 +4,9 @@ Independent oracles used here:
   * brute-force restriction sums computed directly with ``compose`` (never
     through the module under test's own matrices),
   * section counts re-derived by enumerating all injective right inverses,
+  * the pairing and the restriction stages assembled column by column, from
+    each surjection's sections and restrictions, against the row-by-row
+    builds of the module under test,
   * binomial/factorial dimension formulas evaluated with ``math.comb``,
   * a hand-frozen kernel vector for the smallest nontrivial primitive block,
   * rank-nullity bookkeeping tying cokernel decompositions to exact ranks,
@@ -40,7 +43,7 @@ from fsprim.fsfilt import (HomModule, automorphism_block_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report)
 from fsprim.fsfilt import (_difference, _in_level, _reduced_restriction,
-                           _restricted_bicharacter, _transpose)
+                           _restrict, _restricted_bicharacter, _transpose)
 from fsprim.partitions import (class_size, irrep_dimension, partition_index,
                                partitions_of)
 from fsprim.ratlinalg import RatMatrix, solve_membership
@@ -390,6 +393,45 @@ def test_reduced_restriction_to_at_most_one_point_matches_brute_force():
                 assert _reduced_restriction(b, a, c) == expected, (b, a, c)
 
 
+def reduced_restriction_by_columns(source_size, target_size,
+                                   restricted_size):
+    """Reference: the restriction stage read column by column.
+
+    Each surjection's column holds 1 in block S at its restriction to S when
+    that restriction is onto, one triplet at a time.
+    """
+    b, a, c = source_size, target_size, restricted_size
+    big = hom_module(SURJ, b, a)
+    small = hom_module(SURJ, c, a)
+    subsets = list(combinations(range(b), c))
+
+    def triplets():
+        for blk, subset in enumerate(subsets):
+            base = blk * small.dimension
+            restricted = map(small.index.get, _restrict(big.basis, subset))
+            for col, row in enumerate(restricted):
+                if row is not None:
+                    yield base + row, col, 1
+
+    return RatMatrix.from_triplets(len(subsets) * small.dimension,
+                                   big.dimension, triplets())
+
+
+def has_no_empty_row(mat):
+    return all(mat._sparse_rows().values())
+
+
+def test_reduced_restriction_matches_the_column_reference_through_seven():
+    # Includes the cells with empty rows: (b, 0, 0) at b > 0 and c < a.
+    for b in range(8):
+        for a in range(b + 1):
+            for c in range(b + 1):
+                stage = _reduced_restriction(b, a, c)
+                assert stage == reduced_restriction_by_columns(b, a, c), \
+                    (b, a, c)
+                assert has_no_empty_row(stage), (b, a, c)
+
+
 def test_reduced_restriction_kernels_equal_full_kernels():
     for b in range(5):
         for a in range(b + 1):
@@ -580,18 +622,25 @@ def test_pairing_columns_count_right_inverses():
 
 
 def test_pairing_section_tuples_are_the_validated_sections():
-    for b in range(6):
+    # Column f holds the sections of f; the validated FinMap sections cross
+    # the unchecked section tuples through b = 5.  theta(0, b) at b > 0 has
+    # one empty row, which is not stored.
+    for b in range(8):
         for a in range(b + 1):
-            surjections = enumerate_hom(SURJ, b, a)
+            surjections = hom_module(SURJ, b, a).basis
             target = hom_module(INJ, a, b)
             triplets = []
             for col, f in enumerate(surjections):
-                validated = [s.values for s in sections(f)]
-                assert list(section_values(f.values, a)) == validated
+                found = list(section_values(f, a))
+                if b <= 5:
+                    validated = sections(FinMap(b, a, tuple(f)))
+                    assert found == [s.values for s in validated]
                 triplets.extend((target.index[bytes(s)], col, 1)
-                                for s in validated)
-            assert theta_matrix(a, b) == RatMatrix.from_triplets(
+                                for s in found)
+            theta = theta_matrix(a, b)
+            assert theta == RatMatrix.from_triplets(
                 target.dimension, len(surjections), triplets), (a, b)
+            assert has_no_empty_row(theta), (a, b)
 
 
 def _matrix_equivariance(th, a, b):
@@ -724,7 +773,7 @@ def test_pairing_rows_are_the_equal_size_stage_rows():
         return {frozenset(row.items())
                 for row in mat._sparse_rows().values()}
 
-    for b in range(6):
+    for b in range(8):
         for a in range(1, b + 1):
             theta = theta_matrix(a, b)
             stage = _reduced_restriction(b, a, a)

@@ -176,13 +176,21 @@ def test_reports_render_byte_identical_in_process():
     assert render_dimension_csv(3) == render_dimension_csv(3)
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports fsprim from these sources."""
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_reports_byte_identical_across_processes(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
         result = subprocess.run(
             [sys.executable, "-m", "fsprim.verify", "--max-size", "1",
              "verify", "all", "--json", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert result.returncode == 0, result.stderr
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -191,14 +199,6 @@ def test_reports_byte_identical_across_processes(tmp_path):
 # to the reports and must be made on purpose.
 BOUND5_REPORT_SHA256 = (
     "66ff2e93813bb3efbc430b1902460774cb86ff68068fc7cbee8842264b6df347")
-
-
-def _child_env() -> dict:
-    """The environment of a child that imports fsprim from these sources."""
-    src = os.path.dirname(os.path.dirname(verify.__file__))
-    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                PYTHONPATH=os.pathsep.join(
-                    filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -333,8 +333,7 @@ for call in (lambda: RatMatrix.from_triplets(1, 1, [(0, 0, 0.5)]),
     raise SystemExit("accepted a bool or a float")
 """
     result = subprocess.run([sys.executable, "-O", "-c", code],
-                            capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+                            capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stdout + result.stderr
 
 
