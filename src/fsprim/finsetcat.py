@@ -2,9 +2,8 @@
 
 Objects are the skeletal finite sets {1, ..., n}; only the size matters.
 This module enumerates hom-sets in two flavors (surjections and
-injections), composes maps, lists the sections of a surjection, and gives
-closed-form counts that cross-check the enumerations: of all maps, and of
-the maps fixed by each pair of conjugacy classes.
+injections) and gives closed-form counts that cross-check the enumerations:
+of all maps, and of the maps fixed by each pair of conjugacy classes.
 
 A map's basis form is its value string: the ``bytes`` whose k-th byte is
 the image of k + 1.  The lexicographic order on value strings is a frozen
@@ -14,6 +13,10 @@ package.  Value strings of one length compare exactly like the int tuples
 they spell, so this order is the lexicographic order of value arrays.  A
 byte holds values up to 255; ``bytes`` refuses a larger value with
 ``ValueError``, so a target of more than 255 points is refused.
+
+:class:`FinMap`, :func:`compose` and :func:`enumerate_hom` are the validated
+view of the same maps, for callers outside the package and as an oracle;
+nothing in the package builds a ``FinMap``.
 """
 from __future__ import annotations
 
@@ -121,35 +124,6 @@ def enumerate_hom(flavor: HomClass, source_size: int,
     """
     return tuple(FinMap(source_size, target_size, values)
                  for values in hom_values(flavor, source_size, target_size))
-
-
-def sections(f: FinMap) -> tuple[FinMap, ...]:
-    """All s with f∘s = identity on the target, in lexicographic order.
-
-    Requires f surjective (a non-surjective map has no sections; calling
-    this on one is a precondition violation, not an empty result).  A
-    section picks one source point from each fiber, so the result has
-    one entry per element of the product of the fibers and every section
-    is injective.
-    """
-    if not f.is_surjective():
-        raise ValueError("sections require a surjective map")
-    return tuple(FinMap(f.target_size, f.source_size, choice)
-                 for choice in section_values(f.values, f.target_size))
-
-
-def section_values(values: tuple[int, ...] | bytes, target_size: int):
-    """Value tuples of the sections of a surjection, in lexicographic order.
-
-    ``values`` is the value tuple or string of a surjection onto
-    ``target_size`` points, unchecked; :func:`sections` is the validated
-    form.  Each section picks one point from each fiber, so the tuples are
-    the product of the fibers.
-    """
-    fibers: list[list[int]] = [[] for _ in range(target_size)]
-    for i, v in enumerate(values, start=1):
-        fibers[v - 1].append(i)
-    return product(*fibers)
 
 
 @cache

@@ -44,8 +44,7 @@ from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .finsetcat import (FinMap, HomClass, hom_character, hom_dimension,
-                        hom_values)
+from .finsetcat import HomClass, hom_character, hom_dimension, hom_values
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix, _Echelon
 from .repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
@@ -85,9 +84,11 @@ class HomModule:
     string that is not a map of the flavor is absent.  A target permutation
     ``pi`` acts on the left by ``[f] -> [pi . f]``, which translates each
     byte of ``f``, and a source permutation ``sigma`` on the right by
-    ``[f] -> [f . sigma^{-1}]``, which reorders its bytes.  Both run over the
-    whole basis at once and refuse, with ``ValueError``, a map that is not
-    a permutation of its side's degree.  Matrices act on column vectors.
+    ``[f] -> [f . sigma^{-1}]``, which reorders its bytes.  A permutation is
+    its value string too, and both actions run over the whole basis at once;
+    they refuse an argument that is not ``bytes`` with ``TypeError``, and a
+    value string that is not a permutation of its side's degree with
+    ``ValueError``.  Matrices act on column vectors.
     Each side's generator permutations are those of (1 2) and the n-cycle
     (:func:`symmetric_generators`), two elements that generate S_n, so a
     statement checked on them holds for the whole group.  The character of
@@ -103,19 +104,18 @@ class HomModule:
         self.dimension = len(self.basis)
         self.index = dict(zip(self.basis, range(self.dimension)))
 
-    def left_perm(self, pi: FinMap) -> tuple[int, ...]:
+    def left_perm(self, pi: bytes) -> tuple[int, ...]:
         """Basis permutation of the left action: i -> index of pi acting on i."""
         _require_permutation(pi, self.left_degree)
-        table = bytes.maketrans(bytes(range(1, self.left_degree + 1)),
-                                bytes(pi.values))
+        table = bytes.maketrans(bytes(range(1, self.left_degree + 1)), pi)
         return tuple(map(self.index.__getitem__,
                          map(bytes.translate, self.basis, repeat(table))))
 
-    def right_perm(self, sigma: FinMap) -> tuple[int, ...]:
+    def right_perm(self, sigma: bytes) -> tuple[int, ...]:
         _require_permutation(sigma, self.right_degree)
         # Position k of f . sigma^{-1} reads f at sigma^{-1}(k).
         preimage = sorted(range(self.right_degree),
-                          key=sigma.values.__getitem__)
+                          key=sigma.__getitem__)
         return tuple(map(self.index.__getitem__,
                          _restrict(self.basis, tuple(preimage))))
 
@@ -155,8 +155,10 @@ class HomModule:
                 f"right=S_{self.right_degree}, dim={self.dimension})")
 
 
-def _require_permutation(g: FinMap, degree: int) -> None:
-    if g.source_size != degree or not g.is_bijective():
+def _require_permutation(g: bytes, degree: int) -> None:
+    if not isinstance(g, bytes):
+        raise TypeError(f"need a permutation value string: {g!r}")
+    if sorted(g) != list(range(1, degree + 1)):
         raise ValueError(f"need a permutation of degree {degree}: {g!r}")
 
 

@@ -59,11 +59,12 @@ _ZERO = Fraction(0)
 
 
 def _exact(x):
-    """An exact rational as an int when integral, else a Fraction; no floats."""
+    """An exact rational as an int when integral, else a Fraction; no floats
+    and no bools."""
     if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise TypeError(f"floating point is not allowed: {x!r}")
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"not an exact rational: {x!r}")
     f = x if isinstance(x, Fraction) else Fraction(x)
     return f.numerator if f.denominator == 1 else f
 

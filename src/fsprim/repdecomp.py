@@ -29,7 +29,6 @@ from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .finsetcat import FinMap
 from .partitions import (
     CycleType,
     Partition,
@@ -52,34 +51,34 @@ class InternalConsistencyError(Exception):
 # --------------------------------------------------------------- permutations
 
 
-def adjacent_transposition(n: int, t: int) -> FinMap:
-    """The permutation of degree n exchanging t and t+1."""
+def adjacent_transposition(n: int, t: int) -> bytes:
+    """The permutation of degree n exchanging t and t+1, as a value string."""
     if not 1 <= t < n:
         raise ValueError("transposition index must satisfy 1 <= t < n")
-    vals = list(range(1, n + 1))
+    vals = bytearray(range(1, n + 1))
     vals[t - 1], vals[t] = vals[t], vals[t - 1]
-    return FinMap(n, n, tuple(vals))
+    return bytes(vals)
 
 
-def class_representative(mu: CycleType) -> FinMap:
-    """Deterministic permutation of cycle type mu: consecutive blocks cycle."""
+def class_representative(mu: CycleType) -> bytes:
+    """Value string of a permutation of cycle type mu: consecutive blocks
+    cycle.  As for every map, the k-th byte is the image of k + 1."""
     assert_partition(mu)
-    n = weight(mu)
-    vals = []
+    vals = bytearray()
     start = 1
     for part in mu:
         vals.extend(range(start + 1, start + part))
         vals.append(start)
         start += part
-    return FinMap(n, n, tuple(vals))
+    return bytes(vals)
 
 
-def symmetric_generators(n: int) -> tuple[FinMap, ...]:
+def symmetric_generators(n: int) -> tuple[bytes, ...]:
     """Two permutations generating S_n: (1 2) and the n-cycle (1 2 ... n).
 
-    Conjugating (1 2) by powers of the cycle gives every adjacent
-    transposition (k k+1), and those generate S_n.  At n = 2 the cycle is
-    (1 2) itself, so there is one generator, and below 2 none.
+    Both are value strings.  Conjugating (1 2) by powers of the cycle gives
+    every adjacent transposition (k k+1), and those generate S_n.  At n = 2
+    the cycle is (1 2) itself, so there is one generator, and below 2 none.
     """
     if n < 2:
         return ()
@@ -188,7 +187,12 @@ class BiClassFunction:
 
 
 def _coefficient(c) -> int:
-    """An int coefficient: ValueError if not integral, TypeError if float."""
+    """An int coefficient: ValueError if not integral, TypeError if bool or
+    float."""
+    if type(c) is int:
+        return c
+    if isinstance(c, bool):
+        raise TypeError(f"a bool is not a coefficient: {c!r}")
     if int(c) != c:
         raise ValueError(f"coefficients must be integers: {c!r}")
     if isinstance(c, float):

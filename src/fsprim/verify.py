@@ -585,8 +585,11 @@ def _print_reports(reports: list[CheckReport]) -> None:
             print(f"         expected: {r.expected}")
             print(f"         computed: {r.computed}")
     failed = sum(1 for r in reports if r.status == "fail")
+    vacuous = sum(1 for r in reports if r.status == "vacuous")
     if failed:
         print(f"{failed} of {len(reports)} checks failed")
+    elif vacuous:
+        print(f"{len(reports) - vacuous} passed, {vacuous} vacuous")
     else:
         print(f"all {len(reports)} checks passed")
 

@@ -17,7 +17,7 @@ Independent oracles used here:
 """
 from collections import deque
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import comb, factorial
 from operator import eq
 
@@ -26,8 +26,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                              hom_character, hom_dimension, section_values,
-                              sections)
+                              hom_character, hom_dimension)
 from fsprim.fsfilt import (HomModule, automorphism_block_check,
                            closure_check, coker_action_triviality,
                            coker_theta_decompose,
@@ -60,7 +59,25 @@ INJ = HomClass.INJECTION
 
 
 def all_permutations(n):
-    return [FinMap(n, n, p) for p in permutations(range(1, n + 1))]
+    """Every permutation of degree n, as a value string."""
+    return list(map(bytes, permutations(range(1, n + 1))))
+
+
+def as_map(perm):
+    """Reference: a permutation's value string as a validated map, to
+    compose."""
+    return FinMap(len(perm), len(perm), tuple(perm))
+
+
+def section_values(values, target_size):
+    """Reference: value tuples of the sections of a surjection onto
+    ``target_size`` points, in lexicographic order.  A section picks one
+    source point from each fibre, so the tuples are the product of the
+    fibres."""
+    fibres = [[] for _ in range(target_size)]
+    for i, v in enumerate(values, start=1):
+        fibres[v - 1].append(i)
+    return product(*fibres)
 
 
 def coxeter_perms(module, side):
@@ -237,13 +254,31 @@ def test_whole_space_characters_build_no_permutation(fresh_character_caches,
 
 def test_actions_refuse_maps_that_are_not_permutations_of_their_side():
     mod = hom_module(SURJ, 3, 2)  # left S_2, right S_3
-    for act, g in ((mod.right_perm, FinMap(4, 4, (2, 1, 3, 4))),
-                   (mod.right_perm, FinMap(3, 3, (1, 1, 2))),
-                   (mod.left_perm, FinMap(2, 2, (1, 1))),
-                   (mod.left_perm, FinMap(3, 3, (2, 1, 3)))):
+    for act, g in ((mod.right_perm, bytes((2, 1, 3, 4))),  # too long
+                   (mod.right_perm, bytes((2, 1))),        # too short
+                   (mod.right_perm, bytes((1, 1, 2))),     # a repeat
+                   (mod.right_perm, bytes((1, 2, 4))),     # above n
+                   (mod.left_perm, bytes((0, 1))),         # a 0 byte
+                   (mod.left_perm, bytes((1, 1))),
+                   (mod.left_perm, bytes((2, 1, 3)))):
         with pytest.raises(ValueError, match="permutation of degree"):
             act(g)
-    assert mod.left_perm(FinMap(2, 2, (2, 1))) == mod.left_generator_perms[0]
+    assert mod.left_perm(bytes((2, 1))) == mod.left_generator_perms[0]
+
+
+def test_actions_take_value_strings_only():
+    # A permutation is its value string; a validated map, a tuple or a list
+    # spelling the same permutation is a second form, refused by type.
+    mod = hom_module(SURJ, 3, 2)  # left S_2, right S_3
+    for act, values, perm in (
+            (mod.left_perm, (2, 1), mod.left_generator_perms[0]),
+            (mod.right_perm, (2, 3, 1), mod.right_generator_perms[1])):
+        n = len(values)
+        for g in (FinMap(n, n, values), values, list(values),
+                  bytearray(values)):
+            with pytest.raises(TypeError, match="value string"):
+                act(g)
+        assert act(bytes(values)) == perm
 
 
 def _assert_actions_match_composition(flavor, source, target):
@@ -252,10 +287,11 @@ def _assert_actions_match_composition(flavor, source, target):
     maps = enumerate_hom(flavor, source, target)
     for pi in all_permutations(target):
         assert mod.left_perm(pi) == tuple(
-            mod.index[bytes(compose(pi, f).values)] for f in maps)
+            mod.index[bytes(compose(as_map(pi), f).values)] for f in maps)
     for sigma in all_permutations(source):
+        inv = inverse(as_map(sigma))
         assert mod.right_perm(sigma) == tuple(
-            mod.index[bytes(compose(f, inverse(sigma)).values)] for f in maps)
+            mod.index[bytes(compose(f, inv).values)] for f in maps)
 
 
 def test_tuple_actions_match_the_composition_reference():
@@ -286,8 +322,9 @@ def _functional_character(a, b):
     return BiClassFunction(a, b, tuple(
         tuple(sum(1 for h in injections
                   if compose(sigma, compose(h, inverse(pi))) == h)
-              for sigma in map(class_representative, partitions_of(b)))
-        for pi in map(class_representative, partitions_of(a))))
+              for sigma in map(as_map, map(class_representative,
+                                           partitions_of(b))))
+        for pi in map(as_map, map(class_representative, partitions_of(a)))))
 
 
 def test_transposed_injection_character_is_the_functional_character():
@@ -622,19 +659,22 @@ def test_pairing_columns_count_right_inverses():
 
 
 def test_pairing_section_tuples_are_the_validated_sections():
-    # Column f holds the sections of f; the validated FinMap sections cross
-    # the unchecked section tuples through b = 5.  theta(0, b) at b > 0 has
-    # one empty row, which is not stored.
+    # Column f holds the sections of f; the injections h with f . h = id,
+    # found on validated maps, cross the fibre-product section tuples
+    # through b = 5.  theta(0, b) at b > 0 has one empty row, which is not
+    # stored.
     for b in range(8):
         for a in range(b + 1):
             surjections = hom_module(SURJ, b, a).basis
             target = hom_module(INJ, a, b)
             triplets = []
+            ident = FinMap(a, a, tuple(range(1, a + 1)))
             for col, f in enumerate(surjections):
                 found = list(section_values(f, a))
                 if b <= 5:
-                    validated = sections(FinMap(b, a, tuple(f)))
-                    assert found == [s.values for s in validated]
+                    validated = FinMap(b, a, tuple(f))
+                    assert found == [h.values for h in enumerate_hom(INJ, a, b)
+                                     if compose(validated, h) == ident]
                 triplets.extend((target.index[bytes(s)], col, 1)
                                 for s in found)
             theta = theta_matrix(a, b)
@@ -1073,7 +1113,7 @@ def _principal_minor_character(power, set_size):
         return ClassFunction(0, (0,))
     values = []
     for mu in partitions_of(b):
-        sigma = class_representative(mu)
+        sigma = as_map(class_representative(mu))
         # Column i is sigma(e_i - e_b) = e_sigma(i) - e_sigma(b), cut to b - 1.
         matrix = sympy.Matrix(b - 1, b - 1, lambda j, i: (
             int(sigma(i + 1) == j + 1) - int(sigma(b) == j + 1)))

@@ -53,6 +53,12 @@ def all_permutations(n):
     return [FinMap(n, n, p) for p in permutations(range(1, n + 1))]
 
 
+def as_map(perm):
+    """Reference: a permutation's value string as a validated map, to
+    compose."""
+    return FinMap(len(perm), len(perm), tuple(perm))
+
+
 def inner_product(f, g):
     """Reference: (1/n!) sum over classes of class size * f * g."""
     parts = partitions_of(f.degree)
@@ -101,14 +107,15 @@ def test_cycle_type_examples():
 def test_class_representative_types():
     for n in range(7):
         for mu in partitions_of(n):
-            rep = class_representative(mu)
+            assert type(class_representative(mu)) is bytes
+            rep = as_map(class_representative(mu))
             assert rep.is_bijective()
             assert cycle_type_of(rep) == mu
 
 
 def test_class_representative_deterministic_form():
-    assert class_representative((3, 2)).values == (2, 3, 1, 5, 4)
-    assert class_representative((1, 1)).values == (1, 2)
+    assert class_representative((3, 2)) == bytes((2, 3, 1, 5, 4))
+    assert class_representative((1, 1)) == bytes((1, 2))
 
 
 def _generated_group(n, generators):
@@ -120,7 +127,7 @@ def _generated_group(n, generators):
         step = []
         for g in frontier:
             for s in generators:
-                h = tuple(s.values[v - 1] for v in g)
+                h = tuple(s[v - 1] for v in g)
                 if h not in seen:
                     seen.add(h)
                     step.append(h)
@@ -130,10 +137,10 @@ def _generated_group(n, generators):
 
 def test_symmetric_generators_generate_the_whole_group():
     assert symmetric_generators(0) == symmetric_generators(1) == ()
-    assert [g.values for g in symmetric_generators(2)] == [(2, 1)]
+    assert symmetric_generators(2) == (bytes((2, 1)),)
     for n in range(3, 7):
         swap, cycle = symmetric_generators(n)
-        assert swap.values == (2, 1) + tuple(range(3, n + 1))
+        assert swap == bytes((2, 1, *range(3, n + 1)))
         assert cycle == class_representative((n,))
     for n in range(7):
         group = _generated_group(n, symmetric_generators(n))
@@ -358,7 +365,7 @@ def test_decompose_character_matches_the_inner_product_loop():
 def _regular_bicharacter(n):
     """Fixed points of x -> g x h^-1: the two-sided regular character."""
     elements = all_permutations(n)
-    reps = [class_representative(mu) for mu in partitions_of(n)]
+    reps = [as_map(class_representative(mu)) for mu in partitions_of(n)]
     return BiClassFunction(n, n, tuple(
         tuple(sum(1 for x in elements
                   if compose(compose(g, x), inverse(h)) == x)
@@ -591,7 +598,7 @@ def _coset_induced_character(lam, mu, nu):
     """Coset formula: average chi over conjugates landing in the subgroup."""
     p, q = weight(lam), weight(mu)
     n = p + q
-    g = class_representative(nu)
+    g = as_map(class_representative(nu))
     total = 0
     for x in all_permutations(n):
         h = compose(compose(inverse(x), g), x)
@@ -741,8 +748,13 @@ def test_class_function_validation():
     chi = ClassFunction(3, (Fraction(4, 2), 0, Fraction(1, 3)))
     assert chi.values == (2, 0, Fraction(1, 3))
     assert [type(v) for v in chi.values] == [int, int, Fraction]
-    bi = BiClassFunction(1, 2, ((Fraction(6, 3), True),))
+    bi = BiClassFunction(1, 2, ((Fraction(6, 3), 1),))
     assert [type(v) for v in bi.values[0]] == [int, int]
+    # a bool is not a value, though it is an int
+    for make in (lambda: ClassFunction(2, (True, 0)),
+                 lambda: BiClassFunction(1, 2, ((Fraction(6, 3), True),))):
+        with pytest.raises(TypeError):
+            make()
 
 
 # ------------------------------------------- fast paths against slow paths
@@ -832,8 +844,14 @@ def test_formal_sums_refuse_mixed_kinds_non_integers_and_floats():
                 lambda: boxtimes(pair, one)):
         with pytest.raises(ValueError):
             bad()
+    # A bool is an int, but not a coefficient.
     for bad in (lambda: SchurClass({(1,): 2.0}),
                 lambda: BiSchurClass({((1,), (1,)): 2.0}),
-                lambda: one.scale(2.0)):
+                lambda: one.scale(2.0),
+                lambda: SchurClass({(1,): True}),
+                lambda: SchurClass({(1,): False}),
+                lambda: BiSchurClass({((1,), (1,)): True}),
+                lambda: one.scale(True)):
         with pytest.raises(TypeError):
             bad()
+

@@ -236,7 +236,7 @@ def test_contracts_hold_under_optimize():
     code = """
 from fractions import Fraction
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                              hom_dimension, hom_values, sections)
+                              hom_dimension, hom_values)
 from fsprim.fsfilt import (_reduced_restriction, closure_check,
                            coker_action_triviality, coker_theta_decompose,
                            filtration_level, hom_module,
@@ -276,10 +276,10 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: coker_action_triviality(2, 3, 4),
              lambda: sgn_vanishing_check(2, 3),
              lambda: filtration_level(2, 1, -2),
-             lambda: M.right_perm(FinMap(4, 4, (2, 1, 3, 4))),
-             lambda: M.right_perm(FinMap(3, 3, (1, 1, 2))),
-             lambda: M.left_perm(FinMap(2, 2, (1, 1))),
-             lambda: M.left_perm(FinMap(3, 3, (2, 1, 3))),
+             lambda: M.right_perm(bytes((2, 1, 3, 4))),
+             lambda: M.right_perm(bytes((1, 1, 2))),
+             lambda: M.left_perm(bytes((1, 1))),
+             lambda: M.left_perm(bytes((3, 1))),
              lambda: subquotient_decompose(-1, 2, 1),
              lambda: subquotient_identity_check(0, 2, 1),
              lambda: coker_theta_decompose(3, 2),
@@ -288,7 +288,6 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: lambda_bar_character(1, 3)((2,)),
              lambda: lambda_bar_character(1, 3)((1, 1, 1, 1)),
              lambda: compose(FinMap(3, 3, (1, 2, 3)), FinMap(1, 2, (2,))),
-             lambda: sections(FinMap(2, 3, (1, 1))),
              lambda: FinMap(2, 2, (2, 1))(0),
              lambda: FinMap(2, 2, (2, 1))(3),
              lambda: enumerate_hom(HomClass.SURJECTION, 2, -1),
@@ -325,7 +324,12 @@ for call in (lambda: RatMatrix.from_triplets(1, 1, [(0, 0, 0.5)]),
              lambda: ClassFunction(True, (1,)),
              lambda: ClassFunction(2.0, (1, 1)),
              lambda: BiClassFunction(True, 1, ((1,),)),
-             lambda: BiClassFunction(1, 2.0, ((1, 1),))):
+             lambda: BiClassFunction(1, 2.0, ((1, 1),)),
+             lambda: M.left_perm(FinMap(2, 2, (2, 1))),
+             lambda: M.right_perm((2, 3, 1)),
+             lambda: SchurClass({(1,): True}),
+             lambda: ClassFunction(2, (True, 0)),
+             lambda: RatMatrix.from_triplets(1, 1, [(0, 0, True)])):
     try:
         call()
     except TypeError:
@@ -823,6 +827,38 @@ def test_cli_verify_refuses_a_run_without_reports(tmp_path, capsys):
     assert "no report" in captured.err
     assert "passed" not in captured.out
     assert not out.exists()
+
+
+def test_cli_verify_all_names_vacuous_reports(capsys):
+    # At bound 0 some sweeps visit no cell; those are never counted as passes.
+    assert main(["--max-size", "0", "verify", "all"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    vacuous = sum(line.startswith("vacuous ") for line in out)
+    passed = sum(line.startswith("pass ") for line in out)
+    assert vacuous and passed
+    assert out[-1] == f"{passed} passed, {vacuous} vacuous"
+
+
+def test_collect_reports_builds_no_finmap():
+    # Every map in the package is its value string; FinMap is the validated
+    # view for outside callers.  A fresh process, so no cache hides one.
+    code = """
+from fsprim.finsetcat import FinMap
+from fsprim.verify import collect_reports
+built = []
+post_init = FinMap.__post_init__
+def counted(self):
+    built.append(self)
+    post_init(self)
+FinMap.__post_init__ = counted
+collect_reports(3)
+FinMap(1, 1, (1,))
+print(len(built))
+"""
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1"]
 
 
 def test_cli_verify_all_writes_artifacts(tmp_path, capsys):
