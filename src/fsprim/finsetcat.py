@@ -23,9 +23,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
-from functools import cache
+from functools import lru_cache
 from itertools import compress, permutations, product, repeat, tee
-from math import comb, factorial, perm, prod
+from math import comb, perm, prod
 from operator import eq
 
 from .partitions import partitions_of
@@ -88,7 +88,17 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
                   tuple(g.values[v - 1] for v in f.values))
 
 
-@cache
+def _require_hom(flavor: HomClass, *sizes: int) -> None:
+    """TypeError unless flavor is a HomClass and the sizes are ints (not
+    bools); ValueError if a size is negative."""
+    if not isinstance(flavor, HomClass) or {*map(type, sizes)} != {int}:
+        raise TypeError(f"need a HomClass and int sizes: {flavor!r}, {sizes}")
+    if min(sizes) < 0:
+        raise ValueError("set sizes must be nonnegative")
+
+
+# typed: a bool or float size misses the cached int entry, and is refused.
+@lru_cache(maxsize=None, typed=True)
 def hom_values(flavor: HomClass, source_size: int,
                target_size: int) -> tuple[bytes, ...]:
     """Value strings of all maps source -> target of a flavor, in order.
@@ -104,9 +114,8 @@ def hom_values(flavor: HomClass, source_size: int,
     lexicographic order from the sorted range; other surjections are the
     words of ``product`` that hit every target.
     """
+    _require_hom(flavor, source_size, target_size)
     b, a = source_size, target_size
-    if b < 0 or a < 0:
-        raise ValueError("set sizes must be nonnegative")
     targets = bytes(range(1, a + 1))
     if flavor is HomClass.INJECTION or b == a:
         return tuple(map(bytes, permutations(targets, b)))
@@ -115,7 +124,7 @@ def hom_values(flavor: HomClass, source_size: int,
                                      repeat(a))))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def enumerate_hom(flavor: HomClass, source_size: int,
                   target_size: int) -> tuple[FinMap, ...]:
     """All maps source -> target of a flavor, as validated ``FinMap``s.
@@ -126,30 +135,13 @@ def enumerate_hom(flavor: HomClass, source_size: int,
                  for values in hom_values(flavor, source_size, target_size))
 
 
-@cache
-def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
 def hom_dimension(flavor: HomClass, source_size: int, target_size: int) -> int:
-    """Closed-form count of maps source -> target of the given flavor.
-
-    surjections: target! * Stirling2(source, target); injections:
-    target!/(target-source)! when source <= target, else 0.
-    """
-    b, a = source_size, target_size
-    if b < 0 or a < 0:
-        raise ValueError("set sizes must be nonnegative")
-    if flavor is HomClass.SURJECTION:
-        return factorial(a) * _stirling2(b, a)
-    return factorial(a) // factorial(a - b) if b <= a else 0
+    """Closed-form count of maps source -> target of the given flavor: the
+    :func:`hom_character` at the identity pair, whose classes come last."""
+    return hom_character(flavor, source_size, target_size)[-1][-1]
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def hom_character(flavor: HomClass, source_size: int,
                   target_size: int) -> tuple[tuple[int, ...], ...]:
     """Closed-form count of the maps fixed by each pair of classes.
@@ -175,9 +167,8 @@ def hom_character(flavor: HomClass, source_size: int,
     the fixed injections number prod_l n_l!/(n_l - m_l)! * l^m_l over the
     m_l l-cycles of sigma, which is 0 when some m_l > n_l.
     """
+    _require_hom(flavor, source_size, target_size)
     b, a = source_size, target_size
-    if b < 0 or a < 0:
-        raise ValueError("set sizes must be nonnegative")
     count = (_fixed_surjections if flavor is HomClass.SURJECTION
              else _fixed_injections)
     sources = [Counter(sigma).items() for sigma in partitions_of(b)]

@@ -113,11 +113,12 @@ class HomModule:
 
     def right_perm(self, sigma: bytes) -> tuple[int, ...]:
         _require_permutation(sigma, self.right_degree)
+        if self.right_degree < 2:  # S_0 and S_1 are trivial
+            return tuple(range(self.dimension))
         # Position k of f . sigma^{-1} reads f at sigma^{-1}(k).
-        preimage = sorted(range(self.right_degree),
-                          key=sigma.__getitem__)
+        preimage = sorted(range(self.right_degree), key=sigma.__getitem__)
         return tuple(map(self.index.__getitem__,
-                         _restrict(self.basis, tuple(preimage))))
+                         map(bytes, map(itemgetter(*preimage), self.basis))))
 
     @cached_property
     def left_generator_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -215,16 +216,6 @@ def _agreeing_rows(module: HomModule, partial_maps) -> dict[int, dict]:
         if row := dict.fromkeys(map(index, map(bytes, product(*alphabet))), 1):
             dod[i] = row
     return dod
-
-
-def _restrict(words: tuple[bytes, ...], positions: tuple[int, ...]):
-    """Each value string of ``words`` read at ``positions``, in order."""
-    if len(positions) > 1:
-        return map(bytes, map(itemgetter(*positions), words))
-    # itemgetter returns an int for one position and refuses none.
-    if positions:
-        return map(itemgetter(slice(positions[0], positions[0] + 1)), words)
-    return repeat(b"", len(words))
 
 
 def _in_level(source_size: int, target_size: int, level: int,
@@ -516,7 +507,6 @@ def coker_action_triviality(target_size: int, low_size: int,
 # -------------------------------------------------- augmentation-kernel power
 
 
-@cache
 def lambda_bar_character(power: int, set_size: int) -> ClassFunction:
     """Character of the exterior power of the coordinate-sum kernel.
 

@@ -1,13 +1,12 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 The public type is :class:`RatMatrix`, an immutable matrix of exact
-rationals, with only the operations the checks use: build (from triplets,
-zeros, identity; ``from_columns`` serves the tests), multiply, select rows,
-read an entry, compare, and eliminate (RREF, rank, kernel basis);
-:func:`solve_membership` certifies membership in a column span.  The 0/1
-operators of ``fsfilt`` (the pairing and the restriction stages) build their
-row dicts themselves and pass them to ``RatMatrix._make``.  All of it is exact; no floating point appears
-anywhere.
+rationals: build (from triplets, zeros, identity), multiply, select rows,
+read an entry, compare, and eliminate (RREF, rank, kernel basis).
+``from_columns`` and :func:`solve_membership` (membership in a column span)
+serve the tests and ``perfbench/tracing.py``; no check calls them.  The 0/1
+operators of ``fsfilt`` pass their row dicts to ``RatMatrix._make``.  All of
+it is exact; no floating point appears anywhere.
 
 A matrix stores its nonzero entries as {row: {col: value}}, a value being an
 ``int`` when integral and a ``fractions.Fraction`` otherwise (constructors
@@ -42,8 +41,10 @@ padded with zero rows to its own row count.  The augmented matrix that
 
 Kernel bases are produced in free-column echelon form: there is a set of
 rows (the "unit rows") on which the basis columns restrict to an identity
-matrix.  Downstream code uses that structure to compute traces of
-group actions restricted to a stable subspace in time linear in the rank.
+matrix.  Unit rows are set by ``identity``, ``zeros`` (empty, with no
+columns) and ``kernel_basis``, and are otherwise ``None``.  Downstream code
+uses that structure to compute traces of group actions restricted to a
+stable subspace in time linear in the rank.
 The checks test membership in a kernel through the operator itself (``v``
 lies in the kernel of ``A`` exactly when ``A @ v`` is zero); the general
 test :func:`solve_membership` reads candidate coefficients off the unit
@@ -213,19 +214,19 @@ class RatMatrix:
 
     @classmethod
     def _make(cls, rows: int, cols: int, dod: dict,
-              unit_rows=False) -> "RatMatrix":
+              unit_rows=None) -> "RatMatrix":
         """The rows x cols matrix whose nonzero rows are dod (not copied)."""
         self = object.__new__(cls)
         self.rows, self.cols, self._dod = rows, cols, dod
         self._rref = None
-        self._unit_rows = unit_rows  # False = not yet detected; None = absent
+        self._unit_rows = unit_rows
         return self
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
-        return cls._make(rows, cols, {})
+        return cls._make(rows, cols, {}, unit_rows=None if cols else ())
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -385,23 +386,8 @@ class RatMatrix:
                                unit_rows=tuple(free))
 
     def unit_rows(self):
-        """Row set on which the columns restrict to an identity, if one exists.
-
-        Returns a tuple J with self[J[k], k] == 1 and row J[k] zero elsewhere,
-        or None when no such rows exist.  Kernel bases carry this structure
-        by construction.
-        """
-        if self._unit_rows is False:
-            found: dict[int, int] = {}
-            for i, row in self._sparse_rows().items():
-                if len(row) == 1:
-                    (j, v), = row.items()
-                    if v == 1 and (j not in found or i < found[j]):
-                        found[j] = i
-            if len(found) == self.cols:
-                self._unit_rows = tuple(found[j] for j in range(self.cols))
-            else:
-                self._unit_rows = None
+        """The tuple J with self[J[k], k] == 1 and row J[k] zero elsewhere,
+        as its maker set it, or None."""
         return self._unit_rows
 
 

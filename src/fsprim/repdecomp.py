@@ -449,8 +449,7 @@ def bidecompose_character(chi: BiClassFunction) -> BiSchurClass:
 def pieri_h(lam: Partition, n: int) -> SchurClass:
     """All partitions adding n boxes to lam, no two in the same column."""
     assert_partition(lam)
-    if n < 0:
-        raise ValueError("the number of added boxes must be nonnegative")
+    n = _degree(n)
     rows = list(lam) + [0]
     found = []
 
@@ -479,8 +478,7 @@ def pieri_e(lam: Partition, t: int) -> SchurClass:
     horizontal strip, transpose back.
     """
     assert_partition(lam)
-    if t < 0:
-        raise ValueError("the number of added boxes must be nonnegative")
+    t = _degree(t)
     return SchurClass((conjugate(mu), c)
                       for mu, c in pieri_h(conjugate(lam), t).terms)
 
@@ -540,6 +538,8 @@ def convolution_class(x: SchurClass, y: SchurClass) -> SchurClass:
     general case uses the induced-character oracle.  The empty partition is
     the unit.
     """
+    if type(x) is not SchurClass or type(y) is not SchurClass:
+        raise ValueError("convolution_class multiplies two SchurClass values")
     acc: dict[Partition, int] = {}
     for lam, cx in x.terms:
         for mu, cy in y.terms:
@@ -550,6 +550,9 @@ def convolution_class(x: SchurClass, y: SchurClass) -> SchurClass:
 
 def biconvolution_right(x: BiSchurClass, y: SchurClass) -> BiSchurClass:
     """Convolution applied in the right (contravariant) coordinate only."""
+    if type(x) is not BiSchurClass or type(y) is not SchurClass:
+        raise ValueError(
+            "biconvolution_right multiplies a BiSchurClass by a SchurClass")
     acc: dict[tuple[Partition, Partition], int] = {}
     for (left, right), cx in x.terms:
         for nu, cy in y.terms:
@@ -565,7 +568,7 @@ def derham_check(n: int) -> bool:
     Checks sum over t of (-1)^t * (n-t) * (1^t) products vanishing, the
     exactness pattern of the algebraic de Rham complex in degree n.
     """
-    if n < 1:
+    if _degree(n) < 1:
         raise ValueError("the de Rham degree must be at least 1")
     total = SchurClass()
     for t in range(n + 1):
@@ -585,8 +588,7 @@ def invert_identity_check(lam, window: int | None = None) -> bool:
     weight 7 while always exercising at least two added degrees.
     """
     w = weight(lam)
-    if window is None:
-        window = max(2, 5 - w)
+    window = max(2, 5 - w) if window is None else _degree(window)
     x = SchurClass({lam: 1})
     total = SchurClass()
     for level in range(window + 1):

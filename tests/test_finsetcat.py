@@ -17,6 +17,7 @@ from fsprim.finsetcat import (
     HomClass,
     compose,
     enumerate_hom,
+    hom_character,
     hom_dimension,
     hom_values,
 )
@@ -188,6 +189,41 @@ def test_dimension_boundary_cells_at_seven():
     # inclusion-exclusion for surjections 7->3
     n = sum((-1) ** j * _choose(3, j) * (3 - j) ** 7 for j in range(4))
     assert hom_dimension(HomClass.SURJECTION, 7, 3) == n == 1806
+
+
+def test_dimension_matches_stirling_and_falling_factorials_through_twelve():
+    # hom_dimension is the closed-form character at the identity pair; the
+    # counts it must give are a! S(b, a) surjections (sympy's Stirling
+    # numbers of the second kind) and a!/(a - b)! injections.
+    from math import factorial, perm
+
+    from sympy.functions.combinatorial.numbers import stirling
+    for b in range(13):
+        for a in range(13):
+            assert hom_dimension(HomClass.SURJECTION, b, a) == \
+                int(stirling(b, a)) * factorial(a), (b, a)
+            assert hom_dimension(HomClass.INJECTION, b, a) == \
+                (perm(a, b) if b <= a else 0), (b, a)
+
+
+def test_hom_functions_refuse_flavors_and_sizes_of_other_types():
+    # A flavor's name is not a flavor: with it, hom_values would list the
+    # surjections and hom_character count the injections.
+    for flavor in ("surjection", "injection", None):
+        for fn in (hom_values, hom_character, hom_dimension, enumerate_hom):
+            with pytest.raises(TypeError):
+                fn(flavor, 3, 2)
+    # Bools and floats are refused, also after the int entry is cached.
+    for fn in (hom_values, hom_character, hom_dimension, enumerate_hom):
+        for flavor in FLAVORS:
+            fn(flavor, 2, 1)
+            fn(flavor, 1, 2)
+            for sizes in ((2, True), (True, 2), (2.0, 1), (1, 2.0)):
+                with pytest.raises(TypeError):
+                    fn(flavor, *sizes)
+    for fn in (hom_values, hom_character, hom_dimension):
+        with pytest.raises(ValueError):
+            fn(HomClass.SURJECTION, -1, 2)
 
 
 def _choose(n, k):

@@ -42,14 +42,15 @@ from fsprim.fsfilt import (HomModule, automorphism_block_check,
                            theta_equivariance_check, theta_kernel_level_check,
                            theta_matrix, theta_rank_report)
 from fsprim.fsfilt import (_difference, _in_level, _reduced_restriction,
-                           _restrict, _restricted_bicharacter, _transpose)
+                           _restricted_bicharacter, _transpose)
 from fsprim.partitions import (class_size, irrep_dimension, partition_index,
                                partitions_of)
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                               InternalConsistencyError, SchurClass,
                               adjacent_transposition, bidecompose_character,
-                              class_representative, decompose_character)
+                              class_representative, decompose_character,
+                              symmetric_generators)
 
 from test_ratlinalg import (dense, entries, image_basis, permute_rows,
                             sparse_columns, sympy_rref, transpose)
@@ -252,6 +253,13 @@ def test_whole_space_characters_build_no_permutation(fresh_character_caches,
         assert coker_theta_decompose(n, n).is_zero(), n
 
 
+def test_modules_refuse_a_flavor_that_is_not_a_hom_class():
+    # By name, the maps were listed as surjections while the character
+    # counted injections: dimension 6 against 0 at the identity.
+    with pytest.raises(TypeError):
+        hom_module("surjection", 3, 2)
+
+
 def test_actions_refuse_maps_that_are_not_permutations_of_their_side():
     mod = hom_module(SURJ, 3, 2)  # left S_2, right S_3
     for act, g in ((mod.right_perm, bytes((2, 1, 3, 4))),  # too long
@@ -292,6 +300,29 @@ def _assert_actions_match_composition(flavor, source, target):
         inv = inverse(as_map(sigma))
         assert mod.right_perm(sigma) == tuple(
             mod.index[bytes(compose(f, inv).values)] for f in maps)
+
+
+def test_right_action_matches_a_local_reorder_through_six():
+    # The right action reorders each value string: position k of
+    # f . sigma^{-1} reads f at sigma^{-1}(k).  Degrees 0 and 1 have only
+    # the identity, which fixes every map.
+    for flavor in (SURJ, INJ):
+        for b in range(7):
+            for a in range(7):
+                mod = hom_module(flavor, b, a)
+                sigmas = ([class_representative(mu) for mu in partitions_of(b)]
+                          + list(symmetric_generators(b)))
+                for sigma in sigmas:
+                    inverse = {v - 1: k for k, v in enumerate(sigma)}
+                    assert mod.right_perm(sigma) == tuple(
+                        mod.index[bytes(f[inverse[k]] for k in range(b))]
+                        for f in mod.basis), (flavor, b, a, sigma)
+    for flavor, b, a in ((SURJ, 0, 0), (INJ, 0, 3), (SURJ, 1, 1),
+                         (INJ, 1, 4)):
+        mod = hom_module(flavor, b, a)
+        assert mod.right_perm(bytes(range(1, b + 1))) == \
+            tuple(range(mod.dimension))
+        assert mod.dimension and mod.right_generator_perms == ()
 
 
 def test_tuple_actions_match_the_composition_reference():
@@ -445,7 +476,8 @@ def reduced_restriction_by_columns(source_size, target_size,
     def triplets():
         for blk, subset in enumerate(subsets):
             base = blk * small.dimension
-            restricted = map(small.index.get, _restrict(big.basis, subset))
+            restricted = (small.index.get(bytes(w[p] for p in subset))
+                          for w in big.basis)
             for col, row in enumerate(restricted):
                 if row is not None:
                     yield base + row, col, 1
@@ -1354,10 +1386,12 @@ def _level_basis_on_other_unit_rows():
     rows = entries(filtration_level(4, 2, 1))
     unit = (0, 1, 3, 6, 8)
     change = Matrix([list(rows[i]) for i in unit]).inv()
-    basis = dense([[Fraction(int(x.p), int(x.q))
-                    for x in (Matrix([list(r)]) * change)]
-                   for r in rows])
-    assert basis.unit_rows() == unit
+    changed = dense([[Fraction(int(x.p), int(x.q))
+                      for x in (Matrix([list(r)]) * change)]
+                     for r in rows])
+    basis = RatMatrix._make(changed.rows, changed.cols,
+                            changed._sparse_rows(), unit_rows=unit)
+    assert basis.select_rows(unit) == RatMatrix.identity(len(unit))
     return basis, unit
 
 

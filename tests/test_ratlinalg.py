@@ -217,9 +217,11 @@ def image_basis(matrix):
     are unit rows of the result.
     """
     red_t, pivots_t = transpose(matrix).rref()
-    basis = RatMatrix.from_columns(matrix.rows,
-                                   entries(red_t)[:len(pivots_t)])
-    assert basis.unit_rows() == pivots_t
+    columns = RatMatrix.from_columns(matrix.rows,
+                                     entries(red_t)[:len(pivots_t)])
+    basis = RatMatrix._make(columns.rows, columns.cols,
+                            columns._sparse_rows(), unit_rows=pivots_t)
+    assert basis.select_rows(pivots_t) == RatMatrix.identity(len(pivots_t))
     return basis
 
 
@@ -517,11 +519,22 @@ def test_add_sub_scale():
         (Fraction(1, 2), Fraction(1)), (Fraction(3, 2), Fraction(2)))
 
 
-def test_unit_rows_detection():
-    assert dense([[0, 1], [1, 0], [2, 3]]).unit_rows() == (1, 0)
-    assert dense([[1, 1], [0, 1]]).unit_rows() is None
-    assert dense([[2, 0], [0, 1]]).unit_rows() is None
+def test_unit_rows_are_set_only_where_a_basis_is_made():
+    # Nothing searches for unit rows: a matrix whose rows hold an identity
+    # has none unless its maker set them.
+    A = dense([[0, 1], [1, 0], [2, 3]])
+    unset = [A, RatMatrix.from_triplets(2, 2, [(0, 0, 1), (1, 1, 1)]),
+             RatMatrix.identity(2) @ RatMatrix.identity(2),
+             RatMatrix.identity(3).select_rows((0, 1, 2)),
+             RatMatrix.from_columns(2, []), RatMatrix.zeros(2, 3)]
+    for M in unset:
+        assert M.unit_rows() is None, M
     assert RatMatrix.identity(3).unit_rows() == (0, 1, 2)
+    assert RatMatrix.identity(0).unit_rows() == ()
+    assert RatMatrix.zeros(4, 0).unit_rows() == ()
+    assert RatMatrix.zeros(0, 0).unit_rows() == ()
+    assert dense([[1, 1, 1]]).kernel_basis().unit_rows() == (1, 2)
+    assert dense([[1, 0], [0, 1]]).kernel_basis().unit_rows() == ()
 
 
 def test_every_operation_keeps_the_sparse_format():

@@ -703,6 +703,17 @@ def test_biconvolution_right_examples():
     assert y == BiSchurClass({((2, 1), (3,)): 1, ((2, 1), (2, 1)): 1})
 
 
+def test_class_products_refuse_the_wrong_kinds_of_class():
+    x = SchurClass({(1,): 1})
+    xx = BiSchurClass({((1,), (1,)): 1})
+    for left, right in ((xx, x), (x, xx), (xx, xx), ({(1,): 1}, x)):
+        with pytest.raises(ValueError, match="SchurClass"):
+            convolution_class(left, right)
+    for left, right in ((x, x), (xx, xx), (x, xx), (xx, {(1,): 1})):
+        with pytest.raises(ValueError, match="BiSchurClass by a SchurClass"):
+            biconvolution_right(left, right)
+
+
 # ------------------------------------------------------------------ de rham
 
 
@@ -729,6 +740,28 @@ def test_inversion_identity_expands_then_cancels():
     assert invert_identity_check((2, 1), window=0)
     assert invert_identity_check((2, 1), window=1)
     assert invert_identity_check((), window=4)
+
+
+def test_counts_of_the_class_checks_are_ints_and_nonnegative():
+    # A bad window is refused, not reported as a failed identity, and a bool
+    # is not taken for 1.
+    for bad, error in ((-1, ValueError), (True, TypeError),
+                       (1.0, TypeError)):
+        with pytest.raises(error):
+            invert_identity_check((2, 1), bad)
+        with pytest.raises(error):
+            pieri_e((1,), bad)
+        with pytest.raises(error):
+            pieri_h((1,), bad)
+    with pytest.raises(TypeError):
+        invert_identity_check((1,), True)
+    for bad in (True, 2.0, None):
+        with pytest.raises(TypeError):
+            derham_check(bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        derham_check(-1)
+    with pytest.raises(ValueError, match="at least 1"):
+        derham_check(0)
 
 
 def test_class_function_validation():

@@ -236,7 +236,7 @@ def test_contracts_hold_under_optimize():
     code = """
 from fractions import Fraction
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
-                              hom_dimension, hom_values)
+                              hom_character, hom_dimension, hom_values)
 from fsprim.fsfilt import (_reduced_restriction, closure_check,
                            coker_action_triviality, coker_theta_decompose,
                            filtration_level, hom_module,
@@ -248,8 +248,10 @@ from fsprim.partitions import assert_partition, partitions_of
 from fsprim.ratlinalg import RatMatrix, solve_membership
 from fsprim.repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
                               SchurClass, adjacent_transposition,
-                              derham_check, mn_character,
-                              pieri_e, pieri_h, sign_class, trivial_class)
+                              biconvolution_right, convolution_class,
+                              derham_check, invert_identity_check,
+                              mn_character, pieri_e, pieri_h, sign_class,
+                              trivial_class)
 from fsprim.verify import (CheckReport, collect_reports, dimension_table,
                            kring_fs_check, primfs_formula,
                            render_dimension_csv, run_check,
@@ -307,6 +309,11 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: BiSchurClass({((2,), (0,)): 1}),
              lambda: pieri_h((1,), -1), lambda: pieri_e((1,), -1),
              lambda: derham_check(0),
+             lambda: invert_identity_check((2, 1), -1),
+             lambda: convolution_class(BiSchurClass({((1,), (1,)): 1}),
+                                       SchurClass({(1,): 1})),
+             lambda: biconvolution_right(SchurClass({(1,): 1}),
+                                         SchurClass({(1,): 1})),
              lambda: assert_partition([1]), lambda: assert_partition((0,)),
              lambda: assert_partition((1, 2))):
     try:
@@ -329,7 +336,12 @@ for call in (lambda: RatMatrix.from_triplets(1, 1, [(0, 0, 0.5)]),
              lambda: M.right_perm((2, 3, 1)),
              lambda: SchurClass({(1,): True}),
              lambda: ClassFunction(2, (True, 0)),
-             lambda: RatMatrix.from_triplets(1, 1, [(0, 0, True)])):
+             lambda: RatMatrix.from_triplets(1, 1, [(0, 0, True)]),
+             lambda: hom_values("surjection", 3, 2),
+             lambda: hom_character(HomClass.INJECTION, 2, True),
+             lambda: hom_dimension(HomClass.SURJECTION, 2.0, 1),
+             lambda: derham_check(True), lambda: pieri_e((1,), True),
+             lambda: invert_identity_check((1,), True)):
     try:
         call()
     except TypeError:
