@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, product, repeat
 from math import comb
 from operator import itemgetter
@@ -48,7 +48,7 @@ from .finsetcat import HomClass, hom_character, hom_dimension, hom_values
 from .partitions import partitions_of
 from .ratlinalg import RatMatrix, _Echelon
 from .repdecomp import (BiClassFunction, BiSchurClass, ClassFunction,
-                        SchurClass, bidecompose_character, boxtimes,
+                        SchurClass, _degree, bidecompose_character, boxtimes,
                         class_representative, convolution_class,
                         biconvolution_right, sign_class,
                         symmetric_generators, trivial_class)
@@ -163,7 +163,8 @@ def _require_permutation(g: bytes, degree: int) -> None:
         raise ValueError(f"need a permutation of degree {degree}: {g!r}")
 
 
-@cache
+# Typed, like every cache here: 3.0 and True miss the entries of 3 and 1.
+@lru_cache(maxsize=None, typed=True)
 def hom_module(flavor: HomClass, source_size: int, target_size: int) -> HomModule:
     """Span of maps source -> target of the given flavor, with both actions."""
     return HomModule(flavor, source_size, target_size)
@@ -172,7 +173,17 @@ def hom_module(flavor: HomClass, source_size: int, target_size: int) -> HomModul
 # ------------------------------------------------------- restriction operators
 
 
-@cache
+def _level(t) -> int:
+    """t, if it is an int of at least -1: TypeError for any other type (a
+    float or a bool), ValueError below -1."""
+    if type(t) is not int:
+        raise TypeError(f"level must be an int: {t!r}")
+    if t < -1:
+        raise ValueError("the level must be at least -1")
+    return t
+
+
+@lru_cache(maxsize=None, typed=True)
 def _reduced_restriction(source_size: int, target_size: int,
                          restricted_size: int) -> RatMatrix:
     """Restriction blocks along increasing injections only; same kernel.
@@ -233,7 +244,7 @@ def _in_level(source_size: int, target_size: int, level: int,
     return (_reduced_restriction(b, a, b - t - 1) @ matrix).is_zero()
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def filtration_level(source_size: int, target_size: int,
                      level: int) -> RatMatrix:
     """Canonical basis of filtration level ``t`` inside surjections b -> a.
@@ -243,9 +254,7 @@ def filtration_level(source_size: int, target_size: int,
     restricts to the identity on its ``unit_rows``.  Level -1 is zero and
     levels >= b - a are the whole span.
     """
-    b, a, t = source_size, target_size, level
-    if b < 0 or a < 0 or t < -1:
-        raise ValueError("sizes must be nonnegative and the level at least -1")
+    b, a, t = source_size, target_size, _level(level)
     dim = hom_dimension(_SURJ, b, a)
     if t <= -1:
         return RatMatrix.zeros(dim, 0)
@@ -299,7 +308,7 @@ def _restricted_bicharacter(module: HomModule,
     return BiClassFunction(module.left_degree, module.right_degree, values)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def level_bicharacter(source_size: int, target_size: int,
                       level: int) -> BiClassFunction:
     """Exact joint character of a filtration level.
@@ -307,21 +316,21 @@ def level_bicharacter(source_size: int, target_size: int,
     A level at or above ``source_size - target_size`` is the whole span, with
     the closed-form character; a proper level is read by restricted traces.
     """
-    b, a, t = source_size, target_size, level
+    b, a, t = source_size, target_size, _level(level)
     module = hom_module(_SURJ, b, a)
     if t >= b - a:
         return module.bicharacter()
     return _restricted_bicharacter(module, filtration_level(b, a, t))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def primitives_bidecompose(source_size: int, target_size: int) -> BiSchurClass:
     """Exact bimodule decomposition of the primitive (level 0) subspace."""
     return bidecompose_character(
         level_bicharacter(source_size, target_size, 0))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def full_fs_bidecompose(source_size: int, target_size: int) -> BiSchurClass:
     """Exact bimodule decomposition of the whole surjection span."""
     return bidecompose_character(
@@ -342,7 +351,7 @@ def _transpose(chi: BiClassFunction) -> BiClassFunction:
                            tuple(zip(*chi.values)))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def subquotient_decompose(level: int, source_size: int,
                           target_size: int) -> BiSchurClass:
     """Exact decomposition of filtration level ``level`` modulo level-1.
@@ -351,9 +360,7 @@ def subquotient_decompose(level: int, source_size: int,
     identifies the quotient bimodule exactly in characteristic zero.  Zero
     whenever ``level`` exceeds ``source_size - target_size``.
     """
-    b, a, ell = source_size, target_size, level
-    if ell < 0:
-        raise ValueError("subquotient level must be nonnegative")
+    b, a, ell = source_size, target_size, _degree(level)
     return bidecompose_character(_difference(level_bicharacter(b, a, ell),
                                              level_bicharacter(b, a, ell - 1)))
 
@@ -361,7 +368,7 @@ def subquotient_decompose(level: int, source_size: int,
 # ------------------------------------------------------- section-sum pairing
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def theta_matrix(target_size: int, source_size: int) -> RatMatrix:
     """Section-sum pairing matrix from surjections into injection functionals.
 
@@ -451,7 +458,7 @@ def sign_hook_class(target_size: int, source_size: int) -> BiSchurClass:
     return boxtimes(sign_class(a), SchurClass({(b - a,) + (1,) * a: 1}))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def coker_theta_decompose(target_size: int, source_size: int) -> BiSchurClass:
     """Exact decomposition of the pairing's cokernel bimodule.
 
@@ -524,9 +531,7 @@ def lambda_bar_character(power: int, set_size: int) -> ClassFunction:
     identity this is binomial(b - 1, t); it vanishes for t >= b.  Set size 0
     is the zero space of S_0, and power 0 is the trivial character.
     """
-    t, b = power, set_size
-    if t < 0 or b < 0:
-        raise ValueError("power and set size must be nonnegative")
+    t, b = _degree(power), _degree(set_size)
     if b == 0:
         return ClassFunction(0, (0,))
     values = []
@@ -580,7 +585,7 @@ def automorphism_block_check(set_size: int) -> bool:
 # ------------------------------------------------------------------ closure
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _module_generator_columns(source_size: int, target_size: int,
                               side: str) -> tuple[dict[int, object], ...]:
     """Basis columns generating the primitive level under one side's action.
@@ -734,6 +739,7 @@ def primfs_identity_check(source_size: int, target_size: int) -> IdentityCheck:
     [primitives(b,a)] plus the signed sign-pair correction (-1)^{b-a}
     [sgn_a x sgn_b] for b > a equals the alternating sum over t of
     [surjections(b-t,a)] convolved on the right with the sign class of t.
+    The sum runs over t <= b - a: a smaller source has no surjections.
     """
     b, a = source_size, target_size
     lhs = primitives_bidecompose(b, a)
@@ -741,11 +747,9 @@ def primfs_identity_check(source_size: int, target_size: int) -> IdentityCheck:
         lhs = lhs + boxtimes(sign_class(a), sign_class(b)).scale(
             (-1) ** (b - a))
     rhs = BiSchurClass()
-    for t in range(0, b + 1):
-        block = full_fs_bidecompose(b - t, a)
-        if block.is_zero():
-            continue
-        rhs = rhs + biconvolution_right(block, sign_class(t)).scale((-1) ** t)
+    for t in range(b - a + 1):
+        rhs = rhs + biconvolution_right(full_fs_bidecompose(b - t, a),
+                                        sign_class(t)).scale((-1) ** t)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 
@@ -754,15 +758,13 @@ def kring_identity_check(source_size: int, target_size: int) -> IdentityCheck:
 
     The sum over layers of [primitives(b-l,a)] convolved with the trivial
     class of l equals [surjections(b,a)] plus the sign-hook class exactly
-    when b > a.
+    when b > a.  The sum runs over l <= b - a: no smaller source is onto a.
     """
     b, a = source_size, target_size
     lhs = BiSchurClass()
-    for ell in range(0, b + 1):
-        block = primitives_bidecompose(b - ell, a)
-        if block.is_zero():
-            continue
-        lhs = lhs + biconvolution_right(block, trivial_class(ell))
+    for ell in range(b - a + 1):
+        lhs = lhs + biconvolution_right(primitives_bidecompose(b - ell, a),
+                                        trivial_class(ell))
     rhs = full_fs_bidecompose(b, a)
     if b > a:
         rhs = rhs + sign_hook_class(a, b)
@@ -776,19 +778,17 @@ def subquotient_identity_check(level: int, source_size: int,
     The directly computed subquotient equals the alternating sum over t of
     [surjections(b-l-t,a)] convolved with (trivial_l * sign_t), minus the
     signed sign-pair correction when b - l > a, minus the sign-hook term
-    exactly at b = a + l.
+    exactly at b = a + l.  The sum runs over t <= b - l - a, as above.
     """
     ell, b, a = level, source_size, target_size
     if ell < 1:
         raise ValueError("subquotient identity needs level >= 1")
     lhs = subquotient_decompose(ell, b, a)
     rhs = BiSchurClass()
-    for t in range(0, b - ell + 1):
-        block = full_fs_bidecompose(b - ell - t, a)
-        if block.is_zero():
-            continue
+    for t in range(b - ell - a + 1):
         mixer = convolution_class(trivial_class(ell), sign_class(t))
-        rhs = rhs + biconvolution_right(block, mixer).scale((-1) ** t)
+        rhs = rhs + biconvolution_right(full_fs_bidecompose(b - ell - t, a),
+                                        mixer).scale((-1) ** t)
     if b - ell > a:
         pair = boxtimes(sign_class(a), sign_class(b - ell))
         rhs = rhs - biconvolution_right(pair, trivial_class(ell)).scale(

@@ -15,7 +15,7 @@ empty partition.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -38,7 +38,7 @@ def weight(parts: Partition) -> int:
     return sum(parts)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, each exactly once, in the canonical order.
 
@@ -47,6 +47,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     lexicographically with larger leading parts first.  For example
     partitions_of(3) == ((3,), (2, 1), (1, 1, 1)).
     """
+    if type(n) is not int:  # a bool or a float, which the cache keeps apart
+        raise TypeError(f"can only partition an int: {n!r}")
     if n < 0:
         raise ValueError("cannot partition a negative number")
 

@@ -15,22 +15,21 @@ integral Fraction, which compares and hashes like its int).  Floats are
 refused.  Every operation, the product included, reads and builds these
 row dicts directly.
 
-Elimination is exact Gauss--Jordan over Python integers
-(:func:`_gauss_jordan`).  Each row is scaled by the lcm of its denominators,
-which keeps the row space, and the rows are fed one at a time to an
-incremental reduced echelon form (:class:`_Echelon`), the one elimination
-loop of the package: it runs on ints and divides only at a pivot other than
-1 or -1, whose row becomes Fractions, and it stores an integral value as an
-int.  The closure generator search in ``fsfilt`` feeds the coordinates of
-its orbit vectors to the same class.  Nothing is rounded, and reduced row echelon form is unique,
-so the result is the matrix sympy's Gauss--Jordan over QQ gives, in any row
-order, at a fraction of the cost: the operators this package builds are
-integer matrices whose RREF entries are small integers, and Python ints skip
-the gcd that every rational operation pays.  On theta(4, 7) the RREF takes
-0.58 s against 2.9 s over QQ (sympy 1.14 with pure-Python QQ, one core of a
-2-core x86-64 host).  Every derived object (kernel basis, solution
-coefficients) is canonical and deterministic whichever exact method computes
-it.
+Elimination is exact Gauss--Jordan (:func:`_gauss_jordan`): the rows are
+fed as they are, one at a time, to an incremental reduced echelon form
+(:class:`_Echelon`), the one elimination loop of the package.  On the 0/1
+operators the package eliminates it runs on ints, divides only at a pivot
+other than 1 or -1, whose row becomes Fractions, and stores an integral
+value as an int.  The closure generator search in ``fsfilt`` feeds the
+coordinates of its orbit vectors to the same class.  Nothing is rounded,
+and reduced row echelon form is unique, so the result is the matrix
+sympy's Gauss--Jordan over QQ gives, in any row order, at a fraction of
+the cost: the operators this package builds are integer matrices whose
+RREF entries are small integers, and Python ints skip the gcd that every
+rational operation pays.  On theta(4, 7) the RREF takes 0.58 s against
+2.9 s over QQ (sympy 1.14 with pure-Python QQ, one core of a 2-core x86-64
+host).  Every derived object (kernel basis, solution coefficients) is
+canonical and deterministic whichever exact method computes it.
 
 Matrices with the same set of nonzero rows span the same row space and so
 have the same nonzero RREF rows and pivots.  Results are therefore shared by
@@ -47,14 +46,13 @@ uses that structure to compute traces of group actions restricted to a
 stable subspace in time linear in the rank.
 The checks test membership in a kernel through the operator itself (``v``
 lies in the kernel of ``A`` exactly when ``A @ v`` is zero); the general
-test :func:`solve_membership` reads candidate coefficients off the unit
-rows and certifies them by one exact multiplication.
+test :func:`solve_membership` eliminates the augmented matrix
+``[span | vector]``.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
 
 _ZERO = Fraction(0)
 
@@ -68,12 +66,6 @@ def _exact(x):
         raise TypeError(f"not an exact rational: {x!r}")
     f = x if isinstance(x, Fraction) else Fraction(x)
     return f.numerator if f.denominator == 1 else f
-
-
-def _clear_denominators(row: dict) -> dict:
-    """d * row, all ints, for the lcm d of the row's denominators."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
 
 
 class _Echelon:
@@ -176,15 +168,12 @@ class _Echelon:
 def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:
     """Nonzero RREF rows {row: {col: int or Fraction}} and pivot columns.
 
-    Each nonzero row is first multiplied by the lcm of its denominators, a
-    nonzero scalar that keeps the row space, so the elimination runs in
-    Python ints until a pivot other than 1 or -1 makes its row Fractions.
-    The rows are then fed to an :class:`_Echelon` by descending first
-    nonzero column, the order of sympy's ``sdm_irref``.  ``sparse_rows``, a
-    {row: {col: value}} mapping, and its row dicts are not modified.
+    The nonzero rows are fed as they are to an :class:`_Echelon` by
+    descending first nonzero column, the order of sympy's ``sdm_irref``.
+    ``sparse_rows``, a {row: {col: value}} mapping, and its row dicts are
+    not modified: :meth:`_Echelon.reduce` builds a new dict.
     """
-    rows = [_clear_denominators(row) for row in sparse_rows.values() if row]
-    rows.sort(key=min)
+    rows = sorted(filter(None, sparse_rows.values()), key=min)
     echelon = _Echelon()
     while rows:
         if remainder := echelon.reduce(rows.pop()):
@@ -343,18 +332,15 @@ class RatMatrix:
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns (both canonical)."""
         if self._rref is None:
-            if self.rows == 0 or self.cols == 0:
-                self._rref = (self, ())
-            else:
-                sparse = self._sparse_rows()
-                key = (self.cols, frozenset(
-                    frozenset(row.items()) for row in sparse.values() if row))
-                shared = _RREF_BY_ROWS.get(key)
-                if shared is None:
-                    shared = _RREF_BY_ROWS[key] = _gauss_jordan(sparse)
-                nonzero, pivots = shared
-                self._rref = (RatMatrix._make(self.rows, self.cols, nonzero),
-                              pivots)
+            sparse = self._sparse_rows()
+            key = (self.cols, frozenset(
+                frozenset(row.items()) for row in sparse.values() if row))
+            shared = _RREF_BY_ROWS.get(key)
+            if shared is None:
+                shared = _RREF_BY_ROWS[key] = _gauss_jordan(sparse)
+            nonzero, pivots = shared
+            self._rref = (RatMatrix._make(self.rows, self.cols, nonzero),
+                          pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -404,16 +390,9 @@ def solve_membership(span: RatMatrix, vector):
         raise ValueError(f"dimension mismatch: vector of length "
                          f"{len(vector)} against {span.rows} rows")
     target = {i: q for i, x in enumerate(vector) if (q := _exact(x))}
-    sparse = span._sparse_rows()
-    unit = span.unit_rows()
-    if unit is not None:
-        coeffs = [target.get(i, 0) for i in unit]
-        image = {i: v for i, row in sparse.items()
-                 if (v := sum(x * coeffs[j] for j, x in row.items()))}
-        return tuple(map(Fraction, coeffs)) if image == target else None
     # The augmented rows [span | vector].  A one-off elimination: sharing it
     # would keep one entry per vector.
-    augmented = {i: dict(row) for i, row in sparse.items()}
+    augmented = {i: dict(row) for i, row in span._sparse_rows().items()}
     for i, x in target.items():
         augmented.setdefault(i, {})[span.cols] = x
     red_rows, pivots = _gauss_jordan(augmented)

@@ -126,7 +126,7 @@ def _mn_character(lam: Partition, mu: CycleType) -> int:
     return total
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Row per irreducible, column per class, both in canonical partition order."""
     parts = partitions_of(n)

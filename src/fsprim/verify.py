@@ -376,11 +376,9 @@ def _check_theta_injectivity(bound: int) -> CheckReport:
             report = theta_rank_report(a, b)
             if report["kernel_dimension"] or not report[
                     "kernel_is_filtration_level"]:
-                computed_cells.append(
-                    {"target_size": a, "source_size": b,
-                     "kernel_dimension": report["kernel_dimension"],
-                     "kernel_is_filtration_level":
-                         report["kernel_is_filtration_level"]})
+                computed_cells.append({key: report[key] for key in (
+                    "target_size", "source_size", "kernel_dimension",
+                    "kernel_is_filtration_level")})
         status = "pass" if computed_cells == expected_cells else "fail"
         return status, _serialize(expected_cells), _serialize(computed_cells)
     return _timed("theta_injectivity", {"bound": bound}, run)
@@ -554,15 +552,10 @@ def dimension_table(bound: int) -> tuple[list[str], list[list[int]]]:
     _require_nonnegative(bound)
     header = ["source_size", "target_size", "dim_full", "dim_primitive"]
     header += [f"dim_level_{t}" for t in range(1, bound + 1)]
-    rows = []
-    for b in range(bound + 1):
-        for a in range(b + 1):
-            row = [b, a,
-                   hom_dimension(HomClass.SURJECTION, b, a),
-                   primitives(b, a).cols]
-            row += [filtration_level(b, a, t).cols
-                    for t in range(1, bound + 1)]
-            rows.append(row)
+    rows = [[b, a, hom_dimension(HomClass.SURJECTION, b, a),
+             primitives(b, a).cols]
+            + [filtration_level(b, a, t).cols for t in range(1, bound + 1)]
+            for b, a in _cells(bound)]
     return header, rows
 
 

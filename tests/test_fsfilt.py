@@ -260,6 +260,37 @@ def test_modules_refuse_a_flavor_that_is_not_a_hom_class():
         hom_module("surjection", 3, 2)
 
 
+def test_sizes_levels_and_powers_that_are_not_ints_are_refused():
+    # functools.cache keys 3.0 and True like 3 and 1: each call was accepted
+    # once its int twin was cached, or outright when it never reached a
+    # size check.
+    from fsprim.repdecomp import character_table
+    calls = [
+        (full_fs_bidecompose, (3.0, 2), (3, 2)),
+        (filtration_level, (3.0, 2, 0), (3, 2, 0)),
+        (filtration_level, (3, 2, True), (3, 2, 1)),
+        (filtration_level, (3, 2, 0.0), (3, 2, 0)),
+        (theta_matrix, (2.0, 3), (2, 3)),
+        (primitives_bidecompose, (3.0, 2), (3, 2)),
+        (coker_theta_decompose, (2, 3.0), (2, 3)),
+        (hom_module, (SURJ, 3.0, 2), (SURJ, 3, 2)),
+        (level_bicharacter, (3, 2, True), (3, 2, 1)),
+        (subquotient_decompose, (True, 3, 2), (1, 3, 2)),
+        (lambda_bar_character, (True, 3), (1, 3)),
+        (partitions_of, (True,), (1,)),
+        (character_table, (True,), (1,)),
+    ]
+    for fn, bad, good in calls:
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+        for _ in "before", "after":
+            with pytest.raises(TypeError):
+                fn(*bad)
+            fn(*good)
+    # Level -1 is the zero level, and stays valid.
+    assert filtration_level(3, 2, -1).cols == 0
+
+
 def test_actions_refuse_maps_that_are_not_permutations_of_their_side():
     mod = hom_module(SURJ, 3, 2)  # left S_2, right S_3
     for act, g in ((mod.right_perm, bytes((2, 1, 3, 4))),  # too long
@@ -1511,6 +1542,29 @@ def test_full_class_identity_per_cell():
     for b in range(5):
         for a in range(b + 1):
             assert kring_identity_check(b, a).ok, (b, a)
+
+
+def test_the_identity_sums_ask_for_no_block_from_a_smaller_source(
+        monkeypatch):
+    # Surj(s, a) is empty for s < a, so such a block adds nothing.
+    import fsprim.fsfilt as fsfilt
+
+    def refusing(fn):
+        def guarded(source_size, target_size):
+            if source_size < target_size:
+                raise AssertionError(f"block ({source_size}, {target_size})")
+            return fn(source_size, target_size)
+        return guarded
+
+    for name in ("full_fs_bidecompose", "primitives_bidecompose"):
+        monkeypatch.setattr(fsfilt, name, refusing(getattr(fsfilt, name)))
+    for b in range(7):
+        for a in range(b + 1):
+            assert primfs_identity_check(b, a).ok, (b, a)
+            assert kring_identity_check(b, a).ok, (b, a)
+            for level in range(1, 7):
+                assert subquotient_identity_check(level, b, a).ok, \
+                    (level, b, a)
 
 
 def test_subquotient_class_identity_per_cell():
