@@ -275,7 +275,8 @@ def _restricted_bicharacter(module: HomModule,
                             basis: RatMatrix) -> BiClassFunction:
     """Joint character of both actions restricted to an invariant subspace.
 
-    ``basis`` must have unit rows J (it restricts to the identity there).
+    ``basis`` must have unit rows J (it restricts to the identity there);
+    a basis without them is refused with ``ValueError``.
     For the operator P sending basis vector i to p(i), the restricted trace
     of P is sum_k basis[p^{-1}(J_k), k], and the same sum over p(J_k) is the
     restricted trace of P^{-1}; this reads the latter, with no inverse to
@@ -291,7 +292,8 @@ def _restricted_bicharacter(module: HomModule,
             (0,) * len(partitions_of(module.right_degree))
             for _ in partitions_of(module.left_degree)))
     unit = basis.unit_rows()
-    assert unit is not None, "restricted traces need a unit-row basis"
+    if unit is None:
+        raise ValueError("restricted traces need a basis with unit rows")
     sparse = basis._sparse_rows()
     left_reps, right_reps = module.class_perms
 
@@ -596,13 +598,15 @@ def _module_generator_columns(source_size: int, target_size: int,
     relabels the vector's keys; the level is action-stable, so the image
     is in the level again.  K restricts to an identity on its unit rows, so
     a level vector's coordinates are its entries there, and those are what
-    one exact reduced echelon form (``ratlinalg._Echelon``) receives.  The
-    column set grows greedily: each chosen column's orbit is fed to the
-    echelon vector by vector.  A unit coordinate vector lies in the span
-    exactly when its coordinate is a pivot whose stored row has a single
-    entry, so the next column is the first that is not such a pivot.  The
-    search stops as soon as the span is the whole level.  Columns are
-    returned as exact sparse {row: int or Fraction} vectors of K.
+    one exact echelon (``ratlinalg._Echelon``) receives.  The column set
+    grows greedily: each chosen column's orbit is fed to the echelon vector
+    by vector, and the echelon back-substitutes (``finish``) once before
+    each pick, so its rows are then the reduced echelon form of the span.
+    A unit coordinate vector lies in the span exactly when its coordinate
+    is a pivot whose reduced row has a single entry, so the next column is
+    the first that is not such a pivot.  The search stops as soon as the
+    span is the whole level.  Columns are returned as exact sparse {row:
+    int or Fraction} vectors of K.
 
     The columns do not depend on the generating set or on the order the
     vectors arrive in.  Every vector that enlarges the span has its
@@ -627,6 +631,7 @@ def _module_generator_columns(source_size: int, target_size: int,
     echelon = _Echelon()
     chosen: list[int] = []
     while len(echelon.rows) < dim:
+        echelon.finish()
         candidate = next(j for j in range(dim) if j not in echelon.reduced)
         chosen.append(candidate)
         queue = deque([columns[candidate]])

@@ -15,28 +15,37 @@ integral Fraction, which compares and hashes like its int).  Floats are
 refused.  Every operation, the product included, reads and builds these
 row dicts directly.
 
-Elimination is exact Gauss--Jordan (:func:`_gauss_jordan`): the rows are
-fed as they are, one at a time, to an incremental reduced echelon form
-(:class:`_Echelon`), the one elimination loop of the package.  On the 0/1
-operators the package eliminates it runs on ints, divides only at a pivot
-other than 1 or -1, whose row becomes Fractions, and stores an integral
-value as an int.  The closure generator search in ``fsfilt`` feeds the
-coordinates of its orbit vectors to the same class.  Nothing is rounded,
-and reduced row echelon form is unique, so the result is the matrix
-sympy's Gauss--Jordan over QQ gives, in any row order, at a fraction of
-the cost: the operators this package builds are integer matrices whose
-RREF entries are small integers, and Python ints skip the gcd that every
-rational operation pays.  On theta(4, 7) the RREF takes 0.58 s against
-2.9 s over QQ (sympy 1.14 with pure-Python QQ, one core of a 2-core x86-64
-host).  Every derived object (kernel basis, solution coefficients) is
-canonical and deterministic whichever exact method computes it.
+Elimination is exact Gauss--Jordan (:func:`_gauss_jordan`) through one
+incremental echelon (:class:`_Echelon`), the one elimination loop of the
+package.  Rows are fed forward: each new row is cleared of the stored
+pivots and stored under its least column, scaled to pivot 1, with no other
+row touched.  :meth:`_Echelon.finish` back-substitutes on demand, and the
+stored rows are then the reduced row echelon form.  ``_gauss_jordan`` feeds
+every row, by descending first column, and finishes once; the closure
+generator search in ``fsfilt`` feeds the coordinates of its orbit vectors
+and finishes before each pick.  On the 0/1 operators the package eliminates
+the loop runs on ints, divides only at a pivot other than 1 or -1, whose
+row becomes Fractions, and stores an integral value as an int.  Nothing is
+rounded, and reduced row echelon form is unique, so the result is the
+matrix sympy's Gauss--Jordan over QQ gives, in any row order, at a
+fraction of the cost: the operators this package builds are integer
+matrices whose RREF entries are small integers, and Python ints skip the
+gcd that every rational operation pays.  On theta(4, 7), 840 x 8400, the
+RREF takes 0.25 s against 1.8 s over QQ (sympy 1.14 with pure-Python QQ,
+one core of a 2-core x86-64 host).  Every derived object (kernel basis,
+solution coefficients) is canonical and deterministic whichever exact
+method computes it.
 
 Matrices with the same set of nonzero rows span the same row space and so
-have the same nonzero RREF rows and pivots.  Results are therefore shared by
-row content: a matrix whose row set was already eliminated (for example a
-row permutation of it, or a copy with repeated rows) reuses that result,
-padded with zero rows to its own row count.  The augmented matrix that
-:func:`solve_membership` eliminates is a one-off and is not kept.
+have the same nonzero RREF rows and pivots, and the same kernel basis.
+Results are therefore shared by row content: a matrix whose row set was
+already eliminated (for example a row permutation of it, or a copy with
+repeated rows) reuses that elimination, padded with zero rows to its own
+row count, and the kernel basis computed from it.  The shared table is
+keyed by the column count and a hash of the row set; the first matrix's
+own row dicts are kept as the witness, and a hit is compared with them
+exactly.  The augmented matrix that :func:`solve_membership` eliminates is
+a one-off and is not kept.
 
 Kernel bases are produced in free-column echelon form: there is a set of
 rows (the "unit rows") on which the basis columns restrict to an identity
@@ -51,8 +60,8 @@ test :func:`solve_membership` eliminates the augmented matrix
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 _ZERO = Fraction(0)
 
@@ -69,51 +78,60 @@ def _exact(x):
 
 
 class _Echelon:
-    """The reduced row echelon form of the rows stored so far, kept sparse.
+    """A sparse row echelon form of the rows fed so far, reduced on demand.
 
-    ``rows`` maps each pivot column to its row {col: int or Fraction}, whose
-    pivot entry is 1 and which is zero on every other pivot.  A row is added
-    in two steps: :meth:`reduce` clears the stored pivots from it, and
-    :meth:`store` makes a nonzero remainder's least column a new pivot and
-    clears that column from the stored rows that hold it.
+    ``rows`` maps each pivot column to its row {col: int or Fraction}: the
+    pivot is the row's least column, with entry 1, and the row is zero on
+    every pivot stored before it.  A row is fed in two steps: :meth:`reduce`
+    clears every stored pivot from it, and :meth:`store` scales a nonzero
+    remainder to pivot 1 under its least column and touches no other row.
+    :meth:`finish` back-substitutes, after which every stored row is zero
+    on every other pivot: the rows are then the reduced row echelon form,
+    and ``reduced`` holds the pivots whose row is the pivot alone.
 
     Sound because:
 
-    * reducing adds multiples of stored rows to the new row, and storing
-      scales it by the inverse of its pivot and adds multiples of it to
-      stored rows, so the span is the span of the rows fed in, and the
-      stored rows stay in reduced echelon form;
+    * a stored row's columns all lie at or after its pivot, so clearing the
+      pivots of a new row in increasing column order only brings in later
+      columns, and each pivot it meets is cleared once;
+    * reducing adds multiples of stored rows to the new row, storing scales
+      it, and back-substitution adds multiples of rows with later pivots to
+      rows with earlier ones, so the span is the span of the rows fed in;
     * every operation is exact: ints and Fractions mix without rounding,
       and a stored value is an int whenever it is integral;
     * the RREF of a row space is unique, so whatever order the rows come
-      in, the stored rows and pivots are those of sympy's Gauss--Jordan
-      over QQ on the same rows.
-
-    The steps are the loop of sympy's sparse ``sdm_irref``.
+      in, and wherever :meth:`finish` is called among the feeds, the rows
+      after it are those of sympy's Gauss--Jordan over QQ on the same rows.
     """
 
-    __slots__ = ("rows", "reduced", "nonreduced", "holders")
+    __slots__ = ("rows", "reduced", "fresh")
 
     def __init__(self):
         self.rows: dict[int, dict[int, object]] = {}
         self.reduced = set()  # pivots whose row holds nothing but the pivot
-        self.nonreduced = set()
-        # Column -> the nonreduced pivots whose rows hold it.
-        self.holders: defaultdict[int, set[int]] = defaultdict(set)
+        self.fresh = set()    # pivots stored since the last finish
 
     def reduce(self, row: dict) -> dict:
         """A new dict: row minus the combination of stored rows that clears
         every pivot from it.  It is empty when row lies in the span."""
         reduced, rows = self.reduced, self.rows
         Ai = {j: v for j, v in row.items() if j not in reduced}
-        for j in self.nonreduced & Ai.keys():
-            Aj = rows[j]
-            Aij = Ai.pop(j)
-            both = Aj.keys() & Ai.keys()
-            for k in Aj.keys() - both - {j}:
-                Ai[k] = -Aij * Aj[k]
-            for k in both:
-                if Aik := Ai[k] - Aij * Aj[k]:
+        # The pivots met so far; a stored row brings in later columns only.
+        heap = [j for j in Ai if j in rows]
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            Aij = Ai.get(j)
+            if Aij is None:  # met twice, and cleared at the first
+                continue
+            # Row j holds j itself, so this clears column j too.
+            for k, v in rows[j].items():
+                Aik = Ai.get(k)
+                if Aik is None:
+                    Ai[k] = -Aij * v
+                    if k in rows:
+                        heappush(heap, k)
+                elif Aik := Aik - Aij * v:
                     Ai[k] = Aik
                 else:
                     del Ai[k]
@@ -122,7 +140,6 @@ class _Echelon:
     def store(self, Ai: dict) -> None:
         """Store a nonzero remainder of :meth:`reduce` under its least
         column, scaled to pivot 1; Ai itself becomes the row."""
-        rows, holders = self.rows, self.holders
         j = min(Ai)
         Aij = Ai[j]
         if Aij == -1:
@@ -135,60 +152,94 @@ class _Echelon:
         for l, v in Ai.items():
             if type(v) is not int and v.denominator == 1:
                 Ai[l] = v.numerator
-        rows[j] = Ai
-        others = Ai.keys() - {j}
-        for k in holders.pop(j, ()):
-            Ak = rows[k]
-            Akj = Ak.pop(j)
-            both = others & Ak.keys()
-            # An integral Fraction is stored as its int, as above.
-            for l in others - both:
-                Akl = -Akj * Ai[l]
-                Ak[l] = (Akl if type(Akl) is int or Akl.denominator != 1
-                         else Akl.numerator)
-                holders[l].add(k)
-            for l in both:
-                if Akl := Ak[l] - Akj * Ai[l]:
-                    Ak[l] = (Akl if type(Akl) is int or Akl.denominator != 1
-                             else Akl.numerator)
-                else:
-                    del Ak[l]
-                    holders[l].remove(k)
-            if len(Ak) == 1:
-                self.reduced.add(k)
-                self.nonreduced.remove(k)
-        if others:
-            self.nonreduced.add(j)
-            for l in others:
-                holders[l].add(j)
-        else:
+        self.rows[j] = Ai
+        self.fresh.add(j)
+        if len(Ai) == 1:
             self.reduced.add(j)
+
+    def finish(self) -> None:
+        """Back-substitute: clear from every stored row the pivots stored
+        since the last call, from the last pivot down.
+
+        A row stored before the last call is zero on the pivots it knew,
+        and a row stored since on the pivots stored before it, so in both
+        only the new pivots remain to clear.  Taken from the last pivot
+        down, the row of each such pivot is already reduced, and clearing
+        it brings in no pivot.
+        """
+        fresh, rows, reduced = self.fresh, self.rows, self.reduced
+        if not fresh:
+            return
+        last = max(fresh)
+        for p in sorted(rows, reverse=True):
+            if p >= last or p in reduced:
+                continue
+            Ap = rows[p]
+            new = Ap.keys() & fresh
+            new.discard(p)
+            for q in new:
+                Apq = Ap[q]
+                # Row q holds q itself, so this clears column q too.  An
+                # integral Fraction is stored as its int, as in store().
+                for l, v in rows[q].items():
+                    Apl = Ap.get(l)
+                    if Apl is None:
+                        Apl = -Apq * v
+                    elif not (Apl := Apl - Apq * v):
+                        del Ap[l]
+                        continue
+                    Ap[l] = (Apl if type(Apl) is int or Apl.denominator != 1
+                             else Apl.numerator)
+            if len(Ap) == 1:
+                reduced.add(p)
+        fresh.clear()
 
 
 def _gauss_jordan(sparse_rows: dict) -> tuple[dict, tuple[int, ...]]:
     """Nonzero RREF rows {row: {col: int or Fraction}} and pivot columns.
 
     The nonzero rows are fed as they are to an :class:`_Echelon` by
-    descending first nonzero column, the order of sympy's ``sdm_irref``.
-    ``sparse_rows``, a {row: {col: value}} mapping, and its row dicts are
-    not modified: :meth:`_Echelon.reduce` builds a new dict.
+    descending first nonzero column, and :meth:`_Echelon.finish` runs once
+    at the end.  ``sparse_rows``, a {row: {col: value}} mapping, and its
+    row dicts are not modified: :meth:`_Echelon.reduce` builds a new dict.
     """
     rows = sorted(filter(None, sparse_rows.values()), key=min)
     echelon = _Echelon()
     while rows:
         if remainder := echelon.reduce(rows.pop()):
             echelon.store(remainder)
+    echelon.finish()
     pivots = tuple(sorted(echelon.rows))
-    # Fresh dicts without the slack that store() leaves in updated rows:
+    # Fresh dicts without the slack that finish() leaves in updated rows:
     # the result is kept for the life of the process (_RREF_BY_ROWS).
     return {i: dict(echelon.rows[p]) for i, p in enumerate(pivots)}, pivots
 
 
-# Nonzero RREF rows and pivots, keyed by (cols, frozenset of nonzero rows):
-# equal row sets span equal row spaces, whose RREF is unique.  Like the
-# functools caches on the operators, it lives as long as the process.
-_RREF_BY_ROWS: dict[tuple, tuple[dict[int, dict[int, object]],
-                                 tuple[int, ...]]] = {}
+def _row_set(sparse_rows: dict) -> frozenset:
+    """The set of nonzero rows, each as a frozenset of its items."""
+    return frozenset(frozenset(row.items())
+                     for row in sparse_rows.values() if row)
+
+
+class _Elimination:
+    """The elimination of one row set: ``witness`` is the {row: {col:
+    value}} dict of the first matrix eliminated, ``rows`` and ``pivots``
+    the nonzero RREF rows and pivots, and ``kernel`` the kernel basis once
+    a matrix has asked for it."""
+
+    __slots__ = ("witness", "rows", "pivots", "kernel")
+
+    def __init__(self, witness: dict):
+        self.witness = witness
+        self.rows, self.pivots = _gauss_jordan(witness)
+        self.kernel = None
+
+
+# One _Elimination per row set, keyed by (cols, hash of the row set): equal
+# row sets span equal row spaces, whose RREF is unique.  A hit is compared
+# with its witness exactly.  Like the functools caches on the operators,
+# whose row dicts are the witnesses, it lives as long as the process.
+_RREF_BY_ROWS: dict[tuple[int, int], _Elimination] = {}
 
 
 class RatMatrix:
@@ -199,7 +250,8 @@ class RatMatrix:
     never modified.
     """
 
-    __slots__ = ("rows", "cols", "_dod", "_rref", "_unit_rows")
+    __slots__ = ("rows", "cols", "_dod", "_rref", "_elimination",
+                 "_unit_rows")
 
     @classmethod
     def _make(cls, rows: int, cols: int, dod: dict,
@@ -207,7 +259,7 @@ class RatMatrix:
         """The rows x cols matrix whose nonzero rows are dod (not copied)."""
         self = object.__new__(cls)
         self.rows, self.cols, self._dod = rows, cols, dod
-        self._rref = None
+        self._rref = self._elimination = None
         self._unit_rows = unit_rows
         return self
 
@@ -333,14 +385,17 @@ class RatMatrix:
         """Reduced row echelon form and pivot columns (both canonical)."""
         if self._rref is None:
             sparse = self._sparse_rows()
-            key = (self.cols, frozenset(
-                frozenset(row.items()) for row in sparse.values() if row))
+            row_set = _row_set(sparse)
+            key = (self.cols, hash(row_set))
             shared = _RREF_BY_ROWS.get(key)
             if shared is None:
-                shared = _RREF_BY_ROWS[key] = _gauss_jordan(sparse)
-            nonzero, pivots = shared
-            self._rref = (RatMatrix._make(self.rows, self.cols, nonzero),
-                          pivots)
+                shared = _RREF_BY_ROWS[key] = _Elimination(sparse)
+            elif shared.witness is not sparse and (
+                    row_set != _row_set(shared.witness)):
+                shared = _Elimination(sparse)  # a hash collision: not kept
+            self._elimination = shared
+            self._rref = (RatMatrix._make(self.rows, self.cols, shared.rows),
+                          shared.pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -351,25 +406,29 @@ class RatMatrix:
 
         The result K satisfies self @ K == 0 exactly, has cols - rank columns,
         and restricts to the identity on the free-column rows (ascending), so
-        K.unit_rows() is exactly the free column set.
+        K.unit_rows() is exactly the free column set.  It depends only on
+        the row set and the column count, so every matrix that shares the
+        RREF shares one K.
         """
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        free_index = {f: k for k, f in enumerate(free)}
-        dod: dict[int, dict[int, object]] = {f: {k: 1}
-                                             for k, f in enumerate(free)}
-        red_rows = red._sparse_rows()
-        for r_idx, p in enumerate(pivots):
-            out = {}
-            for j, val in red_rows.get(r_idx, {}).items():
-                k = free_index.get(j)
-                if k is not None:
-                    out[k] = -val
-            if out:
-                dod[p] = out
-        return RatMatrix._make(self.cols, len(free), dod,
-                               unit_rows=tuple(free))
+        self.rref()
+        shared = self._elimination
+        if shared.kernel is None:
+            pivot_set = set(shared.pivots)
+            free = [j for j in range(self.cols) if j not in pivot_set]
+            free_index = {f: k for k, f in enumerate(free)}
+            dod: dict[int, dict[int, object]] = {f: {k: 1}
+                                                 for k, f in enumerate(free)}
+            for r_idx, p in enumerate(shared.pivots):
+                out = {}
+                for j, val in shared.rows[r_idx].items():
+                    k = free_index.get(j)
+                    if k is not None:
+                        out[k] = -val
+                if out:
+                    dod[p] = out
+            shared.kernel = RatMatrix._make(self.cols, len(free), dod,
+                                            unit_rows=tuple(free))
+        return shared.kernel
 
     def unit_rows(self):
         """The tuple J with self[J[k], k] == 1 and row J[k] zero elsewhere,

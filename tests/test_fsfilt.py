@@ -1485,6 +1485,17 @@ def test_restricted_traces_match_the_fraction_reference():
                 _fraction_restricted_bicharacter(functionals, image), (a, b)
 
 
+def test_restricted_traces_refuse_a_basis_without_unit_rows():
+    # A product has no unit rows even when it is an identity; the refusal
+    # is a ValueError, under -O too (tests/test_verify.py).
+    module = hom_module(SURJ, 3, 2)
+    identity = RatMatrix.identity(module.dimension)
+    product = identity @ identity
+    assert product == identity and product.unit_rows() is None
+    with pytest.raises(ValueError, match="unit rows"):
+        _restricted_bicharacter(module, product)
+
+
 def test_level_test_agrees_with_membership_in_the_level_basis():
     for b in range(5):
         for a in range(b + 1):

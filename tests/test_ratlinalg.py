@@ -5,6 +5,7 @@ written directly with fractions.Fraction.  Reduced row echelon form is
 unique, so the library result must match the naive result cell for cell.
 """
 import copy
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from fsprim import ratlinalg
-from fsprim.fsfilt import _reduced_restriction, filtration_level, theta_matrix
+from fsprim import finsetcat, fsfilt, partitions, ratlinalg, repdecomp, verify
+from fsprim.fsfilt import (_module_generator_columns, _reduced_restriction,
+                           filtration_level, theta_matrix)
 from fsprim.ratlinalg import RatMatrix, solve_membership
 
 # ---------------------------------------------------------------- oracle
@@ -598,6 +600,144 @@ def test_product_matches_sympy(case):
     assert_product_matches_sympy(shaped(left, k), shaped(right, n))
 
 
+class ReferenceEchelon:
+    """The reference for :class:`ratlinalg._Echelon`: an incremental RREF
+    that keeps its rows reduced at every store.
+
+    :meth:`store` clears the new pivot from every stored row that holds
+    it, found through ``holders`` (column -> nonreduced pivots whose rows
+    hold it), so ``rows`` is the RREF of the rows fed so far at all times
+    and :meth:`finish` has nothing to do.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.reduced = set()  # pivots whose row holds nothing but the pivot
+        self.nonreduced = set()
+        self.holders = defaultdict(set)
+
+    def reduce(self, row):
+        reduced, rows = self.reduced, self.rows
+        Ai = {j: v for j, v in row.items() if j not in reduced}
+        for j in self.nonreduced & Ai.keys():
+            Aj = rows[j]
+            Aij = Ai.pop(j)
+            both = Aj.keys() & Ai.keys()
+            for k in Aj.keys() - both - {j}:
+                Ai[k] = -Aij * Aj[k]
+            for k in both:
+                if Aik := Ai[k] - Aij * Aj[k]:
+                    Ai[k] = Aik
+                else:
+                    del Ai[k]
+        return Ai
+
+    def store(self, Ai):
+        rows, holders = self.rows, self.holders
+        j = min(Ai)
+        Aij = Ai[j]
+        if Aij == -1:
+            for l in Ai:
+                Ai[l] = -Ai[l]
+        elif Aij != 1:
+            inverse = Fraction(1, Aij)
+            for l in Ai:
+                Ai[l] *= inverse
+        for l, v in Ai.items():
+            if type(v) is not int and v.denominator == 1:
+                Ai[l] = v.numerator
+        rows[j] = Ai
+        others = Ai.keys() - {j}
+        for k in holders.pop(j, ()):
+            Ak = rows[k]
+            Akj = Ak.pop(j)
+            both = others & Ak.keys()
+            for l in others - both:
+                Akl = -Akj * Ai[l]
+                Ak[l] = (Akl if type(Akl) is int or Akl.denominator != 1
+                         else Akl.numerator)
+                holders[l].add(k)
+            for l in both:
+                if Akl := Ak[l] - Akj * Ai[l]:
+                    Ak[l] = (Akl if type(Akl) is int or Akl.denominator != 1
+                             else Akl.numerator)
+                else:
+                    del Ak[l]
+                    holders[l].remove(k)
+            if len(Ak) == 1:
+                self.reduced.add(k)
+                self.nonreduced.remove(k)
+        if others:
+            self.nonreduced.add(j)
+            for l in others:
+                holders[l].add(j)
+        else:
+            self.reduced.add(j)
+
+    def finish(self):
+        pass
+
+
+def feed(echelon, rows):
+    """Feed ``rows`` to ``echelon`` in order, storing every remainder."""
+    for row in rows:
+        if remainder := echelon.reduce(row):
+            echelon.store(remainder)
+
+
+def reference_gauss_jordan(sparse_rows):
+    """_gauss_jordan's nonzero RREF rows and pivots, by the reference."""
+    echelon = ReferenceEchelon()
+    feed(echelon, sorted(filter(None, sparse_rows.values()), key=min,
+                         reverse=True))
+    pivots = tuple(sorted(echelon.rows))
+    return {i: echelon.rows[p] for i, p in enumerate(pivots)}, pivots
+
+
+@pytest.fixture
+def empty_caches(monkeypatch):
+    """Every functools cache of fsprim and the shared RREF table emptied,
+    before the test and after it, so the test sees every elimination."""
+    caches = [fn for module in (finsetcat, fsfilt, partitions, repdecomp,
+                                verify)
+              for fn in vars(module).values() if hasattr(fn, "cache_clear")]
+    for fn in caches:
+        fn.cache_clear()
+    monkeypatch.setattr(ratlinalg, "_RREF_BY_ROWS", {})
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def test_every_elimination_of_the_bound_6_sweep_matches_the_reference(
+        empty_caches, monkeypatch):
+    eliminated = []
+    gauss_jordan = ratlinalg._gauss_jordan
+
+    def spy(sparse_rows):
+        eliminated.append(sparse_rows)
+        return gauss_jordan(sparse_rows)
+
+    monkeypatch.setattr(ratlinalg, "_gauss_jordan", spy)
+    assert all(r.status == "pass" for r in verify.collect_reports(6))
+    assert len(eliminated) >= 20
+    for sparse_rows in eliminated:
+        assert gauss_jordan(sparse_rows) == \
+            reference_gauss_jordan(sparse_rows)
+
+
+def test_the_generator_search_picks_the_reference_columns(monkeypatch):
+    # The search finishes the echelon before each pick; the reference keeps
+    # its rows reduced throughout, so its finish() does nothing.
+    cells = [(b, a, side) for b in range(7) for a in range(b + 1)
+             for side in ("left", "right")]
+    found = {cell: _module_generator_columns(*cell) for cell in cells}
+    monkeypatch.setattr(fsfilt, "_Echelon", ReferenceEchelon)
+    for cell in cells:
+        assert _module_generator_columns.__wrapped__(*cell) == found[cell], \
+            cell
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(*[st.integers(min_value=0, max_value=5)] * 2).flatmap(
     lambda shape: st.tuples(st.just(shape[1]),
@@ -612,23 +752,104 @@ def test_the_echelon_gives_the_rref_in_any_row_order(case, rng):
     rng.shuffle(fed)
     before = copy.deepcopy(fed)
     echelon = ratlinalg._Echelon()
-    for row in fed:
-        if remainder := echelon.reduce(row):
-            echelon.store(remainder)
+    feed(echelon, fed)
+    echelon.finish()
     assert fed == before
     pivots = tuple(sorted(echelon.rows))
     red = {i: echelon.rows[p] for i, p in enumerate(pivots)}
     assert (red, pivots) == reference_rref(shaped(rows, cols))
     assert normalised_values(RatMatrix._make(len(red), cols, red))
+    assert echelon.reduced == {p for p, row in echelon.rows.items()
+                               if len(row) == 1}
+
+
+# Rows whose pivots are often not 1 or -1: scaling divides, and the stored
+# rows hold Fractions.
+scaled_rows = st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.lists(st.dictionaries(
+        st.integers(min_value=0, max_value=cols - 1),
+        st.sampled_from((2, -3, Fraction(3, 2), Fraction(-2, 5))) | small_frac,
+        max_size=cols), max_size=7))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scaled_rows, st.lists(st.booleans(), min_size=7, max_size=7))
+def test_finishing_among_the_feeds_gives_the_rows_of_one_final_finish(
+        rows, finish_after):
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
+    once = ratlinalg._Echelon()
+    feed(once, rows)
+    once.finish()
+    often = ratlinalg._Echelon()
+    reference = ReferenceEchelon()
+    for row, finish in zip(rows, finish_after):
+        feed(often, [row])
+        feed(reference, [row])
+        if finish:
+            # After a finish the rows are the RREF of the rows fed so far.
+            often.finish()
+            assert often.rows == reference.rows
+            assert often.reduced == reference.reduced
+    often.finish()
+    assert often.rows == once.rows == reference.rows
+    assert often.reduced == once.reduced == reference.reduced
+    assert all(type(v) is int or v.denominator > 1
+               for row in once.rows.values() for v in row.values())
 
 
 def test_the_echelon_stores_an_integral_fraction_as_an_int():
     # Clearing the second pivot from the first row leaves 1/2 + 1/2 there.
     echelon = ratlinalg._Echelon()
-    for row in ({0: 1, 1: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(-1, 2)}):
-        echelon.store(echelon.reduce(row))
+    feed(echelon, ({0: 1, 1: 1, 2: Fraction(1, 2)},
+                   {1: 1, 2: Fraction(-1, 2)}))
+    # Storing the second row left the first as it was.
+    assert echelon.rows[0] == {0: 1, 1: 1, 2: Fraction(1, 2)}
+    echelon.finish()
     assert echelon.rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: Fraction(-1, 2)}}
     assert type(echelon.rows[0][2]) is int
+
+
+class OneSlotTable(dict):
+    """An RREF table in which every row set of a column count collides."""
+
+    def get(self, key):
+        return super().get(key[0])
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
+
+
+@pytest.mark.parametrize("table", [dict, OneSlotTable])
+def test_a_row_set_shares_its_kernel_only_with_an_equal_row_set(
+        monkeypatch, table):
+    monkeypatch.setattr(ratlinalg, "_RREF_BY_ROWS", table())
+    rows = [[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [2, 2, 0, 0, 2]]
+    K = dense(rows).kernel_basis()
+    # Reordered, repeated and zero rows leave the row set as it is.
+    same = dense([rows[1], [0] * 5, rows[0], rows[2], rows[1]])
+    assert same.kernel_basis() is K
+    # One row more, one row less, or one row changed is another row set.
+    for other in (rows + [[0, 0, 0, 1, 1]], rows[1:],
+                  [rows[0], [0, 1, 1, 0, 1], rows[2]]):
+        M = dense(other)
+        kernel = M.kernel_basis()
+        assert kernel is not K
+        assert (M @ kernel).is_zero()
+        assert kernel.cols == M.cols - len(oracle_rref(other)[1])
+        assert M.rref() == (RatMatrix._make(M.rows, M.cols,
+                                            reference_rref(M)[0]),
+                            reference_rref(M)[1])
+
+
+def test_the_pairing_and_its_restriction_stage_share_one_kernel(
+        empty_caches):
+    # theta(a, b) and the stage (b, a, a) have one row set: a row of either
+    # asks f to agree with a bijection onto [a] from an a-subset of [b].
+    # At a = b the level is -1, the zero level, built without elimination.
+    for b in range(6):
+        for a in range(1, b):
+            assert theta_matrix(a, b).kernel_basis() is \
+                filtration_level(b, a, b - a - 1), (a, b)
 
 
 def test_an_integral_fraction_from_a_product_equals_its_int():

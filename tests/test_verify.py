@@ -237,7 +237,8 @@ def test_contracts_hold_under_optimize():
 from fractions import Fraction
 from fsprim.finsetcat import (FinMap, HomClass, compose, enumerate_hom,
                               hom_character, hom_dimension, hom_values)
-from fsprim.fsfilt import (_reduced_restriction, closure_check,
+from fsprim.fsfilt import (_reduced_restriction, _restricted_bicharacter,
+                           closure_check,
                            coker_action_triviality, coker_theta_decompose,
                            filtration_level, hom_module,
                            lambda_bar_character, ses_identity_check,
@@ -278,6 +279,8 @@ for call in (lambda: FinMap(2, 1, (5, 7)), lambda: theta_matrix(3, 2),
              lambda: coker_action_triviality(2, 3, 4),
              lambda: sgn_vanishing_check(2, 3),
              lambda: filtration_level(2, 1, -2),
+             lambda: _restricted_bicharacter(
+                 M, RatMatrix.identity(6) @ RatMatrix.identity(6)),
              lambda: M.right_perm(bytes((2, 1, 3, 4))),
              lambda: M.right_perm(bytes((1, 1, 2))),
              lambda: M.left_perm(bytes((1, 1))),
