@@ -632,7 +632,8 @@ def _module_generator_columns(source_size: int, target_size: int,
     chosen: list[int] = []
     while len(echelon.rows) < dim:
         echelon.finish()
-        candidate = next(j for j in range(dim) if j not in echelon.reduced)
+        candidate = next(j for j in range(dim)
+                         if len(echelon.rows.get(j, ())) != 1)
         chosen.append(candidate)
         queue = deque([columns[candidate]])
         while queue:

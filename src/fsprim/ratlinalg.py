@@ -77,6 +77,16 @@ def _exact(x):
     return f.numerator if f.denominator == 1 else f
 
 
+def _shape(*sizes) -> None:
+    """Refuse a matrix shape that is not nonnegative ints: TypeError for any
+    other type (a float or a bool), ValueError below 0."""
+    for n in sizes:
+        if type(n) is not int:
+            raise TypeError(f"a matrix shape is ints, not {n!r}")
+        if n < 0:
+            raise ValueError(f"negative shape: {n}")
+
+
 class _Echelon:
     """A sparse row echelon form of the rows fed so far, reduced on demand.
 
@@ -87,7 +97,8 @@ class _Echelon:
     remainder to pivot 1 under its least column and touches no other row.
     :meth:`finish` back-substitutes, after which every stored row is zero
     on every other pivot: the rows are then the reduced row echelon form,
-    and ``reduced`` holds the pivots whose row is the pivot alone.
+    in which a row is its pivot alone exactly when the pivot's unit vector
+    lies in the span.
 
     Sound because:
 
@@ -104,18 +115,17 @@ class _Echelon:
       after it are those of sympy's Gauss--Jordan over QQ on the same rows.
     """
 
-    __slots__ = ("rows", "reduced", "fresh")
+    __slots__ = ("rows", "fresh")
 
     def __init__(self):
         self.rows: dict[int, dict[int, object]] = {}
-        self.reduced = set()  # pivots whose row holds nothing but the pivot
-        self.fresh = set()    # pivots stored since the last finish
+        self.fresh = set()  # pivots stored since the last finish
 
     def reduce(self, row: dict) -> dict:
         """A new dict: row minus the combination of stored rows that clears
         every pivot from it.  It is empty when row lies in the span."""
-        reduced, rows = self.reduced, self.rows
-        Ai = {j: v for j, v in row.items() if j not in reduced}
+        rows = self.rows
+        Ai = dict(row)
         # The pivots met so far; a stored row brings in later columns only.
         heap = [j for j in Ai if j in rows]
         heapify(heap)
@@ -154,8 +164,6 @@ class _Echelon:
                 Ai[l] = v.numerator
         self.rows[j] = Ai
         self.fresh.add(j)
-        if len(Ai) == 1:
-            self.reduced.add(j)
 
     def finish(self) -> None:
         """Back-substitute: clear from every stored row the pivots stored
@@ -167,14 +175,14 @@ class _Echelon:
         down, the row of each such pivot is already reduced, and clearing
         it brings in no pivot.
         """
-        fresh, rows, reduced = self.fresh, self.rows, self.reduced
+        fresh, rows = self.fresh, self.rows
         if not fresh:
             return
         last = max(fresh)
         for p in sorted(rows, reverse=True):
-            if p >= last or p in reduced:
-                continue
             Ap = rows[p]
+            if p >= last or len(Ap) == 1:
+                continue
             new = Ap.keys() & fresh
             new.discard(p)
             for q in new:
@@ -190,8 +198,6 @@ class _Echelon:
                         continue
                     Ap[l] = (Apl if type(Apl) is int or Apl.denominator != 1
                              else Apl.numerator)
-            if len(Ap) == 1:
-                reduced.add(p)
         fresh.clear()
 
 
@@ -265,18 +271,19 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("negative shape")
+        _shape(rows, cols)
         return cls._make(rows, cols, {}, unit_rows=None if cols else ())
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
+        _shape(n)
         return cls._make(n, n, {i: {i: 1} for i in range(n)},
                          unit_rows=tuple(range(n)))
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "RatMatrix":
         """Matrix whose j-th column is columns[j] (each of length rows)."""
+        _shape(rows)
         dod: dict[int, dict[int, object]] = {}
         columns = list(columns)
         for j, col in enumerate(columns):
@@ -291,6 +298,7 @@ class RatMatrix:
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets) -> "RatMatrix":
         """Matrix from (row, col, value) triplets; duplicate cells accumulate."""
+        _shape(rows, cols)
         dod: dict[int, dict[int, object]] = {}
         for i, j, v in triplets:
             if not (0 <= i < rows and 0 <= j < cols):

@@ -53,7 +53,7 @@ class InternalConsistencyError(Exception):
 
 def adjacent_transposition(n: int, t: int) -> bytes:
     """The permutation of degree n exchanging t and t+1, as a value string."""
-    if not 1 <= t < n:
+    if not 1 <= t < _degree(n):
         raise ValueError("transposition index must satisfy 1 <= t < n")
     vals = bytearray(range(1, n + 1))
     vals[t - 1], vals[t] = vals[t], vals[t - 1]
@@ -80,7 +80,7 @@ def symmetric_generators(n: int) -> tuple[bytes, ...]:
     every adjacent transposition (k k+1), and those generate S_n.  At n = 2
     the cycle is (1 2) itself, so there is one generator, and below 2 none.
     """
-    if n < 2:
+    if _degree(n) < 2:
         return ()
     swap = adjacent_transposition(n, 1)
     return (swap,) if n == 2 else (swap, class_representative((n,)))
@@ -462,8 +462,6 @@ def pieri_h(lam: Partition, n: int) -> SchurClass:
         high = low + budget
         if i >= 1:
             high = min(high, rows[i - 1])
-        if built:
-            high = min(high, built[-1])
         for m in range(low, high + 1):
             place(i + 1, budget - (m - low), built + [m])
 
@@ -518,8 +516,6 @@ def _induced_product(lam: Partition, mu: Partition) -> SchurClass:
 @cache
 def _irreducible_product(lam: Partition, mu: Partition) -> SchurClass:
     """Product of two irreducibles: a Pieri rule or the induced character."""
-    if SchurClass._sort_key(mu) < SchurClass._sort_key(lam):
-        lam, mu = mu, lam
     if len(lam) <= 1:
         return pieri_h(mu, weight(lam))
     if len(mu) <= 1:

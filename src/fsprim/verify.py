@@ -277,14 +277,11 @@ def _check_dimension_counts(bound: int) -> CheckReport:
              factorial(b) // factorial(b - a)))
         for name, flavor, sizes, formula in counts:
             enumerated = len(hom_values(flavor, *sizes))
-            if enumerated != formula:
-                return (dict(where, **{name: formula}),
-                        dict(where, **{name: enumerated}))
             dimension = hom_dimension(flavor, *sizes)
-            if dimension != formula:
-                key = f"{name}_hom_dimension"
-                return (dict(where, **{key: formula}),
-                        dict(where, **{key: dimension}))
+            for key, got in ((name, enumerated),
+                             (f"{name}_hom_dimension", dimension)):
+                if mismatch := _compare(where, key, formula, got):
+                    return mismatch
         return None
     return _sweep("dimension_counts", {"bound": bound}, _cells(bound),
                   evaluate)
@@ -625,10 +622,8 @@ _THETA_PRINT_LIMIT = 400
 def _cmd_theta(args) -> int:
     a, b = args.a, args.b
     report = theta_rank_report(a, b)
-    for key in ("target_size", "source_size", "domain_dimension",
-                "codomain_dimension", "rank", "kernel_dimension",
-                "kernel_is_filtration_level"):
-        print(f"{key} {json.dumps(report[key])}")
+    for key, value in report.items():
+        print(f"{key} {json.dumps(value)}")
     matrix = theta_matrix(a, b)
     entries = None
     if matrix.rows * matrix.cols <= _THETA_PRINT_LIMIT:
@@ -746,8 +741,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run one check or the full suite")
     p_ver.add_argument("check", help="check id or 'all'")
 
-    for p in (p_dims, p_theta, p_dec, p_filt, p_ver):
+    for p, run in ((p_dims, _cmd_dims), (p_theta, _cmd_theta),
+                   (p_dec, _cmd_decompose), (p_filt, _cmd_filtration),
+                   (p_ver, _cmd_verify)):
         _add_global_options(p, trailing=True)
+        p.set_defaults(run=run)
 
     return parser
 
@@ -777,14 +775,7 @@ def main(argv=None) -> int:
         if args.max_size < 0:
             print("error: --max-size must be nonnegative", file=sys.stderr)
             return 2
-    handlers = {
-        "dims": _cmd_dims,
-        "theta": _cmd_theta,
-        "decompose": _cmd_decompose,
-        "filtration": _cmd_filtration,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -119,6 +119,33 @@ def test_identity_and_zeros():
     assert RatMatrix.identity(0).rows == 0
 
 
+# Each public constructor with one size replaced by ``n``.
+SHAPED_CONSTRUCTORS = {
+    "zeros-rows": lambda n: RatMatrix.zeros(n, 1),
+    "zeros-cols": lambda n: RatMatrix.zeros(2, n),
+    "identity": lambda n: RatMatrix.identity(n),
+    "from_triplets-rows": lambda n: RatMatrix.from_triplets(n, 2, []),
+    "from_triplets-cols": lambda n: RatMatrix.from_triplets(2, n, []),
+    "from_columns": lambda n: RatMatrix.from_columns(n, []),
+}
+
+
+@pytest.mark.parametrize("build", SHAPED_CONSTRUCTORS.values(),
+                         ids=SHAPED_CONSTRUCTORS.keys())
+def test_constructors_refuse_a_shape_that_is_not_a_nonnegative_int(build):
+    # identity(-2) once had unit rows (), zeros(True, 2) kept rows True,
+    # and from_triplets(-1, 2, []) had -1 rows.
+    for size in (2.5, True, False, Fraction(2)):
+        with pytest.raises(TypeError, match="matrix shape"):
+            build(size)
+    for size in (-1, -2):
+        with pytest.raises(ValueError, match="negative shape"):
+            build(size)
+    assert build(0).is_zero()
+    matrix = build(3)
+    assert 3 in (matrix.rows, matrix.cols)
+
+
 # ------------------------------------------------------------------ rref
 
 
@@ -759,40 +786,56 @@ def test_the_echelon_gives_the_rref_in_any_row_order(case, rng):
     red = {i: echelon.rows[p] for i, p in enumerate(pivots)}
     assert (red, pivots) == reference_rref(shaped(rows, cols))
     assert normalised_values(RatMatrix._make(len(red), cols, red))
-    assert echelon.reduced == {p for p, row in echelon.rows.items()
-                               if len(row) == 1}
+    assert singleton_pivots(echelon) == units_in_span(rows, cols)
+
+
+def singleton_pivots(echelon):
+    """The pivots whose row in ``echelon`` is the pivot alone."""
+    return {p for p, row in echelon.rows.items() if len(row) == 1}
+
+
+def units_in_span(rows, cols):
+    """The columns j whose unit vector lies in the span of ``rows`` (dense
+    sequences of length cols): adding it leaves the reference rank as it is.
+    """
+    rank = len(reference_rref(shaped(rows, cols))[1])
+    return {j for j in range(cols) if len(reference_rref(shaped(
+        [*rows, [int(k == j) for k in range(cols)]], cols))[1]) == rank}
 
 
 # Rows whose pivots are often not 1 or -1: scaling divides, and the stored
 # rows hold Fractions.
 scaled_rows = st.integers(min_value=1, max_value=6).flatmap(
-    lambda cols: st.lists(st.dictionaries(
+    lambda cols: st.tuples(st.just(cols), st.lists(st.dictionaries(
         st.integers(min_value=0, max_value=cols - 1),
         st.sampled_from((2, -3, Fraction(3, 2), Fraction(-2, 5))) | small_frac,
-        max_size=cols), max_size=7))
+        max_size=cols), max_size=7)))
 
 
 @settings(max_examples=120, deadline=None)
 @given(scaled_rows, st.lists(st.booleans(), min_size=7, max_size=7))
 def test_finishing_among_the_feeds_gives_the_rows_of_one_final_finish(
-        rows, finish_after):
+        case, finish_after):
+    cols, rows = case
     rows = [{j: v for j, v in row.items() if v} for row in rows]
     once = ratlinalg._Echelon()
     feed(once, rows)
     once.finish()
     often = ratlinalg._Echelon()
     reference = ReferenceEchelon()
-    for row, finish in zip(rows, finish_after):
+    for k, (row, finish) in enumerate(zip(rows, finish_after), 1):
         feed(often, [row])
         feed(reference, [row])
         if finish:
-            # After a finish the rows are the RREF of the rows fed so far.
+            # After a finish the rows are the RREF of the rows fed so far,
+            # and a row is its pivot alone exactly when the pivot's unit
+            # vector is in their span: the generator search reads that.
             often.finish()
             assert often.rows == reference.rows
-            assert often.reduced == reference.reduced
+            assert singleton_pivots(often) == units_in_span(
+                [[r.get(j, 0) for j in range(cols)] for r in rows[:k]], cols)
     often.finish()
     assert often.rows == once.rows == reference.rows
-    assert often.reduced == once.reduced == reference.reduced
     assert all(type(v) is int or v.denominator > 1
                for row in once.rows.values() for v in row.values())
 

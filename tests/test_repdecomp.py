@@ -28,6 +28,7 @@ from fsprim.repdecomp import (
     ClassFunction,
     InternalConsistencyError,
     SchurClass,
+    adjacent_transposition,
     bidecompose_character,
     biconvolution_right,
     boxtimes,
@@ -146,6 +147,20 @@ def test_symmetric_generators_generate_the_whole_group():
         group = _generated_group(n, symmetric_generators(n))
         assert len(group) == factorial(n), n
         assert group == set(permutations(range(1, n + 1)))
+
+
+def test_permutation_degrees_are_refused_like_every_degree():
+    # Both once read True as degree 1, and a negative degree as too small.
+    for bad in (lambda: symmetric_generators(True),
+                lambda: adjacent_transposition(True, 1),
+                lambda: symmetric_generators(2.0)):
+        with pytest.raises(TypeError, match="degree must be an int"):
+            bad()
+    for bad in (lambda: symmetric_generators(-1),
+                lambda: adjacent_transposition(-1, 1)):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            bad()
+    assert adjacent_transposition(2, 1) == bytes((2, 1))
 
 
 # --------------------------------------------------------------- characters
@@ -866,6 +881,10 @@ def test_cached_products_match_the_induced_oracle():
                 for mu in partitions_of(q):
                     assert _irreducible_product(lam, mu) == \
                         _induced_product(lam, mu), (lam, mu)
+                    # The operands are taken in the order given, so each
+                    # branch must give the same class in either order.
+                    assert _irreducible_product(lam, mu) == \
+                        _irreducible_product(mu, lam), (lam, mu)
                     pairs += 1
     assert pairs == 249
 

@@ -727,6 +727,17 @@ def test_cli_theta_prints_rank_report_and_matrix(capsys):
     assert rows == ["1 0", "0 1"]
 
 
+def test_cli_theta_prints_the_report_in_its_key_order(capsys):
+    assert main(["theta", "--a", "2", "--b", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:7] == ["target_size 2", "source_size 4",
+                         "domain_dimension 14", "codomain_dimension 12",
+                         "rank 9", "kernel_dimension 5",
+                         "kernel_is_filtration_level true"]
+    assert lines[7] == "0 0 0 1 1 1 1 0 0 0 0 0 0 0"
+    assert len(lines) == 7 + 12
+
+
 def test_cli_theta_omits_oversized_matrices(capsys):
     assert main(["theta", "--a", "3", "--b", "5"]) == 0
     out = capsys.readouterr().out
