@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
-from itertools import compress, permutations, product, repeat, tee
+from itertools import permutations, product, repeat
 from math import comb, perm, prod
-from operator import eq
+from operator import add
 
 from .partitions import partitions_of
 
@@ -111,17 +111,34 @@ def hom_values(flavor: HomClass, source_size: int,
 
     Injections, and surjections between sets of one size, are the ordered
     selections of distinct targets, which ``permutations`` yields in
-    lexicographic order from the sorted range; other surjections are the
-    words of ``product`` that hit every target.
+    lexicographic order from the sorted range.  A surjection from b > a >= 2
+    points is a word w followed by a last letter v: either w is onto all a
+    targets and v is any of them, or w is onto the a - 1 targets other than
+    v, relabelled from {1..a-1} in increasing order.  The two cases are
+    disjoint, and both lists of w are the cached smaller cells, so the work
+    grows with the number of surjections, not with a**b; one sort restores
+    the lexicographic order.
     """
     _require_hom(flavor, source_size, target_size)
     b, a = source_size, target_size
     targets = bytes(range(1, a + 1))
     if flavor is HomClass.INJECTION or b == a:
         return tuple(map(bytes, permutations(targets, b)))
-    words, probe = tee(map(bytes, product(targets, repeat=b)))
-    return tuple(compress(words, map(eq, map(len, map(set, probe)),
-                                     repeat(a))))
+    if b < a or a == 0:
+        return ()
+    if a == 1:
+        return (targets * b,)
+    onto_all = hom_values(flavor, b - 1, a)
+    onto_rest = hom_values(flavor, b - 1, a - 1)
+    words = []
+    for v in targets:
+        last = bytes((v,))
+        relabel = bytes.maketrans(targets[:-1], targets.replace(last, b""))
+        words += map(add, onto_all, repeat(last))
+        words += map(add, map(bytes.translate, onto_rest, repeat(relabel)),
+                     repeat(last))
+    words.sort()
+    return tuple(words)
 
 
 @lru_cache(maxsize=None, typed=True)

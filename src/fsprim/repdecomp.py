@@ -52,7 +52,11 @@ class InternalConsistencyError(Exception):
 
 
 def adjacent_transposition(n: int, t: int) -> bytes:
-    """The permutation of degree n exchanging t and t+1, as a value string."""
+    """The permutation of degree n exchanging t and t+1, as a value string.
+
+    Like the degree, t must be an int and not a bool."""
+    if type(t) is not int:
+        raise TypeError(f"transposition index must be an int: {t!r}")
     if not 1 <= t < _degree(n):
         raise ValueError("transposition index must satisfy 1 <= t < n")
     vals = bytearray(range(1, n + 1))

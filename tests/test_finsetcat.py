@@ -8,6 +8,7 @@ Oracles: raw product-and-filter counts written inline (independent of the
 library's own enumeration path), plus closed-form factorial identities.
 """
 from itertools import permutations, product
+from operator import lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,31 @@ def test_value_strings_match_brute_force():
                 assert all(type(v) is bytes for v in got)
                 assert [tuple(v) for v in got] == brute_maps(flavor, b, a), (
                     flavor, b, a)
+
+
+def test_surjections_match_brute_force_through_seven_and_at_eight():
+    # Past a = b + 1 both sides are empty, as at a = b + 1 itself.
+    cells = [(b, a) for b in range(8) for a in range(b + 2)]
+    cells += [(8, a) for a in range(7)]
+    for b, a in cells:
+        got = hom_values(HomClass.SURJECTION, b, a)
+        assert list(map(tuple, got)) == \
+            brute_maps(HomClass.SURJECTION, b, a), (b, a)
+
+
+def test_surjections_through_eight_increase_hit_every_target_and_count():
+    for b in range(9):
+        for a in range(b + 2):
+            got = hom_values(HomClass.SURJECTION, b, a)
+            assert all(map(lt, got, got[1:])), (b, a)
+            targets = set(range(1, a + 1))
+            assert all(len(w) == b and set(w) == targets for w in got)
+            assert len(got) == sum((-1) ** j * _choose(a, j) * (a - j) ** b
+                                   for j in range(a + 1)), (b, a)
+
+
+def test_surjections_onto_one_point_need_no_recursion():
+    assert hom_values(HomClass.SURJECTION, 2000, 1) == (b"\x01" * 2000,)
 
 
 def test_value_strings_refuse_targets_beyond_a_byte():

@@ -163,6 +163,17 @@ def test_permutation_degrees_are_refused_like_every_degree():
     assert adjacent_transposition(2, 1) == bytes((2, 1))
 
 
+def test_transposition_index_must_be_an_int():
+    # True once read as index 1, and 1.0 failed inside bytearray indexing.
+    for t in (True, False, 1.0, "1", None):
+        with pytest.raises(TypeError, match="index must be an int"):
+            adjacent_transposition(3, t)
+    for t in (0, 3, -1):
+        with pytest.raises(ValueError, match="1 <= t < n"):
+            adjacent_transposition(3, t)
+    assert adjacent_transposition(3, 2) == bytes((1, 3, 2))
+
+
 # --------------------------------------------------------------- characters
 
 
